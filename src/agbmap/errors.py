@@ -19,6 +19,11 @@ class FitFailure(AgbmapError):
     pass
 
 
+class BadRecord(AgbmapError):
+    """A waveform record that is not JSON, lacks a key or is invalid; the
+    message starts with path:line."""
+
+
 # allometry
 class InvalidTree(AgbmapError):
     pass

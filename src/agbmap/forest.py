@@ -3,9 +3,18 @@
 Trees are grown on bootstrap samples with per-node feature subsampling
 (mtry). Numeric features split on thresholds; qualitative features split
 on category subsets found by ordering categories by their node-mean target,
-which is optimal for squared error. Every tree draws from its own stream
-spawned off the master seed, so results do not depend on fitting order or
-worker count.
+which is optimal for squared error.
+
+Growth is level-wise. At each depth, every frontier node of a group of
+trees is split in one pass: for each feature, the group's bootstrap rows are
+ordered by (node, value) and each node's best split comes from segment-wise
+cumulative sums. Ties go to the lowest split position within a feature and
+to the lowest feature index across features. Nodes are numbered
+breadth-first within a tree, and node k's mtry subset is the k-th draw from
+its tree's stream, after that tree's bootstrap. Every tree has its own
+stream spawned off the master seed, so a tree depends neither on fitting
+order nor on how trees are grouped. Prediction moves all rows down a tree
+one depth at a time.
 
 Permutation importance (%IncMSE) follows the out-of-bag protocol: per tree,
 the relative out-of-bag MSE increase after permuting one feature, averaged
@@ -16,12 +25,15 @@ a mean and spread per feature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyDesign
 from .linear import DesignMatrix
+
+# bootstrap rows grown together in one group of trees; bounds fit memory
+GROUP_ROWS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -36,140 +48,218 @@ class ForestParams:
         return max(1, min(m, p))
 
 
-@dataclass
+@dataclass(eq=False)
 class Tree:
-    feature: list = field(default_factory=list)    # -1 marks a leaf
-    threshold: list = field(default_factory=list)  # numeric splits
-    left_cats: list = field(default_factory=list)  # categorical splits, values routed left
-    left: list = field(default_factory=list)
-    right: list = field(default_factory=list)
-    value: list = field(default_factory=list)      # node mean of the target
+    """Nodes in breadth-first order; node 0 is the root."""
+    feature: np.ndarray    # -1 marks a leaf
+    threshold: np.ndarray  # numeric splits
+    left_cats: list        # categorical splits: sorted values routed left, else None
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray      # node mean of the target
 
-    def add_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left_cats.append(None)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
+    def __post_init__(self):
+        self.feature = np.asarray(self.feature, dtype=np.intp)
+        self.threshold = np.asarray(self.threshold, dtype=float)
+        self.left = np.asarray(self.left, dtype=np.intp)
+        self.right = np.asarray(self.right, dtype=np.intp)
+        self.value = np.asarray(self.value, dtype=float)
+        # categorical routing table: row per categorical node, column per value
+        cat_nodes = [k for k, c in enumerate(self.left_cats) if c is not None]
+        self._cat_values = np.unique(np.concatenate(
+            [self.left_cats[k] for k in cat_nodes] or [np.empty(0)]))
+        self._cat_row = np.full(self.feature.size, -1, dtype=np.intp)
+        self._cat_row[cat_nodes] = np.arange(len(cat_nodes))
+        self._cat_left = np.zeros((len(cat_nodes), self._cat_values.size), dtype=bool)
+        for i, k in enumerate(cat_nodes):
+            self._cat_left[i, np.searchsorted(self._cat_values, self.left_cats[k])] = True
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0])
-        stack = [(0, np.arange(X.shape[0]))]
-        while stack:
-            node, rows = stack.pop()
-            if rows.size == 0:
-                continue
-            f = self.feature[node]
-            if f < 0:
-                out[rows] = self.value[node]
-                continue
-            xv = X[rows, f]
-            if self.left_cats[node] is not None:
-                go_left = np.isin(xv, self.left_cats[node])
-            else:
-                go_left = xv <= self.threshold[node]
-            stack.append((self.left[node], rows[go_left]))
-            stack.append((self.right[node], rows[~go_left]))
-        return out
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        live = np.arange(X.shape[0])  # rows not yet at a leaf
+        while live.size:
+            f = self.feature[node[live]]
+            inner = f >= 0
+            live, f = live[inner], f[inner]
+            nd = node[live]
+            xv = X[live, f]
+            go_left = xv <= self.threshold[nd]
+            cat_row = self._cat_row[nd]
+            on = cat_row >= 0
+            if on.any():
+                # a value unseen in training goes right
+                vals, xc = self._cat_values, xv[on]
+                pos = np.minimum(np.searchsorted(vals, xc), vals.size - 1)
+                go_left[on] = (vals[pos] == xc) & self._cat_left[cat_row[on], pos]
+            node[live] = np.where(go_left, self.left[nd], self.right[nd])
+        return self.value[node]
 
     def to_dict(self) -> dict:
-        return {"feature": self.feature, "threshold": self.threshold,
-                "left_cats": self.left_cats, "left": self.left,
-                "right": self.right, "value": self.value}
+        return {"feature": self.feature.tolist(), "threshold": self.threshold.tolist(),
+                "left_cats": self.left_cats, "left": self.left.tolist(),
+                "right": self.right.tolist(), "value": self.value.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Tree":
-        return cls(list(d["feature"]), list(d["threshold"]), list(d["left_cats"]),
-                   list(d["left"]), list(d["right"]), list(d["value"]))
+        return cls(d["feature"], d["threshold"], list(d["left_cats"]),
+                   d["left"], d["right"], d["value"])
 
 
-def _best_numeric_split(xv, y, min_leaf):
-    order = np.argsort(xv, kind="stable")
-    xs = xv[order]
-    ys = y[order]
-    n = xs.size
-    csum = np.cumsum(ys)
-    csq = np.cumsum(ys ** 2)
-    total_sum = csum[-1]
-    total_sq = csq[-1]
-    i = np.arange(min_leaf, n - min_leaf + 1)  # left block sizes
-    if i.size == 0:
-        return None
-    valid = xs[i - 1] < xs[i]  # cannot split between equal values
-    if not valid.any():
-        return None
-    i = i[valid]
-    sse_left = csq[i - 1] - csum[i - 1] ** 2 / i
-    rs = total_sum - csum[i - 1]
-    sse_right = (total_sq - csq[i - 1]) - rs ** 2 / (n - i)
-    sse = sse_left + sse_right
-    j = int(np.argmin(sse))
-    thr = 0.5 * (xs[i[j] - 1] + xs[i[j]])
-    return float(sse[j]), ("num", thr)
+def _best_splits(levels, cat_idx, ys, value, row, node, use, min_leaf):
+    """Best split of every frontier node over the features it may use.
 
-
-def _best_categorical_split(xv, y, min_leaf):
-    cats, inverse = np.unique(xv, return_inverse=True)
-    if cats.size < 2:
-        return None
-    sums = np.bincount(inverse, weights=y, minlength=cats.size)
-    counts = np.bincount(inverse, minlength=cats.size)
-    order = np.argsort(sums / counts, kind="stable")
-    # scanning the mean-ordered categories covers the optimal L2 partition
-    csum = np.cumsum(sums[order])
-    ccount = np.cumsum(counts[order])
-    csq_by_cat = np.bincount(inverse, weights=y ** 2, minlength=cats.size)
-    csq = np.cumsum(csq_by_cat[order])
-    total_sum, total_count, total_sq = csum[-1], ccount[-1], csq[-1]
-    best = None
-    for b in range(cats.size - 1):
-        nl = ccount[b]
-        nr = total_count - nl
-        if nl < min_leaf or nr < min_leaf:
+    `levels[f]` holds feature f's sorted distinct values and each sample's
+    index into them. Slots (bootstrap rows) are given by sample `row`,
+    target `ys` and frontier `node`, sorted by node; `value` is each node's
+    mean target and `use[k, f]` says whether node k may split on feature f.
+    Returns per node the winning feature (-1: no valid split) and numeric
+    threshold (0 unless a numeric feature wins), and per categorical feature
+    the sorted keys node * n_values + code routed left.
+    """
+    nf, p = use.shape
+    best = np.full(nf, -np.inf)
+    best_f = np.full(nf, -1, dtype=np.intp)
+    thr = np.zeros(nf)
+    left_keys = {}
+    yc = ys - value[node]  # centred per node, so cumulative sums stay small
+    for f in range(p):
+        sel = use[node, f]
+        if not sel.any():
             continue
-        sse = (csq[b] - csum[b] ** 2 / nl) \
-            + ((total_sq - csq[b]) - (total_sum - csum[b]) ** 2 / nr)
-        if best is None or sse < best[0]:
-            left = sorted(float(c) for c in cats[order[:b + 1]])
-            best = (float(sse), ("cat", left))
-    return best
-
-
-def _grow(tree, X, y, rows, depth, cat_idx, mtry, params, rng):
-    node = tree.add_node()
-    ysub = y[rows]
-    tree.value[node] = float(ysub.mean())
-    if (rows.size < 2 * params.min_leaf
-            or (params.max_depth is not None and depth >= params.max_depth)
-            or np.ptp(ysub) == 0.0):
-        return node
-    p = X.shape[1]
-    feats = rng.choice(p, size=mtry, replace=False) if mtry < p else np.arange(p)
-    best = None
-    for f in sorted(feats):
-        xv = X[rows, f]
+        nd, yv = node[sel], yc[sel]
+        vals, codes = levels[f][0], levels[f][1][row[sel]]
+        key = nd * vals.size + codes
         if f in cat_idx:
-            cand = _best_categorical_split(xv, ysub, params.min_leaf)
+            _, inv, cnt = np.unique(key, return_inverse=True, return_counts=True)
+            group_mean = np.bincount(inv, weights=ys[sel]) / cnt
+            # categories ordered by their node mean, ties by category value
+            order = np.lexsort((codes, group_mean[inv], nd))
+            xk = codes[order]
+            boundary = xk[:-1] != xk[1:]
         else:
-            cand = _best_numeric_split(xv, ysub, params.min_leaf)
-        if cand is not None and (best is None or cand[0] < best[0]):
-            best = (cand[0], f, cand[1])
-    if best is None:
-        return node
-    _, f, (kind, spec) = best
-    xv = X[rows, f]
-    if kind == "cat":
-        go_left = np.isin(xv, spec)
-        tree.left_cats[node] = spec
-    else:
-        go_left = xv <= spec
-        tree.threshold[node] = spec
-    tree.feature[node] = int(f)
-    tree.left[node] = _grow(tree, X, y, rows[go_left], depth + 1, cat_idx, mtry, params, rng)
-    tree.right[node] = _grow(tree, X, y, rows[~go_left], depth + 1, cat_idx, mtry, params, rng)
-    return node
+            # same order as a stable lexsort by (node, value)
+            order = np.argsort(key, kind="stable")
+            xk = vals[codes[order]]
+            boundary = xk[:-1] < xk[1:]
+        nd, cs = nd[order], np.cumsum(yv[order])
+        # a split after sorted position i sends positions first..i left
+        cnt = np.bincount(nd, minlength=nf)
+        first = np.cumsum(cnt) - cnt
+        cs0 = np.concatenate(([0.0], cs))
+        tot = cs0[first + cnt] - cs0[first]
+        i = np.flatnonzero(boundary & (nd[:-1] == nd[1:]))
+        k = nd[i]
+        n_left = i + 1 - first[k]
+        n_right = cnt[k] - n_left
+        ok = (n_left >= min_leaf) & (n_right >= min_leaf)
+        i, k, n_left, n_right = i[ok], k[ok], n_left[ok], n_right[ok]
+        if i.size == 0:
+            continue
+        s_left = cs[i] - cs0[first[k]]
+        # between-child sum of squares: the SSE reduction of the split
+        score = s_left ** 2 / n_left + (tot[k] - s_left) ** 2 / n_right
+        heads = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+        top = np.maximum.reduceat(score, heads)
+        at_top = score == np.repeat(top, np.diff(np.append(heads, i.size)))
+        win = i[np.minimum.reduceat(np.where(at_top, np.arange(i.size), i.size), heads)]
+        k = k[heads]
+        better = top > best[k]
+        k, win = k[better], win[better]
+        best[k] = top[better]
+        best_f[k] = f
+        if f in cat_idx:
+            last = np.full(nf, -1)
+            last[k] = win
+            lft = np.arange(nd.size) <= last[nd]
+            left_keys[f] = np.unique(nd[lft] * vals.size + xk[lft])
+            thr[k] = 0.0
+        else:
+            lo, hi = xk[win], xk[win + 1]
+            mid = 0.5 * (lo + hi)
+            # the midpoint of adjacent floats may round up to `hi`
+            thr[k] = np.where(mid < hi, mid, lo)
+    return best_f, thr, left_keys
+
+
+def _grow_trees(X, y, levels, cat_idx, boots, rngs, mtry, params):
+    """Grow one tree per bootstrap, all frontier nodes of a depth at once."""
+    n_trees, p = len(boots), X.shape[1]
+    row = np.concatenate(boots)
+    node = np.repeat(np.arange(n_trees), boots[0].size)  # slots stay sorted by node
+    tree_of = np.arange(n_trees)                         # tree of each frontier node
+    frontiers = []
+    depth = 0
+    while tree_of.size:
+        nf = tree_of.size
+        ys = y[row]
+        cnt = np.bincount(node, minlength=nf)
+        value = np.bincount(node, weights=ys, minlength=nf) / cnt
+        first = np.cumsum(cnt) - cnt
+        spread = np.maximum.reduceat(ys, first) - np.minimum.reduceat(ys, first)
+        can_split = (cnt >= 2 * params.min_leaf) & (spread > 0)
+        if params.max_depth is not None and depth >= params.max_depth:
+            can_split[:] = False
+        if mtry < p:
+            # every node takes one draw, in breadth-first order within its tree
+            per_tree = np.bincount(tree_of, minlength=n_trees)
+            u = np.concatenate([rngs[t].random((m, p)) for t, m in enumerate(per_tree) if m])
+            use = np.zeros((nf, p), dtype=bool)
+            np.put_along_axis(use, np.argsort(u, axis=1)[:, :mtry], True, axis=1)
+            use &= can_split[:, None]
+        else:
+            use = np.repeat(can_split[:, None], p, axis=1)
+        best_f, thr, left_keys = _best_splits(levels, cat_idx, ys, value, row, node,
+                                              use, params.min_leaf)
+        split = best_f >= 0
+        left_cats = [None] * nf
+        for f, keys in left_keys.items():
+            vals = levels[f][0]
+            for k in np.flatnonzero(best_f == f):
+                lo, hi = np.searchsorted(keys, [k * vals.size, (k + 1) * vals.size])
+                left_cats[k] = vals[keys[lo:hi] - k * vals.size].tolist()
+        # children of the k-th splitting node are 2k and 2k + 1 of the next frontier
+        first_child = np.where(split, 2 * (np.cumsum(split) - 1), -1)
+        frontiers.append((tree_of, best_f, thr, left_cats, value, first_child))
+
+        keep = split[node]
+        row, node = row[keep], node[keep]
+        f = best_f[node]
+        go_left = X[row, f] <= thr[node]
+        for g, keys in left_keys.items():
+            on = f == g
+            vals, codes = levels[g]
+            go_left[on] = np.isin(node[on] * vals.size + codes[row[on]], keys)
+        child = first_child[node] + ~go_left
+        order = np.argsort(child, kind="stable")
+        row, node = row[order], child[order]
+        tree_of = np.repeat(tree_of[split], 2)
+        depth += 1
+    return _assemble(frontiers, n_trees)
+
+
+def _assemble(frontiers, n_trees):
+    """Per-tree breadth-first node tables from the per-depth frontiers."""
+    tree_of, feature, threshold, left_cats, value, first_child = zip(*frontiers)
+    # left child's index into the concatenated frontiers, -1 at a leaf
+    offsets = np.cumsum([t.size for t in tree_of])
+    child = np.concatenate([np.where(fc >= 0, off + fc, -1)
+                            for off, fc in zip(offsets, first_child)])
+    tree_of, feature, threshold, value = (np.concatenate(a)
+                                          for a in (tree_of, feature, threshold, value))
+    left_cats = [c for level in left_cats for c in level]
+    order = np.argsort(tree_of, kind="stable")  # per tree, breadth-first
+    size = np.bincount(tree_of, minlength=n_trees)
+    start = np.cumsum(size) - size
+    local = np.empty(order.size, dtype=np.intp)
+    local[order] = np.arange(order.size) - np.repeat(start, size)
+    left = np.where(child >= 0, local[child], -1)
+    right = np.where(child >= 0, local[child + 1], -1)
+    trees = []
+    for t in range(n_trees):
+        ids = order[start[t]:start[t] + size[t]]
+        trees.append(Tree(feature[ids], threshold[ids], [left_cats[i] for i in ids],
+                          left[ids], right[ids], value[ids]))
+    return trees
 
 
 @dataclass
@@ -209,17 +299,18 @@ def fit_random_forest(d: DesignMatrix, params: ForestParams | None = None,
     params = params or ForestParams()
     mtry = params.resolve_mtry(d.p)
     cat_idx = frozenset(d.feature_names.index(f) for f in d.categorical)
+    levels = [np.unique(d.X[:, f], return_inverse=True) for f in range(d.p)]
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     streams = root.spawn(params.n_trees)
     trees = []
     inbag = np.zeros((params.n_trees, d.n), dtype=bool)
-    for t, ss in enumerate(streams):
-        rng = np.random.default_rng(ss)
-        boot = rng.integers(0, d.n, size=d.n)
-        inbag[t, np.unique(boot)] = True
-        tree = Tree()
-        _grow(tree, d.X, d.y, boot, 0, cat_idx, mtry, params, rng)
-        trees.append(tree)
+    group = max(1, GROUP_ROWS // d.n)
+    for g in range(0, params.n_trees, group):
+        rngs = [np.random.default_rng(ss) for ss in streams[g:g + group]]
+        boots = [rng.integers(0, d.n, size=d.n) for rng in rngs]
+        for t, boot in enumerate(boots, start=g):
+            inbag[t, boot] = True
+        trees += _grow_trees(d.X, d.y, levels, cat_idx, boots, rngs, mtry, params)
 
     # out-of-bag error over samples covered by at least one tree
     oob_sum = np.zeros(d.n)

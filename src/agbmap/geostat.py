@@ -161,7 +161,7 @@ def fit_exponential(ev: EmpiricalVariogram) -> VariogramModel:
                 res = least_squares(residuals, x0=[n0, p0, r0],
                                     bounds=([0.0, 0.0, 1e-9], [np.inf, np.inf, hi_range]),
                                     xtol=1e-12, ftol=1e-12, gtol=1e-12)
-            except Exception:
+            except (ValueError, np.linalg.LinAlgError):
                 continue
             if res.success and (best is None or res.cost < best.cost):
                 best = res
@@ -191,6 +191,10 @@ class OrdinaryKriger:
 
     def weights_at(self, x: float, y: float):
         """(neighbor indices, weights, lagrange multiplier) at one target."""
+        return self._solve(x, y)[:3]
+
+    def _solve(self, x: float, y: float):
+        """weights_at plus the semivariance of each neighbour to the target."""
         dist, idx = self.tree.query([x, y], k=self.k)
         idx = np.atleast_1d(idx)
         dist = np.atleast_1d(dist)
@@ -213,14 +217,13 @@ class OrdinaryKriger:
             raise SingularSystem(f"kriging system singular at ({x}, {y}): {e}") from None
         if not np.all(np.isfinite(sol)):
             raise SingularSystem(f"kriging system singular at ({x}, {y})")
-        return idx, sol[:k], float(sol[k])
+        return idx, sol[:k], float(sol[k]), b[:k]
 
     def predict(self, x: float, y: float):
         """(estimate, kriging variance) at one target."""
-        idx, lam, mu = self.weights_at(x, y)
+        idx, lam, mu, gamma0 = self._solve(x, y)
         est = float(lam @ self.samples.values[idx])
-        dist = np.hypot(self.samples.xy[idx, 0] - x, self.samples.xy[idx, 1] - y)
-        var = float(lam @ self.model.gamma(dist) + mu)
+        var = float(lam @ gamma0 + mu)
         return est, max(var, 0.0)
 
 

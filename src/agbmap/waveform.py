@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from .errors import DegenerateNoise, FitFailure, NoSignal
+from .errors import BadRecord, DegenerateNoise, FitFailure, NoSignal
 
 DETECT_K = 4.5
 SNR_MIN = 15.0
@@ -241,7 +241,7 @@ def decompose_gaussians(w: WaveformRecord, noise: NoiseStats,
                                 jac=lambda p: _gaussian_jac(p, x),
                                 bounds=(lo, hi), xtol=1e-10, ftol=1e-10,
                                 max_nfev=400)
-        except Exception:
+        except (ValueError, np.linalg.LinAlgError):
             continue
         if not res.success:
             continue
@@ -415,21 +415,30 @@ def process_waveform(w: WaveformRecord, dem_patch=None, k: float = DETECT_K,
 
 
 def read_waveforms(path) -> list:
-    """Newline-delimited records, one JSON object per waveform."""
+    """Newline-delimited records, one JSON object per waveform.
+
+    Raises BadRecord naming path:line for a line that is not JSON, lacks a
+    required key or does not make a valid record.
+    """
     records = []
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
-            d = json.loads(line)
-            records.append(WaveformRecord(
-                id=d["id"], lon=d["lon"], lat=d["lat"],
-                bin_top_elev=d["bin_top_elev"], bin_size=d["bin_size"],
-                intensities=np.array(d["intensities"], dtype=float),
-                sat_ndx=d.get("sat_ndx", 0), cloud_flag=d.get("cloud_flag", CLOUD_OK),
-                srtm_elev=d.get("srtm_elev", 0.0),
-                acquired_at=d.get("acquired_at")))
+            try:
+                d = json.loads(line)
+                records.append(WaveformRecord(
+                    id=d["id"], lon=d["lon"], lat=d["lat"],
+                    bin_top_elev=d["bin_top_elev"], bin_size=d["bin_size"],
+                    intensities=np.array(d["intensities"], dtype=float),
+                    sat_ndx=d.get("sat_ndx", 0), cloud_flag=d.get("cloud_flag", CLOUD_OK),
+                    srtm_elev=d.get("srtm_elev", 0.0),
+                    acquired_at=d.get("acquired_at")))
+            except KeyError as e:
+                raise BadRecord(f"{path}:{lineno}: missing key {e}") from None
+            except (ValueError, TypeError) as e:
+                raise BadRecord(f"{path}:{lineno}: {e}") from None
     return records
 
 

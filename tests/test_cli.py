@@ -34,6 +34,25 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("bad_line, message", [
+    ("{not json", "Expecting property name"),
+    ('{"id": "b", "lon": 1.0}', "missing key 'lat'"),
+    ('{"id": "b", "lon": 1.0, "lat": 2.0, "bin_top_elev": 9.0, "bin_size": 0.15, '
+     '"intensities": [1.0, 2.0]}', "need >= 10 intensity bins"),
+    ("[1, 2]", "list indices"),
+])
+def test_bad_waveform_record_names_path_and_line(tmp_path, capsys, bad_line, message):
+    good = {"id": "a", "lon": 1.0, "lat": 2.0, "bin_top_elev": 9.0, "bin_size": 0.15,
+            "intensities": [1.0] * 20}
+    src = tmp_path / "bad.ndjson"
+    src.write_text(json.dumps(good) + "\n\n" + bad_line + "\n")
+    assert main(["filter", "--in", str(src), "--out", str(tmp_path / "f.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {src}:3: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_simulate_emits_scene_files(scene_dir):
     for name in ("waveforms.ndjson", "plots.csv", "dem.asc", "cov1.asc",
                  "truth_agb.asc", "run_config.json"):

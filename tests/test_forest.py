@@ -129,3 +129,105 @@ def test_forest_persistence_round_trip(tmp_path):
     assert np.array_equal(loaded.predict(X), f.predict(X))
     save_model(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _bootstrap(n, seed, tree=0, n_trees=1):
+    """Tree `tree`'s bootstrap rows: the first draw from its own stream."""
+    ss = np.random.SeedSequence(seed).spawn(n_trees)[tree]
+    return np.random.default_rng(ss).integers(0, n, size=n)
+
+
+def _leaf_of(tree, x):
+    """Naive walk of one row from the root to its leaf."""
+    k = 0
+    while tree.feature[k] >= 0:
+        v = x[tree.feature[k]]
+        cats = tree.left_cats[k]
+        go_left = v in cats if cats is not None else v <= tree.threshold[k]
+        k = tree.left[k] if go_left else tree.right[k]
+    return k
+
+
+def test_root_split_matches_brute_force():
+    rng = np.random.default_rng(10)
+    n, min_leaf = 70, 4
+    X = rng.normal(0, 1, (n, 3))
+    y = X[:, 1] ** 2 + 0.5 * X[:, 2] + rng.normal(0, 0.3, n)
+    tree = fit_random_forest(dm(X, y), ForestParams(n_trees=1, mtry=3, min_leaf=min_leaf),
+                             seed=12).trees[0]
+    boot = _bootstrap(n, 12)
+    Xb, yb = X[boot], y[boot]
+    best = None
+    for f in range(3):
+        v = np.unique(Xb[:, f])
+        for thr in 0.5 * (v[:-1] + v[1:]):
+            left = Xb[:, f] <= thr
+            if min(left.sum(), (~left).sum()) < min_leaf:
+                continue
+            sse = np.sum((yb[left] - yb[left].mean()) ** 2) \
+                + np.sum((yb[~left] - yb[~left].mean()) ** 2)
+            if best is None or sse < best[0]:
+                best = (sse, f, thr)
+    assert (tree.feature[0], tree.threshold[0]) == best[1:]
+
+
+def test_ties_go_to_lowest_position_then_lowest_feature():
+    # mirror-symmetric target: splits after x = 0 and after x = 2 tie exactly,
+    # and the duplicated column ties with the first on every split
+    x = np.arange(4.0)
+    d = dm(np.column_stack([x, x]), [0.0, 1.0, 1.0, 0.0])
+    seed = next(s for s in range(1000) if np.array_equal(np.sort(_bootstrap(4, s)), np.arange(4)))
+    tree = fit_random_forest(d, ForestParams(n_trees=1, mtry=2, min_leaf=1), seed=seed).trees[0]
+    assert (tree.feature[0], tree.threshold[0]) == (0, 0.5)
+    assert 1 not in tree.feature
+
+
+def test_depth_loop_predict_matches_per_row_walk():
+    rng = np.random.default_rng(11)
+    cats = rng.integers(0, 5, 150).astype(float)
+    X = np.column_stack([rng.normal(0, 1, 150), cats, rng.uniform(0, 1, 150)])
+    y = X[:, 0] + np.where(np.isin(cats, [1.0, 3.0]), 4.0, 0.0) + rng.normal(0, 0.2, 150)
+    f = fit_random_forest(dm(X, y, categorical=["x1"]), ForestParams(n_trees=12, min_leaf=3),
+                          seed=13)
+    assert any(lc is not None for t in f.trees for lc in t.left_cats)
+    assert any(ft >= 0 and lc is None for t in f.trees for ft, lc in zip(t.feature, t.left_cats))
+    # fresh rows, including a category never seen in training
+    Xq = np.column_stack([rng.normal(0, 1.5, 80), rng.integers(0, 7, 80).astype(float),
+                          rng.uniform(-0.2, 1.2, 80)])
+    for tree in f.trees:
+        naive = [tree.value[_leaf_of(tree, x)] for x in Xq]
+        assert np.array_equal(tree.predict(Xq), naive)
+
+
+@pytest.mark.parametrize("max_depth", [None, 4])
+def test_leaves_hold_min_leaf_rows_and_depth_bound(max_depth):
+    rng = np.random.default_rng(12)
+    n, min_leaf, n_trees = 200, 4, 6
+    X = rng.normal(0, 1, (n, 3))
+    y = np.sin(2 * X[:, 0]) + X[:, 1] + rng.normal(0, 0.2, n)
+    params = ForestParams(n_trees=n_trees, min_leaf=min_leaf, max_depth=max_depth)
+    f = fit_random_forest(dm(X, y), params, seed=14)
+    for t, tree in enumerate(f.trees):
+        leaves = [_leaf_of(tree, X[i]) for i in _bootstrap(n, 14, t, n_trees)]
+        counts = np.bincount(leaves, minlength=tree.feature.size)
+        is_leaf = tree.feature < 0
+        assert counts[is_leaf].min() >= min_leaf
+        assert counts[~is_leaf].sum() == 0
+        depth = np.zeros(tree.feature.size, dtype=int)
+        for k in np.flatnonzero(~is_leaf):
+            depth[[tree.left[k], tree.right[k]]] = depth[k] + 1
+        assert np.all(np.diff(depth) >= 0)  # nodes are numbered breadth-first
+        if max_depth is not None:
+            assert depth.max() == max_depth
+
+
+def test_tree_does_not_depend_on_grouping():
+    rng = np.random.default_rng(13)
+    n = 1000  # 40 trees of 1000 rows grow in two groups, 3 trees in one
+    X = rng.normal(0, 1, (n, 4))
+    y = X[:, 0] - X[:, 2] + rng.normal(0, 0.5, n)
+    d = dm(X, y)
+    many = fit_random_forest(d, ForestParams(n_trees=40, min_leaf=5), seed=15)
+    few = fit_random_forest(d, ForestParams(n_trees=3, min_leaf=5), seed=15)
+    for a, b in zip(many.trees[:3], few.trees):
+        assert a.to_dict() == b.to_dict()
