@@ -11,12 +11,9 @@ the table shows the pair count rising while the CV r2 falls off.
 import argparse
 import sys
 
-import numpy as np
-
-from agbmap.pipeline import calibration_sweep
+from agbmap.pipeline import METRIC_FEATURES, calibration_sweep, process_footprints
 from agbmap.synth import generate_scene, small_config
-from agbmap.waveform import detect_signal_bounds, decompose_gaussians, extract_metrics
-from agbmap.errors import AgbmapError
+from agbmap.waveform import DETECT_K, MAX_ELEV_GAP, SNR_MIN
 
 
 def main():
@@ -31,23 +28,12 @@ def main():
                        residual_psill=4000.0, residual_range=2000.0,
                        trend_coefficients=(15.0, -10.0, 8.0))
     scene = generate_scene(cfg)
-    footprints = []
-    for w in scene.footprints:
-        if w.lon >= cfg.extent / 2:
-            continue
-        try:
-            noise, b, e = detect_signal_bounds(w)
-            comps, _ = decompose_gaussians(w, noise, 3, bounds=(b, e))
-            patch = scene.dem.patch3x3(w.lon, w.lat)
-            m = extract_metrics(w, comps, patch, noise=noise, bounds=(b, e),
-                                dem_cellsize=scene.dem.cellsize)
-        except AgbmapError:
-            continue
-        footprints.append((w.id, w.lon, w.lat,
-                           {k: getattr(m, k) for k in
-                            ("wext", "h10", "h20", "h30", "h40", "h50", "h60",
-                             "h70", "h80", "h90", "ti", "slope", "tch",
-                             "lead", "trail")}))
+    west = [w for w in scene.footprints if w.lon < cfg.extent / 2]
+    results = process_footprints(west, scene.dem, k=DETECT_K, max_components=3,
+                                 snr_min=SNR_MIN, max_elev_gap=MAX_ELEV_GAP)
+    footprints = [(fr.record.id, fr.record.lon, fr.record.lat,
+                   {f: getattr(fr.metrics, f) for f in METRIC_FEATURES})
+                  for fr in results if fr.result.kept]
     print(f"{len(footprints)} footprints with metrics (west half only)")
     rows = calibration_sweep(scene.plots, footprints, args.distances, kfold=5,
                              seed=args.seed)

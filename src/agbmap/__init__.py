@@ -8,16 +8,14 @@ generator for end-to-end verification against known truth.
 from .allometry import CarbonStock, PlotRecord, TreeRecord, carbon_stock, plot_agb_density, tree_agb
 from .forest import Forest, ForestParams, fit_random_forest, rf_importance
 from .geostat import (EmpiricalVariogram, OrdinaryKriger, SampleSet, VariogramModel,
-                      empirical_variogram, fit_exponential, ordinary_krige,
-                      regression_krige)
+                      empirical_variogram, fit_exponential, regression_krige)
 from .linear import DesignMatrix, LinearModel, fit_ols, kfold_cv, stepwise_bic
 from .model_io import load_model, save_model
 from .pipeline import (CalibrationSweepRow, MapProduct, RunConfig, build_map,
-                       calibration_sweep, fit_footprint_agb_model, predict_footprints,
-                       run_mapping, validate_map)
-from .raster import (Grid, GridStack, band_pca, dem_derivatives, match_points,
-                     pca_stack, read_ascii_grid, resample, temporal_composites,
-                     write_ascii_grid)
+                       calibration_pairs, calibration_sweep, fit_footprint_agb_model,
+                       predict_footprints, process_footprints, run_mapping, validate_map)
+from .raster import (Grid, GridStack, band_pca, match_points, pca_stack, read_ascii_grid,
+                     resample, write_ascii_grid)
 from .synth import Scene, SceneConfig, generate_scene, write_scene
 from .textures import glcm_textures
 from .waveform import (FilterResult, GaussianComponent, NoiseStats, WaveformMetrics,

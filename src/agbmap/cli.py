@@ -5,6 +5,7 @@ full chain from a JSON config. Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -16,11 +17,12 @@ from .allometry import carbon_stock, load_plots, write_carbon_report
 from .errors import AgbmapError
 from .geostat import SampleSet, empirical_variogram, fit_exponential, write_variogram_report
 from .model_io import save_model
-from .pipeline import RunConfig, calibration_sweep, fit_footprint_agb_model, validate_map
-from .raster import match_points, read_ascii_grid, write_ascii_grid
+from .pipeline import (RunConfig, calibration_pairs, calibration_sweep,
+                       fit_footprint_agb_model, process_footprints, validate_map,
+                       write_sweep_csv, write_validation_csv)
+from .raster import read_ascii_grid, write_ascii_grid
 from .textures import glcm_textures
-from .waveform import (process_waveform, read_metrics_csv, read_waveforms,
-                       write_filter_csv, write_metrics_csv)
+from .waveform import read_metrics_csv, read_waveforms, write_filter_csv, write_metrics_csv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,8 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _open_out(path):
-    return open(path, "w", newline="") if path else sys.stdout
+@contextlib.contextmanager
+def _output(path):
+    """The file at path, opened for writing, or stdout when path is None."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", newline="") as f:
+        yield f
 
 
 def _cmd_simulate(args) -> int:
@@ -136,23 +144,12 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _process_all(args):
-    records = read_waveforms(args.infile)
-    dem = read_ascii_grid(args.dem) if getattr(args, "dem", None) else None
-    results = []
-    for w in records:
-        patch = dem.patch3x3(w.lon, w.lat) if dem is not None else None
-        results.append(process_waveform(
-            w, patch, k=args.detect_k,
-            max_components=getattr(args, "max_components", 6),
-            snr_min=args.snr_min, max_elev_gap=args.max_elev_gap,
-            dem_cellsize=dem.cellsize if dem is not None else 90.0))
-    return results
-
-
 def _cmd_filter(args) -> int:
-    results = _process_all(args)
-    with open(args.out, "w", newline="") as f:
+    # no DEM: the filter report carries no terrain metrics
+    results = process_footprints(read_waveforms(args.infile), None, k=args.detect_k,
+                                 max_components=6, snr_min=args.snr_min,
+                                 max_elev_gap=args.max_elev_gap)
+    with _output(args.out) as f:
         write_filter_csv(results, f)
     kept = sum(1 for r in results if r.result.kept)
     print(f"{kept} of {len(results)} waveforms kept")
@@ -160,8 +157,10 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    results = _process_all(args)
-    with open(args.out, "w", newline="") as f:
+    results = process_footprints(read_waveforms(args.infile), read_ascii_grid(args.dem),
+                                 k=args.detect_k, max_components=args.max_components,
+                                 snr_min=args.snr_min, max_elev_gap=args.max_elev_gap)
+    with _output(args.out) as f:
         write_metrics_csv(results, f)
     kept = sum(1 for r in results if r.result.kept and r.metrics is not None)
     print(f"{kept} of {len(results)} waveforms kept; metrics at {args.out}")
@@ -178,30 +177,17 @@ def _cmd_sweep(args) -> int:
     plots, footprints = _load_pairs_inputs(args)
     rows = calibration_sweep(plots, footprints, args.distances,
                              kfold=args.kfold, seed=args.seed)
-    f = _open_out(args.out)
-    try:
-        w = csv.writer(f)
-        w.writerow(["max_dist", "n_pairs", "r2", "rmse"])
-        for r in rows:
-            w.writerow(["%.10g" % r.max_dist, r.n_pairs, "%.10g" % r.r2,
-                        "%.10g" % r.rmse])
-    finally:
-        if f is not sys.stdout:
-            f.close()
+    with _output(args.out) as f:
+        write_sweep_csv(rows, f)
     return 0
 
 
 def _cmd_calibrate(args) -> int:
     plots, footprints = _load_pairs_inputs(args)
-    from .allometry import plot_agb_density
-    plot_xy = np.array([[p.lon, p.lat] for p in plots])
-    foot_xy = np.array([[x, y] for _, x, y, _ in footprints])
-    pairs = match_points(plot_xy, foot_xy, args.max_dist)
-    metric_rows = [footprints[j][3] for _, j, _ in pairs]
-    agb = [plot_agb_density(plots[i]) for i, _, _ in pairs]
+    metric_rows, agb, _ = calibration_pairs(plots, footprints, args.max_dist)
     model = fit_footprint_agb_model(metric_rows, agb)
     save_model(model, args.out_model)
-    print(f"{len(pairs)} pairs; selected {model.selected_features}; "
+    print(f"{len(agb)} pairs; selected {model.selected_features}; "
           f"r2={model.r2:.3f}; model at {args.out_model}")
     return 0
 
@@ -227,27 +213,17 @@ def _cmd_map(args) -> int:
 def _cmd_validate(args) -> int:
     agb_map = read_ascii_grid(args.map_path)
     plots = load_plots(args.plots, args.trees)
-    rmsep, r2, n_cells = validate_map(agb_map, plots, args.min_count)
-    f = _open_out(args.out)
-    try:
-        w = csv.writer(f)
-        w.writerow(["rmsep", "r2", "n_cells"])
-        w.writerow(["%.10g" % rmsep, "%.10g" % r2, n_cells])
-    finally:
-        if f is not sys.stdout:
-            f.close()
+    validation = validate_map(agb_map, plots, args.min_count)
+    with _output(args.out) as f:
+        write_validation_csv(validation, f)
     return 0
 
 
 def _cmd_carbon(args) -> int:
     stock = carbon_stock(read_ascii_grid(args.map_path),
                          literal_per_km2=args.literal_per_km2)
-    f = _open_out(args.out)
-    try:
+    with _output(args.out) as f:
         write_carbon_report(stock, f)
-    finally:
-        if f is not sys.stdout:
-            f.close()
     return 0
 
 
@@ -261,12 +237,8 @@ def _cmd_variogram(args) -> int:
     samples = SampleSet(np.column_stack([xs, ys]), np.array(vs))
     ev = empirical_variogram(samples, bin_width=args.bin_width, max_lag=args.max_lag)
     model = fit_exponential(ev)
-    f = _open_out(args.out)
-    try:
+    with _output(args.out) as f:
         write_variogram_report(ev, model, f)
-    finally:
-        if f is not sys.stdout:
-            f.close()
     return 0
 
 

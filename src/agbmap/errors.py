@@ -20,8 +20,9 @@ class FitFailure(AgbmapError):
 
 
 class BadRecord(AgbmapError):
-    """A waveform record that is not JSON, lacks a key or is invalid; the
-    message starts with path:line."""
+    """An input line that cannot be read: a waveform record that is not
+    JSON, lacks a key or is invalid, or a malformed ASCII grid header or
+    body. The message starts with path:line."""
 
 
 # allometry

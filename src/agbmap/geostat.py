@@ -113,20 +113,17 @@ def empirical_variogram(s: SampleSet, bin_width: float | None = None,
     counts = np.zeros(nbins + 1, dtype=np.int64)
     xy = s.xy
     v = s.values
-    block = max(1, int(2e6 / max(s.n, 1)))
-    for start in range(0, s.n - 1, block):
-        stop = min(start + block, s.n - 1)
-        for i in range(start, stop):
-            dx = xy[i + 1:, 0] - xy[i, 0]
-            dy = xy[i + 1:, 1] - xy[i, 1]
-            h = np.hypot(dx, dy)
-            j = np.rint(h / bin_width).astype(np.int64)
-            ok = (j >= 1) & (j <= nbins)
-            if not ok.any():
-                continue
-            dv2 = (v[i + 1:][ok] - v[i]) ** 2
-            np.add.at(sums, j[ok], dv2)
-            np.add.at(counts, j[ok], 1)
+    for i in range(s.n - 1):
+        dx = xy[i + 1:, 0] - xy[i, 0]
+        dy = xy[i + 1:, 1] - xy[i, 1]
+        h = np.hypot(dx, dy)
+        j = np.rint(h / bin_width).astype(np.int64)
+        ok = (j >= 1) & (j <= nbins)
+        if not ok.any():
+            continue
+        dv2 = (v[i + 1:][ok] - v[i]) ** 2
+        np.add.at(sums, j[ok], dv2)
+        np.add.at(counts, j[ok], 1)
     nonzero = np.flatnonzero(counts[1:]) + 1
     lags = nonzero * bin_width
     gamma = sums[nonzero] / (2.0 * counts[nonzero])
@@ -225,12 +222,6 @@ class OrdinaryKriger:
         est = float(lam @ self.samples.values[idx])
         var = float(lam @ gamma0 + mu)
         return est, max(var, 0.0)
-
-
-def ordinary_krige(s: SampleSet, m: VariogramModel, target,
-                   neighborhood: int = 32):
-    """One-shot ordinary kriging of a single target point."""
-    return OrdinaryKriger(s, m, neighborhood).predict(target[0], target[1])
 
 
 def regression_krige(trend: Grid, residual_samples: SampleSet, m: VariogramModel,

@@ -63,23 +63,34 @@ def _metric_design(pair_rows, y):
     return DesignMatrix(list(METRIC_FEATURES), X, np.asarray(y, dtype=float))
 
 
+def calibration_pairs(plots, footprints, max_dist: float):
+    """Each plot paired with its nearest footprint within max_dist.
+
+    plots: PlotRecord list; footprints: rows of (id, x, y, metrics dict).
+    Returns (pair metric dicts, pair plot AGB densities, matched footprint
+    ids); raises NoPairs when nothing matches.
+    """
+    plot_xy = np.array([[p.lon, p.lat] for p in plots])
+    densities = np.array([plot_agb_density(p) for p in plots])
+    foot_xy = np.array([[x, y] for _, x, y, _ in footprints])
+    pairs = match_points(plot_xy, foot_xy, max_dist)
+    if not pairs:
+        raise NoPairs(f"no plot-footprint pairs within {max_dist} m")
+    metrics = [footprints[j][3] for _, j, _ in pairs]
+    agb = densities[[i for i, _, _ in pairs]]
+    return metrics, agb, {footprints[j][0] for _, j, _ in pairs}
+
+
 def calibration_sweep(plots, footprints, distances, kfold: int = 10, seed: int = 0):
     """One row per max distance: matched pair count plus CV score of the
     all-metrics linear model. Distances too small for any pair raise NoPairs.
 
     plots: PlotRecord list; footprints: rows of (id, x, y, metrics dict).
     """
-    plot_xy = np.array([[p.lon, p.lat] for p in plots])
-    densities = np.array([plot_agb_density(p) for p in plots])
-    foot_xy = np.array([[x, y] for _, x, y, _ in footprints])
     rows = []
     for dist in distances:
-        pairs = match_points(plot_xy, foot_xy, dist)
-        if not pairs:
-            raise NoPairs(f"no plot-footprint pairs within {dist} m")
-        y = densities[[i for i, _, _ in pairs]]
-        metric_rows = [footprints[j][3] for _, j, _ in pairs]
-        n = len(pairs)
+        metric_rows, y, _ = calibration_pairs(plots, footprints, dist)
+        n = len(y)
         if n >= len(METRIC_FEATURES) + 3:
             d = _metric_design(metric_rows, y)
             fitter = lambda t: fit_ols(t, drop_aliased=True)
@@ -88,6 +99,14 @@ def calibration_sweep(plots, footprints, distances, kfold: int = 10, seed: int =
             r2, rmse = float("nan"), float("nan")  # too few pairs to fit
         rows.append(CalibrationSweepRow(float(dist), n, r2, rmse))
     return rows
+
+
+def write_sweep_csv(rows, f) -> None:
+    """One line per CalibrationSweepRow under a header."""
+    w = csv.writer(f)
+    w.writerow(["max_dist", "n_pairs", "r2", "rmse"])
+    for r in rows:
+        w.writerow(["%.10g" % r.max_dist, r.n_pairs, "%.10g" % r.r2, "%.10g" % r.rmse])
 
 
 def fit_footprint_agb_model(pair_metrics, pair_agb):
@@ -241,6 +260,18 @@ def validate_map(agb_map: Grid, plots, min_count: int = 4):
     return rmsep, r2, len(keys)
 
 
+VALIDATION_FIELDS = ("rmsep", "r2", "n_cells")  # validate_map's tuple
+
+
+def write_validation_csv(validation, f) -> None:
+    """Header plus the validate_map row; the header alone for None."""
+    w = csv.writer(f)
+    w.writerow(VALIDATION_FIELDS)
+    if validation is not None:
+        rmsep, r2, n_cells = validation
+        w.writerow(["%.10g" % rmsep, "%.10g" % r2, n_cells])
+
+
 # ---------------------------------------------------------------------------
 # run orchestration
 
@@ -321,6 +352,29 @@ def _size_tag(size: float) -> str:
     return "%g" % size
 
 
+def process_footprints(records, dem: Grid | None, *, k: float, max_components: int,
+                       snr_min: float, max_elev_gap: float) -> list:
+    """Bounds, filter, decomposition and metrics for every waveform record.
+
+    A footprint outside the DEM is rejected as OutsideDem. With dem=None
+    the terrain patch is flat; only the filter report, which writes no
+    metrics, runs without a DEM.
+    """
+    results = []
+    for w in records:
+        patch = None
+        if dem is not None:
+            patch = dem.patch3x3(w.lon, w.lat)
+            if patch is None:
+                results.append(FootprintResult(w, FilterResult(False, "OutsideDem")))
+                continue
+        results.append(process_waveform(
+            w, patch, k=k, max_components=max_components, snr_min=snr_min,
+            max_elev_gap=max_elev_gap,
+            dem_cellsize=90.0 if dem is None else dem.cellsize))
+    return results
+
+
 def run_mapping(cfg: RunConfig) -> dict:
     """Execute the full chain and write every artifact under cfg.out_dir.
 
@@ -333,16 +387,9 @@ def run_mapping(cfg: RunConfig) -> dict:
                        for name, path in cfg.covariates.items()])
     plots = load_plots(cfg.plots, cfg.trees)
 
-    results = []
-    for w in records:
-        patch = dem.patch3x3(w.lon, w.lat)
-        if patch is None:
-            results.append(FootprintResult(w, FilterResult(False, "OutsideDem")))
-            continue
-        results.append(process_waveform(
-            w, patch, k=cfg.detect_k, max_components=cfg.max_components,
-            snr_min=cfg.snr_min, max_elev_gap=cfg.max_elev_gap,
-            dem_cellsize=dem.cellsize))
+    results = process_footprints(records, dem, k=cfg.detect_k,
+                                 max_components=cfg.max_components,
+                                 snr_min=cfg.snr_min, max_elev_gap=cfg.max_elev_gap)
     kept = [fr for fr in results if fr.result.kept]
     reject_counts: dict = {}
     for fr in results:
@@ -371,37 +418,25 @@ def run_mapping(cfg: RunConfig) -> dict:
     if cfg.sweep_distances:
         rows = calibration_sweep(calib_plots, footprints, cfg.sweep_distances,
                                  kfold=cfg.kfold, seed=cfg.seed)
-        sweep_path = os.path.join(cfg.out_dir, "sweep.csv")
-        with open(sweep_path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["max_dist", "n_pairs", "r2", "rmse"])
-            for r in rows:
-                w.writerow(["%.10g" % r.max_dist, r.n_pairs,
-                            "%.10g" % r.r2, "%.10g" % r.rmse])
+        with open(os.path.join(cfg.out_dir, "sweep.csv"), "w", newline="") as f:
+            write_sweep_csv(rows, f)
         outputs.append("sweep.csv")
 
-    plot_xy = np.array([[p.lon, p.lat] for p in calib_plots])
-    densities = np.array([plot_agb_density(p) for p in calib_plots])
-    foot_xy = np.array([[x, y] for _, x, y, _ in footprints])
-    pairs = match_points(plot_xy, foot_xy, cfg.calib_max_dist)
-    if not pairs:
-        raise NoPairs(f"no calibration pairs within {cfg.calib_max_dist} m")
-    pair_metrics = [footprints[j][3] for _, j, _ in pairs]
-    pair_agb = densities[[i for i, _, _ in pairs]]
+    pair_metrics, pair_agb, used = calibration_pairs(calib_plots, footprints,
+                                                     cfg.calib_max_dist)
     footprint_model = fit_footprint_agb_model(pair_metrics, pair_agb)
     d_pairs = _metric_design(pair_metrics, pair_agb)
     cv_r2, cv_rmse = kfold_cv(d_pairs, stepwise_bic,
-                              k=min(cfg.kfold, len(pairs)), seed=cfg.seed)
+                              k=min(cfg.kfold, len(pair_agb)), seed=cfg.seed)
     model_path = os.path.join(cfg.out_dir, "footprint_model.json")
     save_model(footprint_model, model_path)
     outputs.append("footprint_model.json")
     telemetry["calibration"] = {
-        "n_pairs": len(pairs), "max_dist": cfg.calib_max_dist,
+        "n_pairs": len(pair_agb), "max_dist": cfg.calib_max_dist,
         "cv_r2": cv_r2, "cv_rmse": cv_rmse,
         "selected": footprint_model.selected_features,
     }
 
-    used = {footprints[j][0] for _, j, _ in pairs}
     remaining = [fp for fp in footprints if fp[0] not in used]
     footprint_agb, n_clamped = predict_footprints(footprint_model, remaining)
     telemetry["n_footprint_estimates"] = footprint_agb.n
@@ -428,18 +463,12 @@ def run_mapping(cfg: RunConfig) -> dict:
                 write_variogram_report(product.empirical, product.variogram, f)
             outputs.append(f"variogram_{tag}.csv")
         try:
-            rmsep, r2, n_cells = validate_map(product.agb, valid_plots,
-                                              cfg.min_plots_per_cell)
-            validation = {"rmsep": rmsep, "r2": r2, "n_cells": n_cells}
+            validation = validate_map(product.agb, valid_plots, cfg.min_plots_per_cell)
         except NoQualifyingCells:
             validation = None
         with open(os.path.join(cfg.out_dir, f"validation_{tag}.csv"),
                   "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["rmsep", "r2", "n_cells"])
-            if validation:
-                w.writerow(["%.10g" % validation["rmsep"],
-                            "%.10g" % validation["r2"], validation["n_cells"]])
+            write_validation_csv(validation, f)
         outputs.append(f"validation_{tag}.csv")
         stock = carbon_stock(product.agb)
         with open(os.path.join(cfg.out_dir, f"carbon_{tag}.csv"),
@@ -447,7 +476,8 @@ def run_mapping(cfg: RunConfig) -> dict:
             write_carbon_report(stock, f)
         outputs.append(f"carbon_{tag}.csv")
         telemetry["maps"][tag] = {
-            "validation": validation,
+            "validation": None if validation is None else
+            dict(zip(VALIDATION_FIELDS, validation)),
             "carbon_ktc": stock.total_ktc,
             "n_clamped": product.n_clamped,
             "warning": product.warning,

@@ -8,15 +8,13 @@ grid entering a computation is assumed co-registered.
 
 from __future__ import annotations
 
-import struct
 import warnings
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import BadFactor, TooFewBands
+from .errors import BadFactor, BadRecord, TooFewBands
 
 DEFAULT_NODATA = -9999.0
 
@@ -186,56 +184,70 @@ def write_ascii_grid(grid: Grid, path) -> None:
 
 
 def read_ascii_grid(path) -> Grid:
-    header = {}
+    """Read an ESRI ASCII grid.
+
+    Raises BadRecord naming path:line for a header value that is not a
+    number, a missing header key, a non-positive size, a body value that
+    is not a number or a wrong number of values.
+    """
+    header = {}  # key -> (value text, line number)
+    body_line = 1
     with open(path) as f:
         pos = f.tell()
         for _ in range(6):
-            line = f.readline()
-            parts = line.split()
+            parts = f.readline().split()
             if len(parts) != 2 or not parts[0][0].isalpha():
                 f.seek(pos)
                 break
-            header[parts[0].lower()] = parts[1]
+            header[parts[0].lower()] = (parts[1], body_line)
+            body_line += 1
             pos = f.tell()
-        body = f.read().split()
-    try:
-        ncols = int(header["ncols"])
-        nrows = int(header["nrows"])
-        x0 = float(header["xllcorner"])
-        y0 = float(header["yllcorner"])
-        cs = float(header["cellsize"])
-    except KeyError as e:
-        raise ValueError(f"missing ASCII grid header key: {e}") from None
-    nodata = float(header.get("nodata_value", DEFAULT_NODATA))
+        text = f.read()
+
+    def number(key, kind=float):
+        if key not in header:
+            raise BadRecord(f"{path}:{body_line}: missing ASCII grid header key {key!r}")
+        value, line_no = header[key]
+        try:
+            return kind(value)
+        except ValueError:
+            raise BadRecord(f"{path}:{line_no}: header {key} is not "
+                            f"{'an integer' if kind is int else 'a number'}: "
+                            f"{value!r}") from None
+
+    ncols, nrows = number("ncols", int), number("nrows", int)
+    x0, y0 = number("xllcorner"), number("yllcorner")
+    cs = number("cellsize")
+    nodata = number("nodata_value") if "nodata_value" in header else DEFAULT_NODATA
+    for key, value in (("ncols", ncols), ("nrows", nrows), ("cellsize", cs)):
+        if not value > 0:
+            raise BadRecord(f"{path}:{header[key][1]}: {key} must be > 0, got {value!r}")
+    body = text.split()
     if len(body) != ncols * nrows:
-        raise ValueError(f"expected {ncols * nrows} values, found {len(body)}")
-    values = np.array(body, dtype=float).reshape(nrows, ncols)
-    return Grid(values, x0, y0, cs, nodata)
+        raise _body_error(path, text, body_line, ncols * nrows, len(body))
+    try:
+        values = np.array(body, dtype=float)
+    except ValueError:
+        raise _body_error(path, text, body_line, ncols * nrows, len(body)) from None
+    return Grid(values.reshape(nrows, ncols), x0, y0, cs, nodata)
 
 
-def write_png_quicklook(grid: Grid, path) -> None:
-    """8-bit grayscale PNG with a linear min-max stretch; nodata renders black."""
-    mask = grid.valid_mask()
-    img = np.zeros((grid.nrows, grid.ncols), dtype=np.uint8)
-    if mask.any():
-        lo = grid.values[mask].min()
-        hi = grid.values[mask].max()
-        if hi > lo:
-            scaled = (grid.values - lo) / (hi - lo) * 254.0 + 1.0
-        else:
-            scaled = np.full_like(grid.values, 128.0)
-        img[mask] = np.clip(scaled[mask], 1, 255).astype(np.uint8)
-
-    def chunk(tag: bytes, data: bytes) -> bytes:
-        payload = tag + data
-        return struct.pack(">I", len(data)) + payload + struct.pack(">I", zlib.crc32(payload))
-
-    raw = b"".join(b"\x00" + img[r].tobytes() for r in range(grid.nrows))
-    ihdr = struct.pack(">IIBBBBB", grid.ncols, grid.nrows, 8, 0, 0, 0, 0)
-    png = (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
-           + chunk(b"IDAT", zlib.compress(raw, 9)) + chunk(b"IEND", b""))
-    with open(path, "wb") as f:
-        f.write(png)
+def _body_error(path, text: str, first_line: int, expected: int, found: int) -> BadRecord:
+    """BadRecord at the first body value that is not a number or that
+    exceeds the expected count, else at the last line holding a value."""
+    tokens = ((line_no, token)
+              for line_no, line in enumerate(text.split("\n"), first_line)
+              for token in line.split())
+    last = first_line
+    for i, (line_no, token) in enumerate(tokens):
+        try:
+            float(token)
+        except ValueError:
+            return BadRecord(f"{path}:{line_no}: grid value is not a number: {token!r}")
+        last = line_no
+        if i == expected:  # the first surplus value
+            break
+    return BadRecord(f"{path}:{last}: expected {expected} values, found {found}")
 
 
 # ---------------------------------------------------------------------------
@@ -272,20 +284,6 @@ def resample(grid: Grid, factor: int, scheme: str = "mean") -> Grid:
             agg = np.nanmedian(blocks, axis=(1, 3))
     out = np.where(np.isfinite(agg), agg, grid.nodata)
     return Grid(out, grid.origin_x, grid.origin_y, grid.cellsize * factor, grid.nodata)
-
-
-def temporal_composites(stack: GridStack) -> GridStack:
-    """Per-cell min / mean / max over the bands, nodata-aware."""
-    cube = stack.array()
-    geom = stack.geometry()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        stats = [np.nanmin(cube, axis=0), np.nanmean(cube, axis=0), np.nanmax(cube, axis=0)]
-    bands = []
-    for name, arr in zip(("min", "mean", "max"), stats):
-        vals = np.where(np.isfinite(arr), arr, geom.nodata)
-        bands.append((name, geom.copy_with(vals)))
-    return GridStack(bands)
 
 
 @dataclass
@@ -339,34 +337,6 @@ def pca_stack(stack: GridStack, n_components: int) -> GridStack:
         vals[complete] = scores[i]
         bands.append((f"pc{i + 1}", geom.copy_with(vals)))
     return GridStack(bands)
-
-
-def _window9(padded: np.ndarray) -> np.ndarray:
-    """The 9 shifted views of a 1-cell-padded array, shape (9, nr, nc)."""
-    nr = padded.shape[0] - 2
-    nc = padded.shape[1] - 2
-    return np.stack([padded[r:r + nr, c:c + nc]
-                     for r in range(3) for c in range(3)])
-
-
-def dem_derivatives(dem: Grid):
-    """Slope (degrees, Horn gradient) and roughness (3x3 standard deviation).
-
-    Boundary cells reuse edge-replicated neighbours; any nodata inside the
-    window makes the output cell nodata.
-    """
-    vals = dem.masked()
-    padded = np.pad(vals, 1, mode="edge")
-    w = _window9(padded)
-    bad = np.any(~np.isfinite(w), axis=0)
-    # indices in w: 0 1 2 / 3 4 5 / 6 7 8
-    dzdx = ((w[2] + 2 * w[5] + w[8]) - (w[0] + 2 * w[3] + w[6])) / (8 * dem.cellsize)
-    dzdy = ((w[0] + 2 * w[1] + w[2]) - (w[6] + 2 * w[7] + w[8])) / (8 * dem.cellsize)
-    slope = np.degrees(np.arctan(np.hypot(dzdx, dzdy)))
-    rough = np.std(w, axis=0)  # population sd over the 9 cells
-    slope[bad] = dem.nodata
-    rough[bad] = dem.nodata
-    return dem.copy_with(slope), dem.copy_with(rough)
 
 
 def match_points(a: np.ndarray, b: np.ndarray, max_dist: float):

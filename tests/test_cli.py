@@ -1,8 +1,12 @@
 import csv
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agbmap.cli import main
 from agbmap.raster import Grid, read_ascii_grid, write_ascii_grid
@@ -19,6 +23,16 @@ def scene_dir(tmp_path_factory):
                "--config", str(overrides)])
     assert rc == 0
     return out / "scene"
+
+
+@pytest.fixture(scope="module")
+def cli_metrics(scene_dir, tmp_path_factory):
+    """metrics.csv from `agbmap metrics` with the scene run config's settings."""
+    met = tmp_path_factory.mktemp("cli_metrics") / "metrics.csv"
+    assert main(["metrics", "--in", str(scene_dir / "waveforms.ndjson"),
+                 "--dem", str(scene_dir / "dem.asc"), "--out", str(met),
+                 "--max-components", "3"]) == 0
+    return met
 
 
 def test_usage_errors_exit_2(capsys):
@@ -80,7 +94,7 @@ def test_filter_and_metrics_commands(scene_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_map_validate_carbon_chain(scene_dir, tmp_path, capsys):
+def test_map_validate_carbon_chain(scene_dir, cli_metrics, tmp_path, capsys):
     cfg = json.load((scene_dir / "run_config.json").open())
     cfg["grid_sizes"] = [500, 1000]
     cfg["trend"] = "lm"
@@ -90,6 +104,8 @@ def test_map_validate_carbon_chain(scene_dir, tmp_path, capsys):
     assert main(["map", "--config", str(cfg_path)]) == 0
     agb = tmp_path / "run" / "agb_1000.asc"
     assert agb.exists()
+    # `metrics` and `map` process footprints through the same function
+    assert (tmp_path / "run" / "metrics.csv").read_bytes() == cli_metrics.read_bytes()
 
     assert main(["validate", "--map", str(agb), "--plots",
                  str(scene_dir / "plots.csv"), "--min-count", "2"]) == 0
@@ -107,13 +123,9 @@ def test_map_validate_carbon_chain(scene_dir, tmp_path, capsys):
     assert total_tc == pytest.approx(want, rel=1e-9)
 
 
-def test_sweep_and_calibrate_commands(scene_dir, tmp_path, capsys):
-    met = tmp_path / "m.csv"
-    main(["metrics", "--in", str(scene_dir / "waveforms.ndjson"),
-          "--dem", str(scene_dir / "dem.asc"), "--out", str(met),
-          "--max-components", "3"])
+def test_sweep_and_calibrate_commands(scene_dir, cli_metrics, tmp_path, capsys):
     sweep = tmp_path / "sweep.csv"
-    rc = main(["sweep", "--metrics", str(met), "--plots",
+    rc = main(["sweep", "--metrics", str(cli_metrics), "--plots",
                str(scene_dir / "plots.csv"), "--distances", "400", "800",
                "--kfold", "5", "--out", str(sweep)])
     assert rc == 0
@@ -122,13 +134,99 @@ def test_sweep_and_calibrate_commands(scene_dir, tmp_path, capsys):
     assert int(rows[0]["n_pairs"]) <= int(rows[1]["n_pairs"])
 
     model = tmp_path / "model.json"
-    rc = main(["calibrate", "--metrics", str(met), "--plots",
+    rc = main(["calibrate", "--metrics", str(cli_metrics), "--plots",
                str(scene_dir / "plots.csv"), "--max-dist", "800",
                "--out-model", str(model)])
     assert rc == 0
     doc = json.load(model.open())
     assert doc["format"] == "agbmap-model"
     capsys.readouterr()
+
+
+def test_metrics_rejects_footprint_outside_dem(scene_dir, cli_metrics, tmp_path, capsys):
+    kept_id = next(csv.DictReader(cli_metrics.open()))["id"]
+    records = [json.loads(ln) for ln in (scene_dir / "waveforms.ndjson").open()]
+    rec = next(r for r in records if r["id"] == kept_id)
+    dem = read_ascii_grid(scene_dir / "dem.asc")
+    moved = dict(rec, id="east", lon=dem.origin_x + dem.width + 500.0)
+    src = tmp_path / "w.ndjson"
+    src.write_text(json.dumps(rec) + "\n" + json.dumps(moved) + "\n")
+    met = tmp_path / "m.csv"
+    assert main(["metrics", "--in", str(src), "--dem", str(scene_dir / "dem.asc"),
+                 "--out", str(met), "--max-components", "3"]) == 0
+    assert [r["id"] for r in csv.DictReader(met.open())] == [kept_id]
+    capsys.readouterr()
+
+
+def test_calibrate_without_pairs_exits_1(scene_dir, cli_metrics, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    assert main(["calibrate", "--metrics", str(cli_metrics), "--plots",
+                 str(scene_dir / "plots.csv"), "--max-dist", "1",
+                 "--out-model", str(model)]) == 1
+    assert "no plot-footprint pairs within 1.0 m" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_failed_validate_writes_no_file(scene_dir, tmp_path, capsys):
+    grid = tmp_path / "one_cell.asc"
+    write_ascii_grid(Grid([[100.0]], 0.0, 0.0, 20_000.0), grid)
+    out = tmp_path / "v.csv"
+    assert main(["validate", "--map", str(grid), "--plots", str(scene_dir / "plots.csv"),
+                 "--min-count", "100000", "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_GRID_HEADER = ("ncols 2\n", "nrows 2\n", "xllcorner 0\n", "yllcorner 0\n",
+                "cellsize 10\n")
+
+
+@pytest.mark.parametrize("lines, line_no, message", [
+    (("ncols 2\n", "nrows x\n") + _GRID_HEADER[2:] + ("1 2\n3 4\n",), 2,
+     "header nrows is not an integer: 'x'"),
+    (_GRID_HEADER[:4] + ("cellsize ten\n", "1 2\n3 4\n"), 5, "header cellsize is not a number"),
+    (_GRID_HEADER[:3] + _GRID_HEADER[4:] + ("1 2\n3 4\n",), 5,
+     "missing ASCII grid header key 'yllcorner'"),
+    (("ncols 0\n",) + _GRID_HEADER[1:] + ("\n",), 1, "ncols must be > 0"),
+    (_GRID_HEADER[:4] + ("cellsize -10\n", "1 2\n3 4\n"), 5, "cellsize must be > 0"),
+    (_GRID_HEADER + ("1 2\n", "3 x4\n"), 7, "grid value is not a number: 'x4'"),
+    (_GRID_HEADER + ("1 2\n", "3\n", "\n"), 7, "expected 4 values, found 3"),
+    (_GRID_HEADER + ("1 2\n", "3 4\n", "5 6\n"), 8, "expected 4 values, found 6"),
+])
+def test_bad_ascii_grid_names_path_and_line(tmp_path, capsys, lines, line_no, message):
+    path = tmp_path / "g.asc"
+    path.write_text("".join(lines))
+    assert main(["carbon", "--map", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{line_no}: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
+_GRID_TOKEN = st.text("0123456789.-+eEnaifx", min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ncols=st.integers(1, 3), nrows=st.integers(1, 3),
+       edits=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 2),
+                                st.one_of(st.none(), _GRID_TOKEN)), max_size=3))
+def test_carbon_on_corrupted_grid_files_exits_0_or_1(ncols, nrows, edits):
+    lines = [["ncols", str(ncols)], ["nrows", str(nrows)], ["xllcorner", "0"],
+             ["yllcorner", "0"], ["cellsize", "10"], ["NODATA_value", "-9999"],
+             *[["2.5"] * ncols for _ in range(nrows)]]
+    for row, col, token in edits:  # replace a token, or delete it for None
+        line = lines[row % len(lines)]
+        if not line:
+            continue
+        if token is None:
+            del line[col % len(line)]
+        else:
+            line[col % len(line)] = token
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "g.asc")
+        with open(path, "w") as f:
+            f.write("".join(" ".join(line) + "\n" for line in lines))
+        assert main(["carbon", "--map", path]) in (0, 1)
 
 
 def test_variogram_command(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from agbmap.errors import EmptyNeighborhood, FitFailure, TooFewSamples
 from agbmap.geostat import (EmpiricalVariogram, OrdinaryKriger, SampleSet,
                             VariogramModel, empirical_variogram, fit_exponential,
-                            ordinary_krige, regression_krige, write_variogram_report)
+                            regression_krige, write_variogram_report)
 from agbmap.raster import Grid
 
 
@@ -181,7 +181,7 @@ def dense_ok_oracle(xy, values, model, target):
 
 def test_single_sample_unbiasedness():
     m = VariogramModel(1.0, 5.0, 100.0)
-    est, var = ordinary_krige(SampleSet([[0, 0]], [42.0]), m, (30, 40), neighborhood=1)
+    est, var = OrdinaryKriger(SampleSet([[0, 0]], [42.0]), m, neighborhood=1).predict(30, 40)
     assert est == 42.0
     assert var >= 0
 

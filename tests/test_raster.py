@@ -1,14 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agbmap.errors import BadFactor, TooFewBands
-from agbmap.raster import (Grid, GridStack, band_pca, dem_derivatives, match_points,
-                           pca_stack, read_ascii_grid, resample, temporal_composites,
-                           write_ascii_grid, write_png_quicklook)
+from agbmap.raster import (Grid, GridStack, band_pca, match_points, pca_stack,
+                           read_ascii_grid, resample, write_ascii_grid)
 
 
 def make_grid(values, cellsize=100.0, nodata=-9999.0):
@@ -66,13 +63,6 @@ def test_ascii_values_match_9_significant_digits(tmp_path):
     assert g2.values[0, 1] == pytest.approx(0.000012345678, rel=1e-9)
 
 
-def test_png_quicklook_writes_valid_signature(tmp_path):
-    g = make_grid(np.random.default_rng(1).uniform(0, 300, (6, 6)))
-    path = tmp_path / "ql.png"
-    write_png_quicklook(g, path)
-    assert path.read_bytes()[:8] == b"\x89PNG\r\n\x1a\n"
-
-
 # ---------------------------------------------------------------- resample
 
 def test_resample_block_examples():
@@ -111,28 +101,6 @@ def test_resample_mean_conserves_global_mean(bh, bw, factor, seed):
     g = make_grid(vals)
     out = resample(g, factor, "mean")
     assert out.values.mean() == pytest.approx(vals.mean(), abs=1e-9)
-
-
-# ---------------------------------------------------------------- composites
-
-def test_temporal_composites_example():
-    geom = dict(cellsize=100.0)
-    b = [("t1", make_grid([[0.2]])), ("t2", make_grid([[0.4]])), ("t3", make_grid([[0.9]]))]
-    out = temporal_composites(GridStack(b))
-    assert out.band("min").values[0, 0] == pytest.approx(0.2)
-    assert out.band("mean").values[0, 0] == pytest.approx(0.5)
-    assert out.band("max").values[0, 0] == pytest.approx(0.9)
-
-
-def test_temporal_composites_single_band_and_nodata():
-    single = temporal_composites(GridStack([("a", make_grid([[3.0]]))]))
-    assert single.band("min").values[0, 0] == single.band("max").values[0, 0] == 3.0
-    stack = GridStack([("a", make_grid([[-9999.0]])), ("b", make_grid([[4.0]])),
-                       ("c", make_grid([[8.0]]))])
-    out = temporal_composites(stack)
-    assert out.band("mean").values[0, 0] == pytest.approx(6.0)
-    allbad = temporal_composites(GridStack([("a", make_grid([[-9999.0]]))]))
-    assert allbad.band("mean").values[0, 0] == -9999.0
 
 
 # ---------------------------------------------------------------- pca
@@ -187,35 +155,6 @@ def test_pca_stack_nodata_and_band_count():
     assert out.band("pc1").values[4, 4] == -9999.0
     with pytest.raises(TooFewBands):
         pca_stack(stack, 5)
-
-
-# ---------------------------------------------------------------- dem
-
-def test_dem_flat_and_ramp():
-    flat = make_grid(np.full((5, 5), 200.0), cellsize=90.0)
-    slope, rough = dem_derivatives(flat)
-    assert np.allclose(slope.values, 0.0)
-    assert np.allclose(rough.values, 0.0)
-
-    cols = np.arange(6, dtype=float)
-    ramp = make_grid(np.tile(cols, (6, 1)), cellsize=90.0)  # 1 m rise per cell
-    slope, rough = dem_derivatives(ramp)
-    want = math.degrees(math.atan(1.0 / 90.0))
-    assert np.allclose(slope.values[1:-1, 1:-1], want, atol=1e-12)
-
-
-def test_roughness_equals_population_sd():
-    g = make_grid(np.arange(9, dtype=float).reshape(3, 3), cellsize=30.0)
-    _, rough = dem_derivatives(g)
-    assert rough.values[1, 1] == pytest.approx(np.std(np.arange(9.0)))
-
-
-def test_dem_nodata_propagates():
-    vals = np.full((4, 4), 10.0)
-    vals[1, 1] = -9999.0
-    slope, rough = dem_derivatives(make_grid(vals))
-    assert slope.values[2, 2] == -9999.0  # window touches the hole
-    assert slope.values[3, 3] != -9999.0
 
 
 # ---------------------------------------------------------------- matching
