@@ -45,7 +45,7 @@ def main():
     for tag, info in sorted(manifest["telemetry"]["maps"].items(), key=lambda kv: float(kv[0])):
         agb = read_ascii_grid(f"{args.out}/run/agb_{tag}.asc")
         factor = int(round(agb.cellsize / truth.cellsize))
-        coarse = resample(truth, factor, "mean") if factor > 1 else truth
+        coarse = resample(truth, factor) if factor > 1 else truth
         mask = agb.valid_mask() & coarse.valid_mask()
         rmse = float(np.sqrt(np.mean((agb.values[mask] - coarse.values[mask]) ** 2)))
         v = info["validation"] or {"rmsep": float("nan"), "r2": float("nan")}

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidPlot, InvalidTree, UnitError
+from .errors import BadRecord, InvalidPlot, InvalidTree, UnitError
 from .raster import Grid
 
 AGB_COEF = 0.0673
@@ -93,6 +93,37 @@ def carbon_stock(agb_map: Grid, literal_per_km2: bool = False) -> CarbonStock:
 # ---------------------------------------------------------------------------
 # CSV interfaces
 
+def csv_rows(path, parse) -> list:
+    """parse(row) for each data row of a CSV file, rows as header-keyed dicts.
+
+    A row that lacks a column or holds a value parse cannot convert raises
+    BadRecord naming path:line.
+    """
+    out = []
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        for row in reader:
+            try:
+                out.append(parse(row))
+            except KeyError as e:
+                raise BadRecord(f"{path}:{reader.line_num}: missing column {e}") from None
+            except (ValueError, TypeError) as e:
+                raise BadRecord(f"{path}:{reader.line_num}: {e}") from None
+    return out
+
+
+def _plot_row(row) -> PlotRecord:
+    agb = row.get("agb_mg_ha")
+    return PlotRecord(row["plot_id"], float(row["lon"]), float(row["lat"]),
+                      float(row["area_ha"]),
+                      agb_mg_ha=float(agb) if agb not in (None, "") else None)
+
+
+def _tree_row(row):
+    return row["plot_id"], TreeRecord(float(row["wsg"]), float(row["dbh_cm"]),
+                                      float(row["height_m"]))
+
+
 def load_plots(plot_csv, tree_csv=None) -> list[PlotRecord]:
     """Read plots from CSV.
 
@@ -102,23 +133,15 @@ def load_plots(plot_csv, tree_csv=None) -> list[PlotRecord]:
     """
     plots: dict[str, PlotRecord] = {}
     order = []
-    with open(plot_csv, newline="") as f:
-        for row in csv.DictReader(f):
-            pid = row["plot_id"]
-            agb = row.get("agb_mg_ha")
-            agb_val = float(agb) if agb not in (None, "") else None
-            plots[pid] = PlotRecord(pid, float(row["lon"]), float(row["lat"]),
-                                    float(row["area_ha"]), agb_mg_ha=agb_val)
-            order.append(pid)
+    for plot in csv_rows(plot_csv, _plot_row):
+        plots[plot.id] = plot
+        order.append(plot.id)
     if tree_csv is not None:
-        with open(tree_csv, newline="") as f:
-            for row in csv.DictReader(f):
-                pid = row["plot_id"]
-                if pid not in plots:
-                    raise InvalidPlot(f"tree references unknown plot {pid!r}")
-                plots[pid].trees.append(TreeRecord(
-                    float(row["wsg"]), float(row["dbh_cm"]), float(row["height_m"])))
-                plots[pid].agb_mg_ha = None  # densities now come from the trees
+        for pid, tree in csv_rows(tree_csv, _tree_row):
+            if pid not in plots:
+                raise InvalidPlot(f"tree references unknown plot {pid!r}")
+            plots[pid].trees.append(tree)
+            plots[pid].agb_mg_ha = None  # densities now come from the trees
     return [plots[pid] for pid in order]
 
 

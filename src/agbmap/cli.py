@@ -6,14 +6,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import sys
 
 import numpy as np
 
 from . import pipeline, synth
-from .allometry import carbon_stock, load_plots, write_carbon_report
+from .allometry import carbon_stock, csv_rows, load_plots, write_carbon_report
 from .errors import AgbmapError
 from .geostat import SampleSet, empirical_variogram, fit_exponential, write_variogram_report
 from .model_io import save_model
@@ -76,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repeatable; overrides the config grid sizes")
     s.add_argument("--trend", choices=["lm", "rf"])
     s.add_argument("--seed", type=int)
-    s.add_argument("--threads", type=int)
     s.add_argument("--out-dir")
 
     s = sub.add_parser("validate", help="score a map against plots")
@@ -200,8 +198,6 @@ def _cmd_map(args) -> int:
         cfg.trend = args.trend
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads
     if args.out_dir:
         cfg.out_dir = args.out_dir
     manifest = pipeline.run_mapping(cfg)
@@ -228,13 +224,10 @@ def _cmd_carbon(args) -> int:
 
 
 def _cmd_variogram(args) -> int:
-    xs, ys, vs = [], [], []
-    with open(args.samples, newline="") as f:
-        for row in csv.DictReader(f):
-            xs.append(float(row["x"]))
-            ys.append(float(row["y"]))
-            vs.append(float(row["value"]))
-    samples = SampleSet(np.column_stack([xs, ys]), np.array(vs))
+    rows = csv_rows(args.samples,
+                    lambda row: (float(row["x"]), float(row["y"]), float(row["value"])))
+    table = np.array(rows, dtype=float).reshape(-1, 3)
+    samples = SampleSet(table[:, :2], table[:, 2])
     ev = empirical_variogram(samples, bin_width=args.bin_width, max_lag=args.max_lag)
     model = fit_exponential(ev)
     with _output(args.out) as f:

@@ -20,9 +20,11 @@ class FitFailure(AgbmapError):
 
 
 class BadRecord(AgbmapError):
-    """An input line that cannot be read: a waveform record that is not
-    JSON, lacks a key or is invalid, or a malformed ASCII grid header or
-    body. The message starts with path:line."""
+    """An input line that cannot be read: a byte that is not UTF-8, a
+    waveform record that is not JSON, lacks a key or is invalid, a
+    malformed ASCII grid header or body, or a CSV row that lacks a column
+    or holds a value that is not a number. The message starts with
+    path:line."""
 
 
 # allometry

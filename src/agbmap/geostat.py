@@ -26,6 +26,8 @@ from .errors import EmptyNeighborhood, FitFailure, SingularSystem, TooFewSamples
 from .raster import Grid
 
 _DUP_TOL = 1e-6  # metres; closer samples are merged by averaging
+RANGE_BOUND = 3.0  # fit_exponential caps the range at RANGE_BOUND * max_lag
+_CHUNK = 64  # kriging targets per stacked solve: memory grows with it, speed is flat above
 
 
 class SampleSet:
@@ -134,7 +136,7 @@ def fit_exponential(ev: EmpiricalVariogram) -> VariogramModel:
     """Weighted least squares over (nugget, psill, range), weights = pair count.
 
     Multi-start on the range initialization; parameters are bounded
-    nonnegative with range <= 3 * max_lag.
+    nonnegative with range <= RANGE_BOUND * max_lag.
     """
     if len(ev) < 4:
         raise FitFailure(f"need at least 4 non-empty bins, got {len(ev)}")
@@ -147,7 +149,7 @@ def fit_exponential(ev: EmpiricalVariogram) -> VariogramModel:
         model = nugget + psill * (1.0 - np.exp(-3.0 * ev.lags / rng))
         return w * (model - ev.gamma) / scale
 
-    hi_range = 3.0 * ev.max_lag
+    hi_range = RANGE_BOUND * ev.max_lag
     nugget0 = float(ev.gamma[0])
     tail = float(ev.gamma[-max(len(ev) // 4, 1):].mean())
     best = None
@@ -168,11 +170,18 @@ def fit_exponential(ev: EmpiricalVariogram) -> VariogramModel:
     return VariogramModel(float(nugget), float(psill), float(rng))
 
 
+def at_range_bound(model: VariogramModel, ev: EmpiricalVariogram) -> bool:
+    """Whether the fitted range ends at fit_exponential's upper bound (to a
+    relative 1e-9, as the solver stops on or just inside it), so the data
+    fixed no range of their own."""
+    return model.range_m >= RANGE_BOUND * ev.max_lag * (1 - 1e-9)
+
+
 class OrdinaryKriger:
     """Local-neighbourhood ordinary kriging against a fitted variogram.
 
-    The KD-tree over the sample locations is built once; every prediction
-    solves the augmented semivariance system for its k nearest samples.
+    The KD-tree over the sample locations is built once; targets are solved
+    _CHUNK at a time, as one stack of augmented systems over k nearest samples.
     """
 
     def __init__(self, samples: SampleSet, model: VariogramModel,
@@ -188,76 +197,69 @@ class OrdinaryKriger:
 
     def weights_at(self, x: float, y: float):
         """(neighbor indices, weights, lagrange multiplier) at one target."""
-        return self._solve(x, y)[:3]
+        idx, lam, mu, _ = self._solve(np.array([[x, y]], dtype=float))
+        return idx[0], lam[0], float(mu[0])
 
-    def _solve(self, x: float, y: float):
-        """weights_at plus the semivariance of each neighbour to the target."""
-        dist, idx = self.tree.query([x, y], k=self.k)
-        idx = np.atleast_1d(idx)
-        dist = np.atleast_1d(dist)
+    def _solve(self, targets: np.ndarray):
+        """Neighbour indices (n, k), weights (n, k), Lagrange multipliers (n,)
+        and neighbour-to-target semivariances (n, k) for (n, 2) targets."""
+        n, k = targets.shape[0], self.k
+        dist, idx = self.tree.query(targets, k=k)
+        dist, idx = dist.reshape(n, k), idx.reshape(n, k)
         pts = self.samples.xy[idx]
-        k = idx.size
-        dx = pts[:, 0][:, None] - pts[:, 0][None, :]
-        dy = pts[:, 1][:, None] - pts[:, 1][None, :]
-        gram = self.model.gamma(np.hypot(dx, dy))
-        a = np.empty((k + 1, k + 1))
-        a[:k, :k] = gram
-        a[k, :] = 1.0
-        a[:, k] = 1.0
-        a[k, k] = 0.0
-        b = np.empty(k + 1)
-        b[:k] = self.model.gamma(dist)
-        b[k] = 1.0
+        dx = pts[:, :, 0][:, :, None] - pts[:, :, 0][:, None, :]
+        dy = pts[:, :, 1][:, :, None] - pts[:, :, 1][:, None, :]
+        a = np.ones((n, k + 1, k + 1))
+        a[:, :k, :k] = self.model.gamma(np.hypot(dx, dy))
+        a[:, k, k] = 0.0
+        b = np.ones((n, k + 1))
+        b[:, :k] = self.model.gamma(dist)
         try:
-            sol = np.linalg.solve(a, b)
+            sol = np.linalg.solve(a, b[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as e:
-            raise SingularSystem(f"kriging system singular at ({x}, {y}): {e}") from None
-        if not np.all(np.isfinite(sol)):
+            x, y = targets[0]
+            raise SingularSystem(
+                f"kriging system singular in the chunk from ({x}, {y}): {e}") from None
+        bad = np.flatnonzero(~np.isfinite(sol).all(axis=1))
+        if bad.size:
+            x, y = targets[bad[0]]
             raise SingularSystem(f"kriging system singular at ({x}, {y})")
-        return idx, sol[:k], float(sol[k]), b[:k]
+        return idx, sol[:, :k], sol[:, k], b[:, :k]
 
-    def predict(self, x: float, y: float):
-        """(estimate, kriging variance) at one target."""
-        idx, lam, mu, gamma0 = self._solve(x, y)
-        est = float(lam @ self.samples.values[idx])
-        var = float(lam @ gamma0 + mu)
-        return est, max(var, 0.0)
+    def predict(self, x, y):
+        """(estimate, kriging variance) at each target; x and y are scalars
+        or arrays of one shape, and the results take that shape."""
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        targets = np.column_stack([x.ravel(), y.ravel()])
+        est = np.empty(targets.shape[0])
+        var = np.empty(targets.shape[0])
+        for start in range(0, targets.shape[0], _CHUNK):
+            part = slice(start, start + _CHUNK)
+            idx, lam, mu, gamma0 = self._solve(targets[part])
+            # row dot products as stacked (1, k) @ (k, 1) products, which sum
+            # in the same order as the one-target `lam @ values`
+            lam_rows = lam[:, None, :]
+            est[part] = (lam_rows @ self.samples.values[idx][:, :, None])[:, 0, 0]
+            var[part] = (lam_rows @ gamma0[:, :, None])[:, 0, 0] + mu
+        var = np.maximum(var, 0.0)
+        return est.reshape(x.shape)[()], var.reshape(x.shape)[()]
 
 
 def regression_krige(trend: Grid, residual_samples: SampleSet, m: VariogramModel,
-                     neighborhood: int = 32, threads: int = 1):
+                     neighborhood: int = 32):
     """Add kriged residuals to a trend surface.
 
     Returns (final Grid, kriging-variance Grid); nodata cells of the trend
-    propagate to both outputs. Cells are independent, so `threads` > 1
-    farms out row chunks; results are assembled by cell index and do not
-    depend on the worker count.
+    propagate to both outputs.
     """
     kriger = OrdinaryKriger(residual_samples, m, neighborhood)
+    mask = trend.valid_mask()
+    x, y = trend.cell_centers()
+    est, var = kriger.predict(x[mask], y[mask])
     final = np.full_like(trend.values, trend.nodata)
     variance = np.full_like(trend.values, trend.nodata)
-    mask = trend.valid_mask()
-    rows, cols = np.nonzero(mask)
-
-    def work(span):
-        out = []
-        for t in span:
-            x, y = trend.cell_center(rows[t], cols[t])
-            out.append((t, *kriger.predict(x, y)))
-        return out
-
-    idx = np.arange(rows.size)
-    if threads > 1 and rows.size > 64:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches = [b for chunk in pool.map(work, np.array_split(idx, threads * 4))
-                       for b in chunk]
-    else:
-        batches = work(idx)
-    for t, est, var in batches:
-        r, c = rows[t], cols[t]
-        final[r, c] = trend.values[r, c] + est
-        variance[r, c] = var
+    final[mask] = trend.values[mask] + est
+    variance[mask] = var
     return trend.copy_with(final), trend.copy_with(variance)
 
 

@@ -22,7 +22,7 @@ from .allometry import carbon_stock, load_plots, plot_agb_density, write_carbon_
 from .errors import (ConfigError, EmptyDesign, FitFailure, NoPairs,
                      NoQualifyingCells, RankDeficient, TooFewSamples)
 from .forest import ForestParams, fit_random_forest, rf_importance
-from .geostat import (EmpiricalVariogram, SampleSet, VariogramModel,
+from .geostat import (EmpiricalVariogram, SampleSet, VariogramModel, at_range_bound,
                       empirical_variogram, fit_exponential, regression_krige,
                       write_variogram_report)
 from .linear import DesignMatrix, fit_ols, kfold_cv, stepwise_bic
@@ -137,7 +137,7 @@ def _resample_stack(stack: GridStack, grid_size: float) -> GridStack:
     if abs(factor - round(factor)) > 1e-9 or factor < 1:
         raise ConfigError(
             f"grid size {grid_size} is not an integer multiple of native {native}")
-    return GridStack([(n, resample(g, int(round(factor)), "mean"))
+    return GridStack([(n, resample(g, int(round(factor))))
                       for n, g in stack.items()])
 
 
@@ -161,7 +161,7 @@ def build_map(footprint_agb: SampleSet, covariates: GridStack, grid_size: float,
               trend: str = "rf", *, seed: int = 0, categorical=(),
               forest_params: ForestParams | None = None, neighborhood: int = 32,
               variogram_nbins: int = 30, variogram_max_lag: float | None = None,
-              trend_top_k: int | None = None, threads: int = 1) -> MapProduct:
+              trend_top_k: int | None = None) -> MapProduct:
     """Trend fit, wall-to-wall prediction, residual kriging.
 
     A variogram fit failure degrades to a trend-only map with the warning
@@ -219,7 +219,7 @@ def build_map(footprint_agb: SampleSet, covariates: GridStack, grid_size: float,
 
     if variogram is not None:
         final, krige_var = regression_krige(trend_grid, resid_samples, variogram,
-                                            neighborhood, threads)
+                                            neighborhood)
     else:
         final = trend_grid.copy_with(trend_grid.values)
         krige_var = geom.like(geom.nodata)
@@ -302,7 +302,6 @@ class RunConfig:
     categorical: tuple = ()
     variogram_nbins: int = 30
     variogram_max_lag: float | None = None
-    threads: int = 1
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
@@ -321,11 +320,7 @@ class RunConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        # threads is an execution knob with no effect on results; keeping it
-        # out of the recorded config keeps artifacts byte-identical across
-        # worker counts
         d = asdict(self)
-        del d["threads"]
         for name in ("grid_sizes", "sweep_distances", "categorical"):
             d[name] = list(d[name])
         return d
@@ -451,8 +446,7 @@ def run_mapping(cfg: RunConfig) -> dict:
                             neighborhood=cfg.neighborhood,
                             variogram_nbins=cfg.variogram_nbins,
                             variogram_max_lag=cfg.variogram_max_lag,
-                            trend_top_k=cfg.trend_top_k,
-                            threads=cfg.threads)
+                            trend_top_k=cfg.trend_top_k)
         write_ascii_grid(product.agb, os.path.join(cfg.out_dir, f"agb_{tag}.asc"))
         write_ascii_grid(product.krige_var,
                          os.path.join(cfg.out_dir, f"krigevar_{tag}.asc"))
@@ -485,6 +479,7 @@ def run_mapping(cfg: RunConfig) -> dict:
                 "nugget": product.variogram.nugget,
                 "psill": product.variogram.psill,
                 "range": product.variogram.range_m,
+                "at_range_bound": at_range_bound(product.variogram, product.empirical),
             },
         }
 

@@ -186,23 +186,26 @@ def write_ascii_grid(grid: Grid, path) -> None:
 def read_ascii_grid(path) -> Grid:
     """Read an ESRI ASCII grid.
 
-    Raises BadRecord naming path:line for a header value that is not a
-    number, a missing header key, a non-positive size, a body value that
-    is not a number or a wrong number of values.
+    Raises BadRecord naming path:line for a byte that is not UTF-8, a
+    header value that is not a number, a missing header key, a non-positive
+    size, a body value that is not a number or a wrong number of values.
     """
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        lines = raw.decode("utf-8").split("\n")
+    except UnicodeDecodeError as e:
+        line_no = raw.count(b"\n", 0, e.start) + 1
+        raise BadRecord(f"{path}:{line_no}: {e}") from None
     header = {}  # key -> (value text, line number)
     body_line = 1
-    with open(path) as f:
-        pos = f.tell()
-        for _ in range(6):
-            parts = f.readline().split()
-            if len(parts) != 2 or not parts[0][0].isalpha():
-                f.seek(pos)
-                break
-            header[parts[0].lower()] = (parts[1], body_line)
-            body_line += 1
-            pos = f.tell()
-        text = f.read()
+    for line in lines[:6]:
+        parts = line.split()
+        if len(parts) != 2 or not parts[0][0].isalpha():
+            break
+        header[parts[0].lower()] = (parts[1], body_line)
+        body_line += 1
+    text = "\n".join(lines[body_line - 1:])
 
     def number(key, kind=float):
         if key not in header:
@@ -253,8 +256,8 @@ def _body_error(path, text: str, first_line: int, expected: int, found: int) -> 
 # ---------------------------------------------------------------------------
 # kernels
 
-def resample(grid: Grid, factor: int, scheme: str = "mean") -> Grid:
-    """Aggregate factor x factor blocks, ignoring nodata.
+def resample(grid: Grid, factor: int) -> Grid:
+    """Mean of each factor x factor block, ignoring nodata.
 
     Blocks are anchored at the lower-left corner; a ragged northern or
     eastern edge aggregates whatever cells exist. All-nodata blocks come
@@ -263,8 +266,6 @@ def resample(grid: Grid, factor: int, scheme: str = "mean") -> Grid:
     """
     if not isinstance(factor, (int, np.integer)) or factor < 1:
         raise BadFactor(f"factor must be a positive integer, got {factor!r}")
-    if scheme not in ("mean", "median"):
-        raise BadFactor(f"scheme must be 'mean' or 'median', got {scheme!r}")
     if factor == 1:
         return grid.copy_with(grid.values)
 
@@ -278,10 +279,7 @@ def resample(grid: Grid, factor: int, scheme: str = "mean") -> Grid:
     blocks = vals.reshape(nro, factor, nco, factor)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        if scheme == "mean":
-            agg = np.nanmean(blocks, axis=(1, 3))
-        else:
-            agg = np.nanmedian(blocks, axis=(1, 3))
+        agg = np.nanmean(blocks, axis=(1, 3))
     out = np.where(np.isfinite(agg), agg, grid.nodata)
     return Grid(out, grid.origin_x, grid.origin_y, grid.cellsize * factor, grid.nodata)
 

@@ -417,17 +417,17 @@ def process_waveform(w: WaveformRecord, dem_patch=None, k: float = DETECT_K,
 def read_waveforms(path) -> list:
     """Newline-delimited records, one JSON object per waveform.
 
-    Raises BadRecord naming path:line for a line that is not JSON, lacks a
-    required key or does not make a valid record.
+    Raises BadRecord naming path:line for a line that is not UTF-8 JSON,
+    lacks a required key or does not make a valid record.
     """
     records = []
-    with open(path) as f:
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                d = json.loads(line)
+                d = json.loads(line.decode("utf-8"))
                 records.append(WaveformRecord(
                     id=d["id"], lon=d["lon"], lat=d["lat"],
                     bin_top_elev=d["bin_top_elev"], bin_size=d["bin_size"],

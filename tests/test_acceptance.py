@@ -370,17 +370,16 @@ def test_criterion_8_byte_identical_runs(tmp_path):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(cfg))
 
-    def run_and_snapshot(threads):
-        assert cli_main(["map", "--config", str(cfg_path),
-                         "--threads", str(threads)]) == 0
+    def run_and_snapshot():
+        assert cli_main(["map", "--config", str(cfg_path)]) == 0
         out = tmp_path / "run"
         return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
-    first = run_and_snapshot(1)
-    second = run_and_snapshot(3)
+    first = run_and_snapshot()
+    second = run_and_snapshot()
     assert first.keys() == second.keys()
     for name in first:
         assert first[name] == second[name], f"{name} differs between runs"
     elapsed = time.time() - t0
-    report(8, f"two full map runs (threads 1 vs 3) produced byte-identical "
+    report(8, f"two full map runs into one out_dir produced byte-identical "
               f"{len(first)} artifacts ({elapsed:.0f}s)")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from agbmap.allometry import (CarbonStock, PlotRecord, TreeRecord, carbon_stock,
                               load_plots, plot_agb_density, tree_agb,
                               write_carbon_report, write_plots)
-from agbmap.errors import InvalidPlot, InvalidTree, UnitError
+from agbmap.errors import BadRecord, InvalidPlot, InvalidTree, UnitError
 from agbmap.raster import Grid
 
 # oracle: direct evaluation of the allometric power law
@@ -143,6 +143,29 @@ def test_tree_level_csv(tmp_path):
     tree_path.write_text("plot_id,wsg,dbh_cm,height_m\nmissing,0.6,30,30\n")
     with pytest.raises(InvalidPlot):
         load_plots(plot_path, tree_path)
+
+
+_PLOTS = "plot_id,lon,lat,area_ha\np1,0,0,1.0\n"
+
+
+@pytest.mark.parametrize("plot_text, tree_text, message", [
+    ("plot_id,lon,lat,area_ha\np1,x,0,1.0\n", None,
+     "could not convert string to float: 'x'"),
+    ("plot_id,lon,area_ha\np1,0,1.0\n", None, "missing column 'lat'"),
+    (_PLOTS, "plot_id,wsg,dbh_cm,height_m\np1,0.6,thirty,30\n",
+     "could not convert string to float: 'thirty'"),
+    (_PLOTS, "plot_id,wsg,height_m\np1,0.6,30\n", "missing column 'dbh_cm'"),
+])
+def test_bad_csv_row_names_path_and_line(tmp_path, plot_text, tree_text, message):
+    plot_path = tmp_path / "plots.csv"
+    plot_path.write_text(plot_text)
+    tree_path = None
+    if tree_text is not None:
+        tree_path = tmp_path / "trees.csv"
+        tree_path.write_text(tree_text)
+    with pytest.raises(BadRecord) as e:
+        load_plots(plot_path, tree_path)
+    assert str(e.value) == f"{tree_path or plot_path}:2: {message}"
 
 
 def test_carbon_report_format():

@@ -38,6 +38,7 @@ def cli_metrics(scene_dir, tmp_path_factory):
 def test_usage_errors_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["metrics", "--nope"]) == 2
+    assert main(["map", "--config", "c.json", "--threads", "2"]) == 2
     capsys.readouterr()
 
 
@@ -54,12 +55,14 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     ('{"id": "b", "lon": 1.0, "lat": 2.0, "bin_top_elev": 9.0, "bin_size": 0.15, '
      '"intensities": [1.0, 2.0]}', "need >= 10 intensity bins"),
     ("[1, 2]", "list indices"),
+    ("\udcff", "can't decode byte 0xff"),  # written as the raw byte 0xff
 ])
 def test_bad_waveform_record_names_path_and_line(tmp_path, capsys, bad_line, message):
     good = {"id": "a", "lon": 1.0, "lat": 2.0, "bin_top_elev": 9.0, "bin_size": 0.15,
             "intensities": [1.0] * 20}
     src = tmp_path / "bad.ndjson"
-    src.write_text(json.dumps(good) + "\n\n" + bad_line + "\n")
+    src.write_bytes((json.dumps(good) + "\n\n" + bad_line + "\n").encode(
+        errors="surrogateescape"))
     assert main(["filter", "--in", str(src), "--out", str(tmp_path / "f.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {src}:3: ")
@@ -192,10 +195,11 @@ _GRID_HEADER = ("ncols 2\n", "nrows 2\n", "xllcorner 0\n", "yllcorner 0\n",
     (_GRID_HEADER + ("1 2\n", "3 x4\n"), 7, "grid value is not a number: 'x4'"),
     (_GRID_HEADER + ("1 2\n", "3\n", "\n"), 7, "expected 4 values, found 3"),
     (_GRID_HEADER + ("1 2\n", "3 4\n", "5 6\n"), 8, "expected 4 values, found 6"),
+    (_GRID_HEADER + ("1 2\n", "3 \udcff\n"), 7, "can't decode byte 0xff"),  # raw 0xff
 ])
 def test_bad_ascii_grid_names_path_and_line(tmp_path, capsys, lines, line_no, message):
     path = tmp_path / "g.asc"
-    path.write_text("".join(lines))
+    path.write_bytes("".join(lines).encode(errors="surrogateescape"))
     assert main(["carbon", "--map", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:{line_no}: ")
@@ -245,6 +249,27 @@ def test_variogram_command(tmp_path, capsys):
     assert rows[0] == ["kind", "lag", "gamma", "pairs", "nugget", "psill", "range"]
     assert rows[-1][0] == "model"
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("validate", "plot_id,lon,lat,area_ha,agb_mg_ha\np1,x,5,1.0,100\n",
+     "could not convert string to float: 'x'"),
+    ("variogram", "x,y,value\n1,2,q\n", "could not convert string to float: 'q'"),
+    ("variogram", "x,value\n1,3\n", "missing column 'y'"),
+])
+def test_bad_csv_row_exits_1_naming_path_and_line(tmp_path, capsys, command, text, message):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    if command == "validate":
+        grid = tmp_path / "g.asc"
+        write_ascii_grid(Grid([[100.0]], 0.0, 0.0, 20.0), grid)
+        argv = ["validate", "--map", str(grid), "--plots", str(path)]
+    else:
+        argv = ["variogram", "--samples", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: {message}")
+    assert "Traceback" not in err
 
 
 def test_textures_command(tmp_path, capsys):

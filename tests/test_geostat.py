@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agbmap.errors import EmptyNeighborhood, FitFailure, TooFewSamples
-from agbmap.geostat import (EmpiricalVariogram, OrdinaryKriger, SampleSet,
-                            VariogramModel, empirical_variogram, fit_exponential,
-                            regression_krige, write_variogram_report)
+from agbmap.errors import EmptyNeighborhood, FitFailure, SingularSystem, TooFewSamples
+from agbmap.geostat import (RANGE_BOUND, EmpiricalVariogram, OrdinaryKriger, SampleSet,
+                            VariogramModel, at_range_bound, empirical_variogram,
+                            fit_exponential, regression_krige, write_variogram_report)
 from agbmap.raster import Grid
 
 
@@ -143,6 +143,18 @@ def test_fit_needs_four_bins():
         fit_exponential(ev)
 
 
+def test_range_bound_flag():
+    lags = np.linspace(250, 9000, 24)
+    planted = VariogramModel(9700.0, 5500.0, 3123.0)
+    ev = EmpiricalVariogram(lags, planted.gamma(lags), np.full(24, 40), 250.0, 9000.0)
+    assert not at_range_bound(fit_exponential(ev), ev)
+    # a variogram still rising linearly at max_lag has no range to find
+    rising = EmpiricalVariogram(lags, 2.0 * lags, np.full(24, 40), 250.0, 9000.0)
+    fit = fit_exponential(rising)
+    assert fit.range_m == pytest.approx(RANGE_BOUND * 9000.0)
+    assert at_range_bound(fit, rising)
+
+
 def test_model_gamma_monotone_and_nonnegative():
     m = VariogramModel(2.0, 8.0, 1000.0)
     h = np.linspace(0, 5000, 200)
@@ -267,18 +279,44 @@ def test_cell_center_sample_exactness_with_zero_nugget():
     assert final.values[4, 4] == pytest.approx(g.values[4, 4] + 25.0, abs=1e-8)
 
 
-def test_nodata_propagates_and_threads_match():
+def test_nodata_propagates():
     g = trend_grid()
     g.values[0, 0] = g.nodata
     rng = np.random.default_rng(6)
     xy = rng.uniform(0, 1000, (50, 2))
     resid = rng.normal(0, 4, 50)
     m = VariogramModel(1.0, 5.0, 300.0)
-    f1, v1 = regression_krige(g, SampleSet(xy, resid), m, threads=1)
-    f2, v2 = regression_krige(g, SampleSet(xy, resid), m, threads=3)
+    f1, v1 = regression_krige(g, SampleSet(xy, resid), m)
     assert f1.values[0, 0] == g.nodata and v1.values[0, 0] == g.nodata
-    assert np.array_equal(f1.values, f2.values)
-    assert np.array_equal(v1.values, v2.values)
+
+
+def test_chunked_grid_matches_dense_oracle_per_cell():
+    # 180 cells: two full chunks of 64 and a ragged tail, minus 4 nodata cells
+    g = Grid(np.random.default_rng(8).uniform(50, 150, (12, 15)), 0.0, 0.0, 100.0)
+    nodata = [(0, 0), (5, 7), (11, 14), (6, 0)]
+    for rc in nodata:
+        g.values[rc] = g.nodata
+    rng = np.random.default_rng(9)
+    xy = rng.uniform(0, 1500, (40, 2))
+    resid = rng.normal(0, 6, 40)
+    m = VariogramModel(1.5, 8.0, 500.0)
+    final, var = regression_krige(g, SampleSet(xy, resid), m, neighborhood=40)
+    for r in range(g.nrows):
+        for c in range(g.ncols):
+            if (r, c) in nodata:
+                assert final.values[r, c] == g.nodata and var.values[r, c] == g.nodata
+                continue
+            oest, ovar, _ = dense_ok_oracle(xy.tolist(), resid.tolist(), m,
+                                            g.cell_center(r, c))
+            assert final.values[r, c] == pytest.approx(g.values[r, c] + oest, abs=1e-8)
+            assert var.values[r, c] == pytest.approx(max(ovar, 0.0), abs=1e-8)
+
+
+def test_flat_variogram_raises_singular_system():
+    xy = np.array([[100.0, 100.0], [400.0, 300.0], [700.0, 800.0]])
+    with pytest.raises(SingularSystem):
+        regression_krige(trend_grid(), SampleSet(xy, [1.0, 2.0, 3.0]),
+                         VariogramModel(0.0, 0.0, 100.0))
 
 
 def test_variogram_report_format():

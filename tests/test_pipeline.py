@@ -309,18 +309,6 @@ def test_run_config_json_round_trip(tmp_path):
         RunConfig.from_json(path)
 
 
-def test_config_hash_ignores_threads(tmp_path):
-    import json
-    doc = {"waveforms": "w", "dem": "d", "covariates": {}, "plots": "p",
-           "out_dir": "o"}
-    p = tmp_path / "c.json"
-    p.write_text(json.dumps(doc))
-    c1 = RunConfig.from_json(p)
-    c2 = RunConfig.from_json(p)
-    c2.threads = 8
-    assert c1.config_hash() == c2.config_hash()
-
-
 # ------------------------------------------------------------ end to end
 
 def test_run_mapping_end_to_end(tmp_path):
