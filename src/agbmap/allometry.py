@@ -9,6 +9,7 @@ ratio.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -96,19 +97,25 @@ def carbon_stock(agb_map: Grid, literal_per_km2: bool = False) -> CarbonStock:
 def csv_rows(path, parse) -> list:
     """parse(row) for each data row of a CSV file, rows as header-keyed dicts.
 
-    A row that lacks a column or holds a value parse cannot convert raises
-    BadRecord naming path:line.
+    A byte that is not UTF-8, a row that lacks a column or a value parse
+    cannot convert raises BadRecord naming path:line.
     """
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line_no = raw.count(b"\n", 0, e.start) + 1
+        raise BadRecord(f"{path}:{line_no}: {e}") from None
     out = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            try:
-                out.append(parse(row))
-            except KeyError as e:
-                raise BadRecord(f"{path}:{reader.line_num}: missing column {e}") from None
-            except (ValueError, TypeError) as e:
-                raise BadRecord(f"{path}:{reader.line_num}: {e}") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    for row in reader:
+        try:
+            out.append(parse(row))
+        except KeyError as e:
+            raise BadRecord(f"{path}:{reader.line_num}: missing column {e}") from None
+        except (ValueError, TypeError) as e:
+            raise BadRecord(f"{path}:{reader.line_num}: {e}") from None
     return out
 
 

@@ -29,7 +29,7 @@ from .linear import DesignMatrix, fit_ols, kfold_cv, stepwise_bic
 from .model_io import save_model
 from .raster import Grid, GridStack, match_points, read_ascii_grid, resample, write_ascii_grid
 from .waveform import (METRIC_COLUMNS, FilterResult, FootprintResult,
-                       process_waveform, read_waveforms, write_filter_csv,
+                       process_waveforms, read_waveforms, write_filter_csv,
                        write_metrics_csv)
 
 METRIC_FEATURES = ("wext", "h10", "h20", "h30", "h40", "h50", "h60", "h70",
@@ -355,18 +355,23 @@ def process_footprints(records, dem: Grid | None, *, k: float, max_components: i
     the terrain patch is flat; only the filter report, which writes no
     metrics, runs without a DEM.
     """
-    results = []
-    for w in records:
+    results = [None] * len(records)
+    inside, patches = [], []
+    for i, w in enumerate(records):
         patch = None
         if dem is not None:
             patch = dem.patch3x3(w.lon, w.lat)
             if patch is None:
-                results.append(FootprintResult(w, FilterResult(False, "OutsideDem")))
+                results[i] = FootprintResult(w, FilterResult(False, "OutsideDem"))
                 continue
-        results.append(process_waveform(
-            w, patch, k=k, max_components=max_components, snr_min=snr_min,
-            max_elev_gap=max_elev_gap,
-            dem_cellsize=90.0 if dem is None else dem.cellsize))
+        inside.append(i)
+        patches.append(patch)
+    done = process_waveforms([records[i] for i in inside], patches, k=k,
+                             max_components=max_components, snr_min=snr_min,
+                             max_elev_gap=max_elev_gap,
+                             dem_cellsize=90.0 if dem is None else dem.cellsize)
+    for i, fr in zip(inside, done):
+        results[i] = fr
     return results
 
 

@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
+from .allometry import csv_rows
 from .errors import BadRecord, DegenerateNoise, FitFailure, NoSignal
 
 DETECT_K = 4.5
@@ -155,20 +155,107 @@ def detect_signal_bounds(w: WaveformRecord, k: float = DETECT_K):
     return NoiseStats(mean, sd, snr), float(elev[b[0]]), float(elev[b[1]])
 
 
-def _gaussian_sum(params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    for a, c, s in params.reshape(-1, 3):
-        out += a * np.exp(-0.5 * ((x - c) / s) ** 2)
-    return out
+# Projected Levenberg-Marquardt over blocks of fits. Stop rules follow
+# scipy's least_squares: relative step xtol, relative cost decrease ftol,
+# projected-gradient gtol, at most _MAX_NFEV model evaluations per fit.
+_XTOL = 1e-10
+_FTOL = 1e-10
+_GTOL = 1e-8
+_MAX_NFEV = 400
+_BLOCK = 32  # footprints fitted together: memory grows with the block, speed does not
 
 
-def _gaussian_jac(params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    cols = []
-    for a, c, s in params.reshape(-1, 3):
-        z = (x - c) / s
-        e = np.exp(-0.5 * z ** 2)
-        cols.extend([e, a * e * z / s, a * e * z ** 2 / s])
-    return np.column_stack(cols)
+def _residuals(p: np.ndarray, x: np.ndarray, y: np.ndarray, mask: np.ndarray):
+    """Masked residuals (n, B) and Jacobian (n, P, B) of the Gaussian sums
+    whose (amplitude, center, sigma) triples fill each row of p (n, P)."""
+    a, c, s = (p[:, i::3, None] for i in range(3))
+    z = (x[:, None, :] - c) / s
+    e = np.exp(-0.5 * z * z)
+    ae = a * e
+    r = (ae.sum(axis=1) - y) * mask
+    jac = np.stack([e, ae * z / s, ae * z * z / s], axis=2) * mask[:, None, None, :]
+    return r, jac.reshape(p.shape[0], -1, x.shape[1])
+
+
+def _solve_rows(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Stacked solve; a singular row gives NaN instead of failing the block."""
+    try:
+        return np.linalg.solve(m, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full_like(rhs, np.nan)
+        for i in range(rhs.shape[0]):
+            try:
+                out[i] = np.linalg.solve(m[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _plm(p0, lo, hi, x, y, mask):
+    """Bounded least squares of Gaussian sums, one fit per row.
+
+    Marquardt damping, scaled by the largest diagonal of the normal
+    equations seen so far (as in MINPACK), with Nielsen's update per row. A
+    variable held at a bound whose gradient points outward is fixed for
+    the step (its row of the normal equations becomes the identity), and
+    the step is clipped to the bounds (projected LM, Kanzow, Yamashita &
+    Fukushima 2004). Rows leave the block as they converge. Returns
+    (params, rss, ok); ok is False for a fit that did not converge within
+    _MAX_NFEV evaluations or whose system went singular or non-finite.
+    """
+    n = p0.shape[0]
+    p_out = np.array(p0, dtype=float)
+    rss_out = np.full(n, np.nan)
+    ok_out = np.zeros(n, dtype=bool)
+    rows = np.arange(n)
+    p = np.clip(p_out, lo, hi)
+    r, jac = _residuals(p, x, y, mask)
+    cost = 0.5 * np.einsum("ij,ij->i", r, r)
+    mu = np.full(n, 1e-3)
+    nu = np.full(n, 2.0)
+    d = np.zeros_like(p)
+    for _ in range(_MAX_NFEV - 1):
+        g = np.einsum("ipb,ib->ip", jac, r)
+        a = jac @ jac.transpose(0, 2, 1)
+        d = np.maximum(d, np.einsum("ipp->ip", a))
+        free = ~(((p <= lo) & (g > 0)) | ((p >= hi) & (g < 0)) | (d <= 0))
+        g = np.where(free, g, 0.0)
+        m = a * (free[:, :, None] & free[:, None, :])
+        m[:, np.arange(p.shape[1]), np.arange(p.shape[1])] += np.where(free, mu[:, None] * d, 1.0)
+        step = np.clip(p + _solve_rows(m, -g), lo, hi) - p
+        bad = ~np.isfinite(step).all(axis=1)
+        step[bad] = 0.0
+        trial = p + step
+        r_t, jac_t = _residuals(trial, x, y, mask)
+        cost_t = 0.5 * np.einsum("ij,ij->i", r_t, r_t)
+        actual = cost - cost_t
+        predicted = -np.einsum("ip,ip->i", g, step) - 0.5 * np.einsum(
+            "ip,ipq,iq->i", step, a, step)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = np.where(predicted > 0, actual / predicted, 0.0)
+        accept = np.isfinite(cost_t) & (actual > 0) & ~bad
+        converged = ~bad & (
+            (np.abs(g).max(axis=1) < _GTOL)
+            | (np.linalg.norm(step, axis=1) < _XTOL * (_XTOL + np.linalg.norm(p, axis=1)))
+            | (accept & (actual < _FTOL * cost) & (rho > 0.25)))
+        p = np.where(accept[:, None], trial, p)
+        r = np.where(accept[:, None], r_t, r)
+        jac = np.where(accept[:, None, None], jac_t, jac)
+        cost = np.where(accept, cost_t, cost)
+        mu = np.where(accept, mu * np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3), mu * nu)
+        nu = np.where(accept, 2.0, 2 * nu)
+        leave = converged | bad | ~np.isfinite(mu)
+        if leave.any():
+            done = rows[leave]
+            p_out[done] = p[leave]
+            rss_out[done] = 2 * cost[leave]
+            ok_out[done] = converged[leave]
+            keep = ~leave
+            rows, p, lo, hi, x, y, mask = (v[keep] for v in (rows, p, lo, hi, x, y, mask))
+            r, jac, cost, mu, nu, d = (v[keep] for v in (r, jac, cost, mu, nu, d))
+            if rows.size == 0:
+                break
+    return p_out, rss_out, ok_out
 
 
 def _initial_centers(y: np.ndarray, x: np.ndarray, ncomp: int, bin_size: float):
@@ -190,73 +277,88 @@ def _initial_centers(y: np.ndarray, x: np.ndarray, ncomp: int, bin_size: float):
     return centers, amps, sigma0
 
 
-def decompose_gaussians(w: WaveformRecord, noise: NoiseStats,
-                        max_components: int = 6, bounds=None,
-                        min_amplitude_sds: float = 3.0,
-                        min_amplitude_frac: float = 0.08):
-    """Gaussian mixture fit of the noise-subtracted signal.
+def _start(x: np.ndarray, y: np.ndarray, bin_size: float, ncomp: int):
+    """(p0, lo, hi) of an ncomp-component fit to one window."""
+    amp_hi = 2.0 * max(float(y.max()), 1e-6)
+    lo_c = x.min() - 2 * bin_size
+    hi_c = x.max() + 2 * bin_size
+    sig_lo = 0.4 * bin_size
+    sig_hi = max(x.max() - x.min(), 1.0)
+    centers, amps, sigma0 = _initial_centers(y, x, ncomp, bin_size)
+    p0 = [v for c0, a0 in zip(centers, amps)
+          for v in (min(max(a0, 1e-6), amp_hi * 0.99), c0, sigma0)]
+    return p0, [1e-9, lo_c, sig_lo] * ncomp, [amp_hi, hi_c, sig_hi] * ncomp
 
-    The component count minimizing BIC over 1..max_components wins; each
-    count is fitted by bounded nonlinear least squares initialized from
-    smoothed local maxima. The scan stops early once two consecutive
-    counts fail to improve the best BIC. Components are discarded as
-    insignificant when their amplitude stays under min_amplitude_sds
-    noise spreads, or under min_amplitude_frac of the strongest component
-    (shoulder artifacts of an overparameterized mixture fit); the
-    strongest one always survives. Returns (components ordered by
-    descending center elevation, residual RMS). Raises FitFailure when no
-    count converges.
+
+def _pad(windows):
+    """(x, y, mask) blocks (n, B) of (x, y, bin_size) windows, zero-padded
+    to the longest; padding bins repeat x[0] so they stay finite."""
+    width = max(x.size for x, _, _ in windows)
+    xs, ys, mask = np.zeros((3, len(windows), width))
+    for i, (x, y, _) in enumerate(windows):
+        xs[i] = x[0]
+        xs[i, :x.size], ys[i, :y.size], mask[i, :y.size] = x, y, 1.0
+    return xs, ys, mask
+
+
+def _fit_orders(windows, max_components: int) -> list:
+    """(params, rss) of the BIC-best component count for each (x, y,
+    bin_size) window, or None where no count converged.
+
+    Counts 1..max_components are fitted level by level over blocks of
+    _BLOCK windows; a window leaves the scan once two consecutive counts
+    fail to improve its best BIC.
     """
+    best = [None] * len(windows)
+    for start in range(0, len(windows), _BLOCK):
+        block = windows[start:start + _BLOCK]
+        xs, ys, mask = _pad(block)
+        scanning = list(range(len(block)))
+        stale = [0] * len(block)
+        for ncomp in range(1, max_components + 1):
+            p0, lo, hi = map(np.array, zip(*(_start(*block[i], ncomp) for i in scanning)))
+            params, rss, ok = _plm(p0, lo, hi, xs[scanning], ys[scanning], mask[scanning])
+            still = []
+            for i, p, e, converged in zip(scanning, params, rss, ok):
+                if converged:
+                    m = block[i][0].size
+                    bic = m * math.log(max(e, 1e-300) / m) + 3 * ncomp * math.log(m)
+                    b = best[start + i]
+                    if b is None or bic < b[0]:
+                        best[start + i] = (bic, p, float(e))
+                        stale[i] = 0
+                    else:
+                        stale[i] += 1
+                if stale[i] < 2:
+                    still.append(i)
+            scanning = still
+            if not scanning:
+                break
+    return [None if b is None else b[1:] for b in best]
+
+
+def _check_components(max_components: int) -> None:
     if not 1 <= max_components <= 6:
         raise ValueError("max_components must be in 1..6")
-    if bounds is None:
-        _, begin_elev, end_elev = detect_signal_bounds(w)
-    else:
-        begin_elev, end_elev = bounds
+
+
+def _fit_window(w: WaveformRecord, noise: NoiseStats, begin_elev: float, end_elev: float):
+    """(x, y, bin_size): the noise-subtracted signal within three bins of
+    the bounds. Raises FitFailure when it holds fewer than four bins."""
     elev = w.elevations
     margin = 3 * w.bin_size
     sel = (elev <= begin_elev + margin) & (elev >= end_elev - margin)
-    x = elev[sel]
-    y = w.intensities[sel] - noise.mean
-    m = x.size
-    if m < 4:
+    if sel.sum() < 4:
         raise FitFailure(f"waveform {w.id}: too few signal bins to fit")
-    amp_hi = 2.0 * max(float(y.max()), 1e-6)
-    lo_c = x.min() - 2 * w.bin_size
-    hi_c = x.max() + 2 * w.bin_size
-    sig_lo = 0.4 * w.bin_size
-    sig_hi = max(x.max() - x.min(), 1.0)
+    return elev[sel], w.intensities[sel] - noise.mean, w.bin_size
 
-    best = None
-    stale = 0
-    for ncomp in range(1, max_components + 1):
-        centers, amps, sigma0 = _initial_centers(y, x, ncomp, w.bin_size)
-        p0, lo, hi = [], [], []
-        for c0, a0 in zip(centers, amps):
-            p0.extend([min(max(a0, 1e-6), amp_hi * 0.99), c0, sigma0])
-            lo.extend([1e-9, lo_c, sig_lo])
-            hi.extend([amp_hi, hi_c, sig_hi])
-        try:
-            res = least_squares(lambda p: _gaussian_sum(p, x) - y, x0=p0,
-                                jac=lambda p: _gaussian_jac(p, x),
-                                bounds=(lo, hi), xtol=1e-10, ftol=1e-10,
-                                max_nfev=400)
-        except (ValueError, np.linalg.LinAlgError):
-            continue
-        if not res.success:
-            continue
-        rss = float(res.fun @ res.fun)
-        bic = m * math.log(max(rss, 1e-300) / m) + 3 * ncomp * math.log(m)
-        if best is None or bic < best[0]:
-            best = (bic, ncomp, res.x, rss)
-            stale = 0
-        else:
-            stale += 1
-            if stale >= 2:
-                break
-    if best is None:
+
+def _significant(w: WaveformRecord, noise: NoiseStats, fit, m: int,
+                 min_amplitude_sds: float = 3.0, min_amplitude_frac: float = 0.08):
+    """(significant components by descending elevation, residual RMS)."""
+    if fit is None:
         raise FitFailure(f"waveform {w.id}: Gaussian decomposition did not converge")
-    _, ncomp, params, rss = best
+    params, rss = fit
     comps = [GaussianComponent(float(a), float(c), float(s))
              for a, c, s in params.reshape(-1, 3)]
     floor = max(min_amplitude_sds * noise.sd,
@@ -266,6 +368,34 @@ def decompose_gaussians(w: WaveformRecord, noise: NoiseStats,
         significant = [max(comps, key=lambda g: g.amplitude)]
     significant.sort(key=lambda g: -g.center_elev)
     return significant, math.sqrt(rss / m)
+
+
+def decompose_gaussians(w: WaveformRecord, noise: NoiseStats,
+                        max_components: int = 6, bounds=None,
+                        min_amplitude_sds: float = 3.0,
+                        min_amplitude_frac: float = 0.08):
+    """Gaussian mixture fit of the noise-subtracted signal.
+
+    The component count minimizing BIC over 1..max_components wins; each
+    count is fitted by bounded nonlinear least squares (projected
+    Levenberg-Marquardt) initialized from smoothed local maxima. The scan
+    stops early once two consecutive counts fail to improve the best BIC.
+    Components are discarded as insignificant when their amplitude stays
+    under min_amplitude_sds noise spreads, or under min_amplitude_frac of
+    the strongest component (shoulder artifacts of an overparameterized
+    mixture fit); the strongest one always survives. Returns (components
+    ordered by descending center elevation, residual RMS). Raises
+    FitFailure when no count converges.
+    """
+    _check_components(max_components)
+    if bounds is None:
+        _, begin_elev, end_elev = detect_signal_bounds(w)
+    else:
+        begin_elev, end_elev = bounds
+    window = _fit_window(w, noise, begin_elev, end_elev)
+    fit = _fit_orders([window], max_components)[0]
+    return _significant(w, noise, fit, window[0].size,
+                        min_amplitude_sds, min_amplitude_frac)
 
 
 def identify_ground_peak(components) -> GaussianComponent:
@@ -386,32 +516,59 @@ class FootprintResult:
     metrics: WaveformMetrics | None = None
 
 
+def process_waveforms(records, patches, *, k: float = DETECT_K,
+                      max_components: int = 6, snr_min: float = SNR_MIN,
+                      max_elev_gap: float = MAX_ELEV_GAP,
+                      dem_cellsize: float = 90.0) -> list:
+    """Bounds, filter, decomposition and metrics for each footprint.
+
+    patches holds one 3x3 DEM patch per record, or None for flat terrain.
+    Bounds and the quality filter run per record; the kept records are
+    decomposed together. Detection or fit failures become rejects carrying
+    the error name.
+    """
+    results = [None] * len(records)
+    todo = []
+    for i, w in enumerate(records):
+        try:
+            noise, begin_elev, end_elev = detect_signal_bounds(w, k)
+        except (NoSignal, DegenerateNoise) as e:
+            results[i] = FootprintResult(w, FilterResult(False, type(e).__name__))
+            continue
+        fr = quality_filter(w, (noise, begin_elev, end_elev), snr_min=snr_min,
+                            max_elev_gap=max_elev_gap)
+        if not fr.kept:
+            results[i] = FootprintResult(w, fr)
+            continue
+        _check_components(max_components)
+        try:
+            todo.append((i, noise, (begin_elev, end_elev),
+                         _fit_window(w, noise, begin_elev, end_elev)))
+        except FitFailure as e:
+            results[i] = FootprintResult(w, FilterResult(False, type(e).__name__))
+    fits = _fit_orders([window for *_, window in todo], max_components)
+    for (i, noise, bounds, window), fit in zip(todo, fits):
+        w = records[i]
+        try:
+            comps, _ = _significant(w, noise, fit, window[0].size)
+            patch = patches[i] if patches[i] is not None else np.zeros((3, 3))
+            metrics = extract_metrics(w, comps, patch, noise=noise, bounds=bounds,
+                                      dem_cellsize=dem_cellsize)
+        except (FitFailure, NoSignal) as e:
+            results[i] = FootprintResult(w, FilterResult(False, type(e).__name__))
+            continue
+        results[i] = FootprintResult(w, FilterResult(True), metrics)
+    return results
+
+
 def process_waveform(w: WaveformRecord, dem_patch=None, k: float = DETECT_K,
                      max_components: int = 6, snr_min: float = SNR_MIN,
                      max_elev_gap: float = MAX_ELEV_GAP,
                      dem_cellsize: float = 90.0) -> FootprintResult:
-    """Bounds, filter, decomposition and metrics for one footprint.
-
-    Detection or fit failures become rejects carrying the error name.
-    """
-    try:
-        noise, begin_elev, end_elev = detect_signal_bounds(w, k)
-    except (NoSignal, DegenerateNoise) as e:
-        return FootprintResult(w, FilterResult(False, type(e).__name__))
-    fr = quality_filter(w, (noise, begin_elev, end_elev), snr_min=snr_min,
-                        max_elev_gap=max_elev_gap)
-    if not fr.kept:
-        return FootprintResult(w, fr)
-    try:
-        comps, _ = decompose_gaussians(w, noise, max_components,
-                                       bounds=(begin_elev, end_elev))
-        patch = dem_patch if dem_patch is not None else np.zeros((3, 3))
-        metrics = extract_metrics(w, comps, patch, noise=noise,
-                                  bounds=(begin_elev, end_elev),
-                                  dem_cellsize=dem_cellsize)
-    except (FitFailure, NoSignal) as e:
-        return FootprintResult(w, FilterResult(False, type(e).__name__))
-    return FootprintResult(w, fr, metrics)
+    """process_waveforms for one footprint."""
+    return process_waveforms([w], [dem_patch], k=k, max_components=max_components,
+                             snr_min=snr_min, max_elev_gap=max_elev_gap,
+                             dem_cellsize=dem_cellsize)[0]
 
 
 def read_waveforms(path) -> list:
@@ -474,14 +631,15 @@ def write_metrics_csv(results, f) -> None:
         w.writerow(row)
 
 
+def _metrics_row(row):
+    return (row["id"], float(row["lon"]), float(row["lat"]),
+            {col: float(row[col]) for col in METRIC_COLUMNS})
+
+
 def read_metrics_csv(path):
-    """Rows of (id, lon, lat, {metric: value})."""
-    out = []
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            metrics = {col: float(row[col]) for col in METRIC_COLUMNS}
-            out.append((row["id"], float(row["lon"]), float(row["lat"]), metrics))
-    return out
+    """Rows of (id, lon, lat, {metric: value}); a bad row raises BadRecord
+    naming path:line."""
+    return csv_rows(path, _metrics_row)
 
 
 def write_filter_csv(results, f) -> None:

@@ -38,18 +38,15 @@ def report(n, text):
 # 1. kriging correctness
 
 def dense_solve(xy, values, model, target):
+    """The full (n+1)-square ordinary-kriging system, solved directly."""
+    xy = np.asarray(xy, dtype=float)
     n = len(values)
-    a = np.zeros((n + 1, n + 1))
-    for i in range(n):
-        for j in range(n):
-            h = math.hypot(xy[i][0] - xy[j][0], xy[i][1] - xy[j][1])
-            a[i, j] = model.gamma(h) if h > 0 else 0.0
-        a[i, n] = a[n, i] = 1.0
-    b = np.zeros(n + 1)
-    for i in range(n):
-        h = math.hypot(xy[i][0] - target[0], xy[i][1] - target[1])
-        b[i] = model.gamma(h) if h > 0 else 0.0
-    b[n] = 1.0
+    a = np.ones((n + 1, n + 1))
+    a[:n, :n] = model.gamma(np.hypot(xy[:, None, 0] - xy[None, :, 0],
+                                     xy[:, None, 1] - xy[None, :, 1]))
+    a[n, n] = 0.0
+    b = np.ones(n + 1)
+    b[:n] = model.gamma(np.hypot(xy[:, 0] - target[0], xy[:, 1] - target[1]))
     sol = scipy.linalg.solve(a, b)
     return float(sol[:n] @ np.asarray(values)), float(sol[:n] @ b[:n] + sol[n])
 

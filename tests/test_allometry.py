@@ -155,10 +155,12 @@ _PLOTS = "plot_id,lon,lat,area_ha\np1,0,0,1.0\n"
     (_PLOTS, "plot_id,wsg,dbh_cm,height_m\np1,0.6,thirty,30\n",
      "could not convert string to float: 'thirty'"),
     (_PLOTS, "plot_id,wsg,height_m\np1,0.6,30\n", "missing column 'dbh_cm'"),
+    ("plot_id,lon,lat,area_ha\np1,\udcff,0,1.0\n", None,  # written as the raw byte 0xff
+     "'utf-8' codec can't decode byte 0xff in position 27: invalid start byte"),
 ])
 def test_bad_csv_row_names_path_and_line(tmp_path, plot_text, tree_text, message):
     plot_path = tmp_path / "plots.csv"
-    plot_path.write_text(plot_text)
+    plot_path.write_bytes(plot_text.encode(errors="surrogateescape"))
     tree_path = None
     if tree_text is not None:
         tree_path = tmp_path / "trees.csv"

@@ -170,6 +170,21 @@ def test_calibrate_without_pairs_exits_1(scene_dir, cli_metrics, tmp_path, capsy
     assert not model.exists()
 
 
+def test_sweep_bad_metrics_row_exits_1_naming_path_and_line(scene_dir, cli_metrics,
+                                                           tmp_path, capsys):
+    lines = cli_metrics.read_text().splitlines(keepends=True)
+    header = lines[0].rstrip("\r\n").split(",")
+    first = lines[1].rstrip("\r\n").split(",")
+    first[header.index("h50")] = "x"
+    bad = tmp_path / "m.csv"
+    bad.write_text(lines[0] + ",".join(first) + "\n" + "".join(lines[2:]))
+    assert main(["sweep", "--metrics", str(bad), "--plots",
+                 str(scene_dir / "plots.csv"), "--distances", "400"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:2: could not convert string to float: 'x'")
+    assert "Traceback" not in err
+
+
 def test_failed_validate_writes_no_file(scene_dir, tmp_path, capsys):
     grid = tmp_path / "one_cell.asc"
     write_ascii_grid(Grid([[100.0]], 0.0, 0.0, 20_000.0), grid)

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
+from agbmap import waveform
 from agbmap.errors import DegenerateNoise, NoSignal
+from agbmap.pipeline import process_footprints
+from agbmap.synth import generate_scene, small_config
 from agbmap.waveform import (GaussianComponent, WaveformRecord, decompose_gaussians,
                              detect_signal_bounds, extract_metrics,
                              identify_ground_peak, process_waveform, quality_filter,
@@ -110,6 +114,72 @@ def test_three_gaussian_monte_carlo_recovery():
         if max(errs) <= w.bin_size:
             hits += 1
     assert hits / seeds >= 0.95
+
+
+# --------------------------------------------------------------- solver
+
+def solver_windows(comps, seeds, noise_sd=2.0):
+    out = []
+    for seed in seeds:
+        w, _ = build_wave(10.0, noise_sd, comps, seed=seed)
+        noise, b, e = detect_signal_bounds(w)
+        out.append(waveform._fit_window(w, noise, b, e))
+    return out
+
+
+def solve_block(windows, ncomp):
+    """_plm over the windows as one block: (params, rss, ok, lo, hi)."""
+    p0, lo, hi = map(np.array, zip(*(waveform._start(*w, ncomp) for w in windows)))
+    return (*waveform._plm(p0, lo, hi, *waveform._pad(windows)), lo, hi)
+
+
+def scipy_rss(window, ncomp):
+    x, y, bin_size = window
+    p0, lo, hi = waveform._start(x, y, bin_size, ncomp)
+    res = least_squares(lambda p: gaussians_on(x, *p.reshape(-1, 3)) - y, x0=p0,
+                        bounds=(lo, hi), xtol=1e-10, ftol=1e-10, max_nfev=400)
+    assert res.success
+    return float(res.fun @ res.fun)
+
+
+@pytest.mark.parametrize("ncomp", [1, 2])
+def test_one_and_two_component_fits_match_scipy(ncomp):
+    # two scenes of unequal window length exercise the padding mask
+    windows = (solver_windows([(60.0, 130.0, 3.0), (80.0, 100.0, 1.5)], range(4))
+               + solver_windows([(50.0, 140.0, 2.5), (90.0, 95.0, 2.0)], range(4, 8)))
+    assert len({x.size for x, _, _ in windows}) > 1
+    _, rss, ok, _, _ = solve_block(windows, ncomp)
+    assert ok.all()
+    for window, got in zip(windows, rss):
+        want = scipy_rss(window, ncomp)
+        assert abs(got - want) <= 1e-9 * want
+
+
+def test_three_components_on_one_gaussian_converge_inside_bounds():
+    windows = solver_windows([(70.0, 115.0, 4.0)], range(20))
+    params, rss, ok, lo, hi = solve_block(windows, 3)
+    assert ok.all()
+    assert np.all((lo <= params) & (params <= hi))
+    assert np.any((params == lo) | (params == hi))  # the spare components end at bounds
+    _, rss1, _, _, _ = solve_block(windows, 1)
+    assert np.all(rss <= rss1)
+
+
+def test_batched_footprints_match_one_record_calls():
+    scene = generate_scene(small_config(seed=7))
+    kw = dict(k=4.5, max_components=3, snr_min=15.0, max_elev_gap=100.0)
+    batched = process_footprints(scene.footprints, scene.dem, **kw)
+    assert sum(fr.result.kept for fr in batched) > 300
+    for fr in batched:
+        one = process_waveform(fr.record, scene.dem.patch3x3(fr.record.lon, fr.record.lat),
+                               dem_cellsize=scene.dem.cellsize, **kw)
+        assert one.result == fr.result
+        if fr.metrics is None:
+            assert one.metrics is None
+            continue
+        for col in waveform.METRIC_COLUMNS:
+            got, want = getattr(fr.metrics, col), getattr(one.metrics, col)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-9), col
 
 
 # --------------------------------------------------------------- ground peak
