@@ -9,14 +9,14 @@ the withheld truth surface.
 """
 
 import argparse
-import json
+import os
 import sys
 
 import numpy as np
 
+from agbmap.cli import main as agbmap
 from agbmap.pipeline import RunConfig, run_mapping
 from agbmap.raster import read_ascii_grid, resample
-from agbmap.synth import generate_scene, small_config, write_scene
 
 
 def main():
@@ -26,14 +26,11 @@ def main():
     ap.add_argument("--trend", choices=["lm", "rf"], default="rf")
     args = ap.parse_args()
 
-    scene = generate_scene(small_config(seed=args.seed))
-    paths = write_scene(scene, args.out)
-    cfg = RunConfig(
-        waveforms=paths["waveforms"], dem=paths["dem"],
-        covariates=paths["covariates"], plots=paths["plots"],
-        out_dir=f"{args.out}/run", grid_sizes=(500.0, 1000.0, 2000.0),
-        trend=args.trend, seed=args.seed, calib_max_dist=600.0,
-        max_components=3, n_trees=150, min_plots_per_cell=2)
+    # `agbmap simulate` writes the scene and the desk run config it maps with
+    if agbmap(["simulate", "--seed", str(args.seed), "--out", args.out]) != 0:
+        return 1
+    cfg = RunConfig.from_json(os.path.join(args.out, "run_config.json"))
+    cfg.trend = args.trend
     manifest = run_mapping(cfg)
 
     cal = manifest["telemetry"]["calibration"]
@@ -41,9 +38,9 @@ def main():
           f"CV r2={cal['cv_r2']:.3f}, rmse={cal['cv_rmse']:.1f} Mg/ha, "
           f"selected {cal['selected']}")
     print(f"{'grid':>6} {'vs plots rmsep':>15} {'r2':>6} {'vs truth rmse':>14}")
-    truth = read_ascii_grid(paths["truth"])
+    truth = read_ascii_grid(os.path.join(args.out, "truth_agb.asc"))
     for tag, info in sorted(manifest["telemetry"]["maps"].items(), key=lambda kv: float(kv[0])):
-        agb = read_ascii_grid(f"{args.out}/run/agb_{tag}.asc")
+        agb = read_ascii_grid(os.path.join(cfg.out_dir, f"agb_{tag}.asc"))
         factor = int(round(agb.cellsize / truth.cellsize))
         coarse = resample(truth, factor) if factor > 1 else truth
         mask = agb.valid_mask() & coarse.valid_mask()

@@ -21,7 +21,8 @@ from .pipeline import (RunConfig, calibration_pairs, calibration_sweep,
                        write_sweep_csv, write_validation_csv)
 from .raster import read_ascii_grid, write_ascii_grid
 from .textures import glcm_textures
-from .waveform import read_metrics_csv, read_waveforms, write_filter_csv, write_metrics_csv
+from .waveform import (MAX_COMPONENTS, read_metrics_csv, read_waveforms, write_filter_csv,
+                       write_metrics_csv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--dem", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--max-components", type=int, default=6)
+    s.add_argument("--max-components", type=int, default=MAX_COMPONENTS,
+                   choices=range(1, MAX_COMPONENTS + 1))
     s.add_argument("--snr-min", type=float, default=15.0)
     s.add_argument("--max-elev-gap", type=float, default=100.0)
     s.add_argument("--detect-k", type=float, default=4.5)

@@ -19,14 +19,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 from scipy.spatial import cKDTree
 
 from .errors import EmptyNeighborhood, FitFailure, SingularSystem, TooFewSamples
+from .lsq import plm
 from .raster import Grid
 
 _DUP_TOL = 1e-6  # metres; closer samples are merged by averaging
 RANGE_BOUND = 3.0  # fit_exponential caps the range at RANGE_BOUND * max_lag
+_VFIT_TOL = 1e-12  # xtol, ftol and gtol of the variogram fit
+_VFIT_MAX_NFEV = 300  # model evaluations per start: 100 per parameter, scipy's default
 _CHUNK = 64  # kriging targets per stacked solve: memory grows with it, speed is flat above
 
 
@@ -111,22 +113,19 @@ def empirical_variogram(s: SampleSet, bin_width: float | None = None,
     if nbins < 1:
         raise ValueError("max_lag shorter than half a bin")
 
-    sums = np.zeros(nbins + 1)
-    counts = np.zeros(nbins + 1, dtype=np.int64)
+    # bins 0 and nbins + 1 collect the pairs closer than half a bin and
+    # beyond max_lag; in-range sums accumulate in pair order
+    sums = np.zeros(nbins + 2)
+    counts = np.zeros(nbins + 2, dtype=np.int64)
     xy = s.xy
     v = s.values
     for i in range(s.n - 1):
         dx = xy[i + 1:, 0] - xy[i, 0]
         dy = xy[i + 1:, 1] - xy[i, 1]
-        h = np.hypot(dx, dy)
-        j = np.rint(h / bin_width).astype(np.int64)
-        ok = (j >= 1) & (j <= nbins)
-        if not ok.any():
-            continue
-        dv2 = (v[i + 1:][ok] - v[i]) ** 2
-        np.add.at(sums, j[ok], dv2)
-        np.add.at(counts, j[ok], 1)
-    nonzero = np.flatnonzero(counts[1:]) + 1
+        j = np.minimum(np.rint(np.sqrt(dx * dx + dy * dy) / bin_width), nbins + 1).astype(np.int64)
+        np.add.at(sums, j, (v[i + 1:] - v[i]) ** 2)
+        counts += np.bincount(j, minlength=nbins + 2)
+    nonzero = np.flatnonzero(counts[1:-1]) + 1
     lags = nonzero * bin_width
     gamma = sums[nonzero] / (2.0 * counts[nonzero])
     return EmpiricalVariogram(lags, gamma, counts[nonzero], bin_width, float(max_lag))
@@ -135,38 +134,38 @@ def empirical_variogram(s: SampleSet, bin_width: float | None = None,
 def fit_exponential(ev: EmpiricalVariogram) -> VariogramModel:
     """Weighted least squares over (nugget, psill, range), weights = pair count.
 
-    Multi-start on the range initialization; parameters are bounded
-    nonnegative with range <= RANGE_BOUND * max_lag.
+    Multi-start on the range and nugget initializations, all starts solved
+    as one block by lsq.plm; the lowest-cost converged start wins.
+    Parameters are bounded nonnegative with range <= RANGE_BOUND * max_lag.
     """
     if len(ev) < 4:
         raise FitFailure(f"need at least 4 non-empty bins, got {len(ev)}")
-    w = np.sqrt(ev.counts.astype(float))
     gmax = float(ev.gamma.max())
     scale = gmax if gmax > 0 else 1.0
+    w = np.sqrt(ev.counts.astype(float)) / scale
+    lags, gamma = ev.lags, ev.gamma
 
-    def residuals(x):
-        nugget, psill, rng = x
-        model = nugget + psill * (1.0 - np.exp(-3.0 * ev.lags / rng))
-        return w * (model - ev.gamma) / scale
+    def residuals(p):
+        nugget, psill, rng = (p[:, i, None] for i in range(3))
+        e = np.exp(-3.0 * lags / rng)
+        r = w * (nugget + psill * (1.0 - e) - gamma)
+        jac = np.stack([np.broadcast_to(w, r.shape), w * (1.0 - e),
+                        -3.0 * w * psill * e * lags / (rng * rng)], axis=1)
+        return r, jac
 
     hi_range = RANGE_BOUND * ev.max_lag
-    nugget0 = float(ev.gamma[0])
-    tail = float(ev.gamma[-max(len(ev) // 4, 1):].mean())
-    best = None
-    for r0 in (ev.max_lag / 6, ev.max_lag / 3, ev.max_lag, hi_range / 2):
-        for n0 in (nugget0, 0.0):
-            p0 = max(tail - n0, 0.05 * scale)
-            try:
-                res = least_squares(residuals, x0=[n0, p0, r0],
-                                    bounds=([0.0, 0.0, 1e-9], [np.inf, np.inf, hi_range]),
-                                    xtol=1e-12, ftol=1e-12, gtol=1e-12)
-            except (ValueError, np.linalg.LinAlgError):
-                continue
-            if res.success and (best is None or res.cost < best.cost):
-                best = res
-    if best is None:
+    nugget0 = float(gamma[0])
+    tail = float(gamma[-max(len(ev) // 4, 1):].mean())
+    p0 = np.array([(n0, max(tail - n0, 0.05 * scale), r0)
+                   for r0 in (ev.max_lag / 6, ev.max_lag / 3, ev.max_lag, hi_range / 2)
+                   for n0 in (nugget0, 0.0)])
+    lo = np.tile([0.0, 0.0, 1e-9], (len(p0), 1))
+    hi = np.tile([np.inf, np.inf, hi_range], (len(p0), 1))
+    params, rss, ok = plm(residuals, p0, lo, hi, (), xtol=_VFIT_TOL, ftol=_VFIT_TOL,
+                          gtol=_VFIT_TOL, max_nfev=_VFIT_MAX_NFEV)
+    if not ok.any():
         raise FitFailure("exponential variogram fit did not converge")
-    nugget, psill, rng = best.x
+    nugget, psill, rng = params[np.argmin(np.where(ok, rss, np.inf))]
     return VariogramModel(float(nugget), float(psill), float(rng))
 
 

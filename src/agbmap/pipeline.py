@@ -28,7 +28,7 @@ from .geostat import (EmpiricalVariogram, SampleSet, VariogramModel, at_range_bo
 from .linear import DesignMatrix, fit_ols, kfold_cv, stepwise_bic
 from .model_io import save_model
 from .raster import Grid, GridStack, match_points, read_ascii_grid, resample, write_ascii_grid
-from .waveform import (METRIC_COLUMNS, FilterResult, FootprintResult,
+from .waveform import (MAX_COMPONENTS, METRIC_COLUMNS, FilterResult, FootprintResult,
                        process_waveforms, read_waveforms, write_filter_csv,
                        write_metrics_csv)
 
@@ -305,8 +305,15 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
+        """The config in a JSON file; a malformed file, an unknown or missing
+        key or a value of the wrong type raises ConfigError."""
         with open(path) as f:
-            doc = json.load(f)
+            try:
+                doc = json.load(f)
+            except json.JSONDecodeError as e:
+                raise ConfigError(f"{path}:{e.lineno}: {e.msg}") from None
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: a run config is a JSON object")
         known = set(cls.__dataclass_fields__)
         unknown = set(doc) - known
         if unknown:
@@ -314,6 +321,11 @@ class RunConfig:
         missing = {"waveforms", "dem", "covariates", "plots", "out_dir"} - set(doc)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
+        for key, value in doc.items():
+            _check_config_value(key, value, cls.__dataclass_fields__[key].type)
+        if not 1 <= doc.get("max_components", 1) <= MAX_COMPONENTS:
+            raise ConfigError(f"config key 'max_components' must be in 1..{MAX_COMPONENTS}, "
+                              f"got {doc['max_components']}")
         cfg = cls(**doc)
         for name in ("grid_sizes", "sweep_distances", "categorical"):
             setattr(cfg, name, tuple(getattr(cfg, name)))
@@ -332,6 +344,27 @@ class RunConfig:
     def forest_params(self) -> ForestParams:
         return ForestParams(n_trees=self.n_trees, mtry=self.mtry,
                             min_leaf=self.min_leaf)
+
+
+# JSON types accepted for each RunConfig annotation, and for the items of
+# its list- and dict-valued keys
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "dict": (dict,),
+               "tuple": (list,), "None": (type(None),)}
+_ITEM_TYPES = {"covariates": (str,), "grid_sizes": (int, float),
+               "sweep_distances": (int, float), "categorical": (str,)}
+
+
+def _check_config_value(key: str, value, annotation: str) -> None:
+    """Raise ConfigError naming key when value does not match its annotation."""
+    allowed = sum((_JSON_TYPES[t] for t in annotation.split(" | ")), ())
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ConfigError(f"config key {key!r} must be {annotation.replace('tuple', 'list')}, "
+                          f"got {value!r}")
+    items = () if key not in _ITEM_TYPES else value.values() if key == "covariates" else value
+    for item in items:
+        if isinstance(item, bool) or not isinstance(item, _ITEM_TYPES[key]):
+            names = " or ".join(t.__name__ for t in _ITEM_TYPES[key])
+            raise ConfigError(f"config key {key!r} holds {item!r}; its items must be {names}")
 
 
 def split_plots(plots, seed: int):

@@ -20,12 +20,14 @@ import numpy as np
 
 from .allometry import csv_rows
 from .errors import BadRecord, DegenerateNoise, FitFailure, NoSignal
+from .lsq import plm
 
 DETECT_K = 4.5
 SNR_MIN = 15.0
 CLOUD_OK = 15
 MAX_ELEV_GAP = 100.0
 QUANTILES = (10, 20, 30, 40, 50, 60, 70, 80, 90)
+MAX_COMPONENTS = 6  # largest Gaussian count a decomposition may try
 
 
 @dataclass
@@ -155,9 +157,8 @@ def detect_signal_bounds(w: WaveformRecord, k: float = DETECT_K):
     return NoiseStats(mean, sd, snr), float(elev[b[0]]), float(elev[b[1]])
 
 
-# Projected Levenberg-Marquardt over blocks of fits. Stop rules follow
-# scipy's least_squares: relative step xtol, relative cost decrease ftol,
-# projected-gradient gtol, at most _MAX_NFEV model evaluations per fit.
+# Stop rules of lsq.plm for the Gaussian fits: relative step, relative cost
+# decrease, projected gradient, model evaluations per fit.
 _XTOL = 1e-10
 _FTOL = 1e-10
 _GTOL = 1e-8
@@ -175,87 +176,6 @@ def _residuals(p: np.ndarray, x: np.ndarray, y: np.ndarray, mask: np.ndarray):
     r = (ae.sum(axis=1) - y) * mask
     jac = np.stack([e, ae * z / s, ae * z * z / s], axis=2) * mask[:, None, None, :]
     return r, jac.reshape(p.shape[0], -1, x.shape[1])
-
-
-def _solve_rows(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Stacked solve; a singular row gives NaN instead of failing the block."""
-    try:
-        return np.linalg.solve(m, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.full_like(rhs, np.nan)
-        for i in range(rhs.shape[0]):
-            try:
-                out[i] = np.linalg.solve(m[i], rhs[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
-def _plm(p0, lo, hi, x, y, mask):
-    """Bounded least squares of Gaussian sums, one fit per row.
-
-    Marquardt damping, scaled by the largest diagonal of the normal
-    equations seen so far (as in MINPACK), with Nielsen's update per row. A
-    variable held at a bound whose gradient points outward is fixed for
-    the step (its row of the normal equations becomes the identity), and
-    the step is clipped to the bounds (projected LM, Kanzow, Yamashita &
-    Fukushima 2004). Rows leave the block as they converge. Returns
-    (params, rss, ok); ok is False for a fit that did not converge within
-    _MAX_NFEV evaluations or whose system went singular or non-finite.
-    """
-    n = p0.shape[0]
-    p_out = np.array(p0, dtype=float)
-    rss_out = np.full(n, np.nan)
-    ok_out = np.zeros(n, dtype=bool)
-    rows = np.arange(n)
-    p = np.clip(p_out, lo, hi)
-    r, jac = _residuals(p, x, y, mask)
-    cost = 0.5 * np.einsum("ij,ij->i", r, r)
-    mu = np.full(n, 1e-3)
-    nu = np.full(n, 2.0)
-    d = np.zeros_like(p)
-    for _ in range(_MAX_NFEV - 1):
-        g = np.einsum("ipb,ib->ip", jac, r)
-        a = jac @ jac.transpose(0, 2, 1)
-        d = np.maximum(d, np.einsum("ipp->ip", a))
-        free = ~(((p <= lo) & (g > 0)) | ((p >= hi) & (g < 0)) | (d <= 0))
-        g = np.where(free, g, 0.0)
-        m = a * (free[:, :, None] & free[:, None, :])
-        m[:, np.arange(p.shape[1]), np.arange(p.shape[1])] += np.where(free, mu[:, None] * d, 1.0)
-        step = np.clip(p + _solve_rows(m, -g), lo, hi) - p
-        bad = ~np.isfinite(step).all(axis=1)
-        step[bad] = 0.0
-        trial = p + step
-        r_t, jac_t = _residuals(trial, x, y, mask)
-        cost_t = 0.5 * np.einsum("ij,ij->i", r_t, r_t)
-        actual = cost - cost_t
-        predicted = -np.einsum("ip,ip->i", g, step) - 0.5 * np.einsum(
-            "ip,ipq,iq->i", step, a, step)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rho = np.where(predicted > 0, actual / predicted, 0.0)
-        accept = np.isfinite(cost_t) & (actual > 0) & ~bad
-        converged = ~bad & (
-            (np.abs(g).max(axis=1) < _GTOL)
-            | (np.linalg.norm(step, axis=1) < _XTOL * (_XTOL + np.linalg.norm(p, axis=1)))
-            | (accept & (actual < _FTOL * cost) & (rho > 0.25)))
-        p = np.where(accept[:, None], trial, p)
-        r = np.where(accept[:, None], r_t, r)
-        jac = np.where(accept[:, None, None], jac_t, jac)
-        cost = np.where(accept, cost_t, cost)
-        mu = np.where(accept, mu * np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3), mu * nu)
-        nu = np.where(accept, 2.0, 2 * nu)
-        leave = converged | bad | ~np.isfinite(mu)
-        if leave.any():
-            done = rows[leave]
-            p_out[done] = p[leave]
-            rss_out[done] = 2 * cost[leave]
-            ok_out[done] = converged[leave]
-            keep = ~leave
-            rows, p, lo, hi, x, y, mask = (v[keep] for v in (rows, p, lo, hi, x, y, mask))
-            r, jac, cost, mu, nu, d = (v[keep] for v in (r, jac, cost, mu, nu, d))
-            if rows.size == 0:
-                break
-    return p_out, rss_out, ok_out
 
 
 def _initial_centers(y: np.ndarray, x: np.ndarray, ncomp: int, bin_size: float):
@@ -317,7 +237,9 @@ def _fit_orders(windows, max_components: int) -> list:
         stale = [0] * len(block)
         for ncomp in range(1, max_components + 1):
             p0, lo, hi = map(np.array, zip(*(_start(*block[i], ncomp) for i in scanning)))
-            params, rss, ok = _plm(p0, lo, hi, xs[scanning], ys[scanning], mask[scanning])
+            params, rss, ok = plm(_residuals, p0, lo, hi,
+                                  (xs[scanning], ys[scanning], mask[scanning]), xtol=_XTOL,
+                                  ftol=_FTOL, gtol=_GTOL, max_nfev=_MAX_NFEV)
             still = []
             for i, p, e, converged in zip(scanning, params, rss, ok):
                 if converged:
@@ -338,8 +260,8 @@ def _fit_orders(windows, max_components: int) -> list:
 
 
 def _check_components(max_components: int) -> None:
-    if not 1 <= max_components <= 6:
-        raise ValueError("max_components must be in 1..6")
+    if not 1 <= max_components <= MAX_COMPONENTS:
+        raise ValueError(f"max_components must be in 1..{MAX_COMPONENTS}")
 
 
 def _fit_window(w: WaveformRecord, noise: NoiseStats, begin_elev: float, end_elev: float):

@@ -1,13 +1,17 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import agbmap
 from agbmap.cli import main
 from agbmap.raster import Grid, read_ascii_grid, write_ascii_grid
 
@@ -40,6 +44,38 @@ def test_usage_errors_exit_2(capsys):
     assert main(["metrics", "--nope"]) == 2
     assert main(["map", "--config", "c.json", "--threads", "2"]) == 2
     capsys.readouterr()
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # a fresh interpreter, since this one has imported scipy.optimize for the oracles
+    src = str(Path(agbmap.__file__).resolve().parents[1])
+    code = "import sys, agbmap.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_out_of_range_max_components_is_a_usage_error(capsys):
+    assert main(["metrics", "--in", "w.ndjson", "--dem", "d.asc", "--out", "m.csv",
+                 "--max-components", "9"]) == 2
+    assert "invalid choice: 9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("max_components", 9, "'max_components' must be in 1..6, got 9"),
+    ("grid_sizes", 5, "'grid_sizes' must be list, got 5"),
+    ("n_trees", "x", "'n_trees' must be int, got 'x'"),
+    ("grid_sizes", [500, "x"], "'grid_sizes' holds 'x'"),
+])
+def test_bad_run_config_value_exits_1_naming_key(tmp_path, capsys, key, value, message):
+    doc = {"waveforms": "w.ndjson", "dem": "d.asc", "covariates": {"c": "c.asc"},
+           "plots": "p.csv", "out_dir": str(tmp_path / "run"), key: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["map", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key ") and message in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_domain_errors_exit_1(tmp_path, capsys):

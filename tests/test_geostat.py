@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 from agbmap.errors import EmptyNeighborhood, FitFailure, SingularSystem, TooFewSamples
 from agbmap.geostat import (RANGE_BOUND, EmpiricalVariogram, OrdinaryKriger, SampleSet,
@@ -153,6 +154,77 @@ def test_range_bound_flag():
     fit = fit_exponential(rising)
     assert fit.range_m == pytest.approx(RANGE_BOUND * 9000.0)
     assert at_range_bound(fit, rising)
+
+
+def weighted_cost(ev, nugget, psill, range_m):
+    """fit_exponential's objective: half the squared count-weighted residuals
+    in units of the largest semivariance."""
+    scale = ev.gamma.max() if ev.gamma.max() > 0 else 1.0
+    model = nugget + psill * (1 - np.exp(-3 * ev.lags / range_m))
+    r = np.sqrt(ev.counts) * (model - ev.gamma) / scale
+    return 0.5 * float(r @ r)
+
+
+def scipy_fit_cost(ev):
+    """Lowest cost over fit_exponential's eight starts, one scipy
+    least_squares call each with the same bounds and tolerances."""
+    scale = ev.gamma.max() if ev.gamma.max() > 0 else 1.0
+    hi_range = RANGE_BOUND * ev.max_lag
+    tail = ev.gamma[-max(len(ev) // 4, 1):].mean()
+    costs = []
+    for r0 in (ev.max_lag / 6, ev.max_lag / 3, ev.max_lag, hi_range / 2):
+        for n0 in (ev.gamma[0], 0.0):
+            res = least_squares(lambda p: np.sqrt(ev.counts) * (
+                                    p[0] + p[1] * (1 - np.exp(-3 * ev.lags / p[2])) - ev.gamma)
+                                / scale,
+                                x0=[n0, max(tail - n0, 0.05 * scale), r0],
+                                bounds=([0.0, 0.0, 1e-9], [np.inf, np.inf, hi_range]),
+                                xtol=1e-12, ftol=1e-12, gtol=1e-12)
+            if res.success:
+                costs.append(res.cost)
+    return min(costs)
+
+
+def oracle_variograms():
+    lags = np.linspace(250, 9000, 24)
+    counts = np.linspace(400, 40, 24).round()
+    planted = VariogramModel(9700.0, 5500.0, 3123.0)
+    noisy = planted.gamma(lags) * (1 + 0.05 * np.random.default_rng(3).standard_normal(24))
+    # only some starts reach the lower of this one's two local minima
+    bimodal = (VariogramModel(2.0, 6.0, 2000.0).gamma(lags)
+               * (1 + 0.2 * np.random.default_rng(105).standard_normal(24)))
+    xy, z = simulate_field_points(600, 10000.0, 3.5, 6.5, 1500.0, seed=2)
+    xy0, z0 = simulate_field_points(600, 10000.0, 0.0, 5.0, 800.0, seed=4)
+    yield "published", EmpiricalVariogram(lags, planted.gamma(lags), counts, 250.0, 9000.0)
+    yield "noisy", EmpiricalVariogram(lags, noisy, counts, 250.0, 9000.0)
+    yield "two local minima", EmpiricalVariogram(lags, bimodal, np.full(24, 50), 250.0, 9000.0)
+    yield "pure nugget", EmpiricalVariogram(lags, np.full(24, 4.0), counts, 250.0, 9000.0)
+    yield "rising at max_lag", EmpiricalVariogram(lags, 2.0 * lags, counts, 250.0, 9000.0)
+    yield "short range", EmpiricalVariogram(lags, VariogramModel(1.0, 9.0, 300.0).gamma(lags),
+                                            counts, 250.0, 9000.0)
+    yield "simulated field", empirical_variogram(SampleSet(xy, z), bin_width=120.0,
+                                                 max_lag=4000.0)
+    yield "simulated, no nugget", empirical_variogram(SampleSet(xy0, z0), bin_width=150.0,
+                                                      max_lag=4000.0)
+
+
+@pytest.mark.parametrize("name, ev", list(oracle_variograms()))
+def test_fit_reaches_scipy_cost(name, ev):
+    fit = fit_exponential(ev)
+    assert 0.0 <= fit.nugget and 0.0 <= fit.psill
+    assert 0.0 < fit.range_m <= RANGE_BOUND * ev.max_lag
+    got = weighted_cost(ev, fit.nugget, fit.psill, fit.range_m)
+    assert got <= scipy_fit_cost(ev) * (1 + 1e-9) + 1e-24
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_fails_when_every_start_fails(bad):
+    lags = np.linspace(10, 100, 10)
+    gamma = np.linspace(1.0, 5.0, 10)
+    gamma[4] = bad
+    with pytest.raises(FitFailure):
+        fit_exponential(EmpiricalVariogram(lags, gamma, np.full(10, 25), 10.0, 100.0))
 
 
 def test_model_gamma_monotone_and_nonnegative():

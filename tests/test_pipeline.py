@@ -307,6 +307,12 @@ def test_run_config_json_round_trip(tmp_path):
     path.write_text(json.dumps({"waveforms": "w"}))
     with pytest.raises(ConfigError):
         RunConfig.from_json(path)
+    path.write_text('{"waveforms": "w",\n "dem" "d"}')
+    with pytest.raises(ConfigError, match=r"cfg\.json:2: Expecting ':' delimiter"):
+        RunConfig.from_json(path)
+    path.write_text("[1]")
+    with pytest.raises(ConfigError, match="a JSON object"):
+        RunConfig.from_json(path)
 
 
 # ------------------------------------------------------------ end to end

@@ -8,6 +8,7 @@ from scipy.optimize import least_squares
 
 from agbmap import waveform
 from agbmap.errors import DegenerateNoise, NoSignal
+from agbmap.lsq import plm
 from agbmap.pipeline import process_footprints
 from agbmap.synth import generate_scene, small_config
 from agbmap.waveform import (GaussianComponent, WaveformRecord, decompose_gaussians,
@@ -128,9 +129,11 @@ def solver_windows(comps, seeds, noise_sd=2.0):
 
 
 def solve_block(windows, ncomp):
-    """_plm over the windows as one block: (params, rss, ok, lo, hi)."""
+    """plm over the windows as one block: (params, rss, ok, lo, hi)."""
     p0, lo, hi = map(np.array, zip(*(waveform._start(*w, ncomp) for w in windows)))
-    return (*waveform._plm(p0, lo, hi, *waveform._pad(windows)), lo, hi)
+    fit = plm(waveform._residuals, p0, lo, hi, waveform._pad(windows), xtol=waveform._XTOL,
+              ftol=waveform._FTOL, gtol=waveform._GTOL, max_nfev=waveform._MAX_NFEV)
+    return (*fit, lo, hi)
 
 
 def scipy_rss(window, ncomp):
