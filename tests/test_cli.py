@@ -44,6 +44,9 @@ def test_usage_errors_exit_2(capsys):
     assert main(["metrics", "--nope"]) == 2
     assert main(["map", "--config", "c.json", "--threads", "2"]) == 2
     capsys.readouterr()
+    assert main(["metrics", "--in", "w.ndjson", "--dem", "d.asc", "--out", "m.csv",
+                 "--max-components", "9"]) == 2
+    assert "invalid choice: 9" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_out_scipy_optimize():
@@ -53,12 +56,6 @@ def test_cli_import_leaves_out_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
     assert out.strip() == "False"
-
-
-def test_out_of_range_max_components_is_a_usage_error(capsys):
-    assert main(["metrics", "--in", "w.ndjson", "--dem", "d.asc", "--out", "m.csv",
-                 "--max-components", "9"]) == 2
-    assert "invalid choice: 9" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value, message", [
