@@ -11,9 +11,9 @@ the table shows the pair count rising while the CV r2 falls off.
 import argparse
 import sys
 
-from agbmap.pipeline import METRIC_FEATURES, calibration_sweep, process_footprints
+from agbmap.pipeline import METRIC_FEATURES, calibration_sweep
 from agbmap.synth import generate_scene, small_config
-from agbmap.waveform import DETECT_K, MAX_ELEV_GAP, SNR_MIN
+from agbmap.waveform import process_waveforms
 
 
 def main():
@@ -29,8 +29,7 @@ def main():
                        trend_coefficients=(15.0, -10.0, 8.0))
     scene = generate_scene(cfg)
     west = [w for w in scene.footprints if w.lon < cfg.extent / 2]
-    results = process_footprints(west, scene.dem, k=DETECT_K, max_components=3,
-                                 snr_min=SNR_MIN, max_elev_gap=MAX_ELEV_GAP)
+    results = process_waveforms(west, scene.dem, max_components=3)
     footprints = [(fr.record.id, fr.record.lon, fr.record.lat,
                    {f: getattr(fr.metrics, f) for f in METRIC_FEATURES})
                   for fr in results if fr.result.kept]

@@ -13,13 +13,14 @@ from .linear import DesignMatrix, LinearModel, fit_ols, kfold_cv, stepwise_bic
 from .model_io import load_model, save_model
 from .pipeline import (CalibrationSweepRow, MapProduct, RunConfig, build_map,
                        calibration_pairs, calibration_sweep, fit_footprint_agb_model,
-                       predict_footprints, process_footprints, run_mapping, validate_map)
+                       predict_footprints, run_mapping, validate_map)
 from .raster import (Grid, GridStack, band_pca, match_points, pca_stack, read_ascii_grid,
                      resample, write_ascii_grid)
 from .synth import Scene, SceneConfig, generate_scene, write_scene
 from .textures import glcm_textures
 from .waveform import (FilterResult, GaussianComponent, NoiseStats, WaveformMetrics,
                        WaveformRecord, decompose_gaussians, detect_signal_bounds,
-                       extract_metrics, identify_ground_peak, quality_filter)
+                       extract_metrics, identify_ground_peak, process_waveforms,
+                       quality_filter)
 
 __version__ = "0.1.0"

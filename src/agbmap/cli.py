@@ -17,12 +17,20 @@ from .errors import AgbmapError
 from .geostat import SampleSet, empirical_variogram, fit_exponential, write_variogram_report
 from .model_io import save_model
 from .pipeline import (RunConfig, calibration_pairs, calibration_sweep,
-                       fit_footprint_agb_model, process_footprints, validate_map,
-                       write_sweep_csv, write_validation_csv)
+                       fit_footprint_agb_model, validate_map, write_sweep_csv,
+                       write_validation_csv)
 from .raster import read_ascii_grid, write_ascii_grid
 from .textures import glcm_textures
-from .waveform import (MAX_COMPONENTS, read_metrics_csv, read_waveforms, write_filter_csv,
-                       write_metrics_csv)
+from .waveform import (DETECT_K, MAX_COMPONENTS, MAX_ELEV_GAP, SNR_MIN, process_waveforms,
+                       read_metrics_csv, read_waveforms, write_filter_csv, write_metrics_csv)
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type of --seed: numpy seeds its generators from integers >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("simulate", help="generate a synthetic scene with known truth")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_nonnegative_int, default=0)
     s.add_argument("--out", required=True)
     s.add_argument("--config", help="JSON overriding scene-config fields")
     s.add_argument("--full-scale", action="store_true",
@@ -40,9 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("filter", help="quality-filter waveforms, report keep/reject")
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--snr-min", type=float, default=15.0)
-    s.add_argument("--max-elev-gap", type=float, default=100.0)
-    s.add_argument("--detect-k", type=float, default=4.5)
+    s.add_argument("--snr-min", type=float, default=SNR_MIN)
+    s.add_argument("--max-elev-gap", type=float, default=MAX_ELEV_GAP)
+    s.add_argument("--detect-k", type=float, default=DETECT_K)
 
     s = sub.add_parser("metrics", help="extract canopy metrics for kept waveforms")
     s.add_argument("--in", dest="infile", required=True)
@@ -50,9 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
     s.add_argument("--max-components", type=int, default=MAX_COMPONENTS,
                    choices=range(1, MAX_COMPONENTS + 1))
-    s.add_argument("--snr-min", type=float, default=15.0)
-    s.add_argument("--max-elev-gap", type=float, default=100.0)
-    s.add_argument("--detect-k", type=float, default=4.5)
+    s.add_argument("--snr-min", type=float, default=SNR_MIN)
+    s.add_argument("--max-elev-gap", type=float, default=MAX_ELEV_GAP)
+    s.add_argument("--detect-k", type=float, default=DETECT_K)
 
     s = sub.add_parser("sweep", help="calibration quality vs match distance")
     s.add_argument("--metrics", required=True)
@@ -61,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--distances", type=float, nargs="+",
                    default=[100, 200, 250, 300, 350, 400])
     s.add_argument("--kfold", type=int, default=10)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_nonnegative_int, default=0)
     s.add_argument("--out")
 
     s = sub.add_parser("calibrate", help="fit the footprint AGB model")
@@ -76,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--grid-size", type=float, action="append",
                    help="repeatable; overrides the config grid sizes")
     s.add_argument("--trend", choices=["lm", "rf"])
-    s.add_argument("--seed", type=int)
+    s.add_argument("--seed", type=_nonnegative_int)
     s.add_argument("--out-dir")
 
     s = sub.add_parser("validate", help="score a map against plots")
@@ -146,9 +154,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_filter(args) -> int:
     # no DEM: the filter report carries no terrain metrics
-    results = process_footprints(read_waveforms(args.infile), None, k=args.detect_k,
-                                 max_components=6, snr_min=args.snr_min,
-                                 max_elev_gap=args.max_elev_gap)
+    results = process_waveforms(read_waveforms(args.infile), None, k=args.detect_k,
+                                max_components=MAX_COMPONENTS, snr_min=args.snr_min,
+                                max_elev_gap=args.max_elev_gap)
     with _output(args.out) as f:
         write_filter_csv(results, f)
     kept = sum(1 for r in results if r.result.kept)
@@ -157,9 +165,9 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    results = process_footprints(read_waveforms(args.infile), read_ascii_grid(args.dem),
-                                 k=args.detect_k, max_components=args.max_components,
-                                 snr_min=args.snr_min, max_elev_gap=args.max_elev_gap)
+    results = process_waveforms(read_waveforms(args.infile), read_ascii_grid(args.dem),
+                                k=args.detect_k, max_components=args.max_components,
+                                snr_min=args.snr_min, max_elev_gap=args.max_elev_gap)
     with _output(args.out) as f:
         write_metrics_csv(results, f)
     kept = sum(1 for r in results if r.result.kept and r.metrics is not None)

@@ -28,7 +28,7 @@ from .geostat import (EmpiricalVariogram, SampleSet, VariogramModel, at_range_bo
 from .linear import DesignMatrix, fit_ols, kfold_cv, stepwise_bic
 from .model_io import save_model
 from .raster import Grid, GridStack, match_points, read_ascii_grid, resample, write_ascii_grid
-from .waveform import (MAX_COMPONENTS, METRIC_COLUMNS, FilterResult, FootprintResult,
+from .waveform import (DETECT_K, MAX_COMPONENTS, MAX_ELEV_GAP, METRIC_COLUMNS, SNR_MIN,
                        process_waveforms, read_waveforms, write_filter_csv,
                        write_metrics_csv)
 
@@ -289,10 +289,10 @@ class RunConfig:
     calib_max_dist: float = 250.0
     sweep_distances: tuple = ()
     min_plots_per_cell: int = 4
-    snr_min: float = 15.0
-    max_elev_gap: float = 100.0
-    detect_k: float = 4.5
-    max_components: int = 6
+    snr_min: float = SNR_MIN
+    max_elev_gap: float = MAX_ELEV_GAP
+    detect_k: float = DETECT_K
+    max_components: int = MAX_COMPONENTS
     neighborhood: int = 32
     kfold: int = 10
     n_trees: int = 500
@@ -306,7 +306,7 @@ class RunConfig:
     @classmethod
     def from_json(cls, path) -> "RunConfig":
         """The config in a JSON file; a malformed file, an unknown or missing
-        key or a value of the wrong type raises ConfigError."""
+        key or a value of the wrong type or out of range raises ConfigError."""
         with open(path) as f:
             try:
                 doc = json.load(f)
@@ -323,9 +323,6 @@ class RunConfig:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
         for key, value in doc.items():
             _check_config_value(key, value, cls.__dataclass_fields__[key].type)
-        if not 1 <= doc.get("max_components", 1) <= MAX_COMPONENTS:
-            raise ConfigError(f"config key 'max_components' must be in 1..{MAX_COMPONENTS}, "
-                              f"got {doc['max_components']}")
         cfg = cls(**doc)
         for name in ("grid_sizes", "sweep_distances", "categorical"):
             setattr(cfg, name, tuple(getattr(cfg, name)))
@@ -352,10 +349,20 @@ _JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "dict": (dic
                "tuple": (list,), "None": (type(None),)}
 _ITEM_TYPES = {"covariates": (str,), "grid_sizes": (int, float),
                "sweep_distances": (int, float), "categorical": (str,)}
+# (test, wording) of the range of each numeric value, or of each list item
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_RANGES = {"n_trees": _AT_LEAST_1, "min_leaf": _AT_LEAST_1, "neighborhood": _AT_LEAST_1,
+           "variogram_nbins": _AT_LEAST_1, "min_plots_per_cell": _AT_LEAST_1,
+           "mtry": _AT_LEAST_1, "trend_top_k": _AT_LEAST_1,
+           "seed": (lambda v: v >= 0, ">= 0"), "kfold": (lambda v: v >= 2, ">= 2"),
+           "max_components": (lambda v: 1 <= v <= MAX_COMPONENTS, f"in 1..{MAX_COMPONENTS}"),
+           "calib_max_dist": (lambda v: v > 0, "> 0"),
+           "grid_sizes": (lambda v: v > 0, "a list of sizes > 0")}
 
 
 def _check_config_value(key: str, value, annotation: str) -> None:
-    """Raise ConfigError naming key when value does not match its annotation."""
+    """Raise ConfigError naming key when value does not match its annotation
+    or falls outside its range."""
     allowed = sum((_JSON_TYPES[t] for t in annotation.split(" | ")), ())
     if isinstance(value, bool) or not isinstance(value, allowed):
         raise ConfigError(f"config key {key!r} must be {annotation.replace('tuple', 'list')}, "
@@ -365,6 +372,10 @@ def _check_config_value(key: str, value, annotation: str) -> None:
         if isinstance(item, bool) or not isinstance(item, _ITEM_TYPES[key]):
             names = " or ".join(t.__name__ for t in _ITEM_TYPES[key])
             raise ConfigError(f"config key {key!r} holds {item!r}; its items must be {names}")
+    if key in _RANGES and value is not None:
+        in_range, wording = _RANGES[key]
+        if not all(map(in_range, value if isinstance(value, list) else [value])):
+            raise ConfigError(f"config key {key!r} must be {wording}, got {value!r}")
 
 
 def split_plots(plots, seed: int):
@@ -380,34 +391,6 @@ def _size_tag(size: float) -> str:
     return "%g" % size
 
 
-def process_footprints(records, dem: Grid | None, *, k: float, max_components: int,
-                       snr_min: float, max_elev_gap: float) -> list:
-    """Bounds, filter, decomposition and metrics for every waveform record.
-
-    A footprint outside the DEM is rejected as OutsideDem. With dem=None
-    the terrain patch is flat; only the filter report, which writes no
-    metrics, runs without a DEM.
-    """
-    results = [None] * len(records)
-    inside, patches = [], []
-    for i, w in enumerate(records):
-        patch = None
-        if dem is not None:
-            patch = dem.patch3x3(w.lon, w.lat)
-            if patch is None:
-                results[i] = FootprintResult(w, FilterResult(False, "OutsideDem"))
-                continue
-        inside.append(i)
-        patches.append(patch)
-    done = process_waveforms([records[i] for i in inside], patches, k=k,
-                             max_components=max_components, snr_min=snr_min,
-                             max_elev_gap=max_elev_gap,
-                             dem_cellsize=90.0 if dem is None else dem.cellsize)
-    for i, fr in zip(inside, done):
-        results[i] = fr
-    return results
-
-
 def run_mapping(cfg: RunConfig) -> dict:
     """Execute the full chain and write every artifact under cfg.out_dir.
 
@@ -420,9 +403,9 @@ def run_mapping(cfg: RunConfig) -> dict:
                        for name, path in cfg.covariates.items()])
     plots = load_plots(cfg.plots, cfg.trees)
 
-    results = process_footprints(records, dem, k=cfg.detect_k,
-                                 max_components=cfg.max_components,
-                                 snr_min=cfg.snr_min, max_elev_gap=cfg.max_elev_gap)
+    results = process_waveforms(records, dem, k=cfg.detect_k,
+                                max_components=cfg.max_components,
+                                snr_min=cfg.snr_min, max_elev_gap=cfg.max_elev_gap)
     kept = [fr for fr in results if fr.result.kept]
     reject_counts: dict = {}
     for fr in results:

@@ -28,6 +28,8 @@ CLOUD_OK = 15
 MAX_ELEV_GAP = 100.0
 QUANTILES = (10, 20, 30, 40, 50, 60, 70, 80, 90)
 MAX_COMPONENTS = 6  # largest Gaussian count a decomposition may try
+MIN_AMPLITUDE_SDS = 3.0    # a significant component reaches this many noise sds
+MIN_AMPLITUDE_FRAC = 0.08  # and this fraction of the strongest amplitude
 
 
 @dataclass
@@ -275,16 +277,15 @@ def _fit_window(w: WaveformRecord, noise: NoiseStats, begin_elev: float, end_ele
     return elev[sel], w.intensities[sel] - noise.mean, w.bin_size
 
 
-def _significant(w: WaveformRecord, noise: NoiseStats, fit, m: int,
-                 min_amplitude_sds: float = 3.0, min_amplitude_frac: float = 0.08):
+def _significant(w: WaveformRecord, noise: NoiseStats, fit, m: int):
     """(significant components by descending elevation, residual RMS)."""
     if fit is None:
         raise FitFailure(f"waveform {w.id}: Gaussian decomposition did not converge")
     params, rss = fit
     comps = [GaussianComponent(float(a), float(c), float(s))
              for a, c, s in params.reshape(-1, 3)]
-    floor = max(min_amplitude_sds * noise.sd,
-                min_amplitude_frac * max(g.amplitude for g in comps))
+    floor = max(MIN_AMPLITUDE_SDS * noise.sd,
+                MIN_AMPLITUDE_FRAC * max(g.amplitude for g in comps))
     significant = [g for g in comps if g.amplitude >= floor]
     if not significant:
         significant = [max(comps, key=lambda g: g.amplitude)]
@@ -293,31 +294,25 @@ def _significant(w: WaveformRecord, noise: NoiseStats, fit, m: int,
 
 
 def decompose_gaussians(w: WaveformRecord, noise: NoiseStats,
-                        max_components: int = 6, bounds=None,
-                        min_amplitude_sds: float = 3.0,
-                        min_amplitude_frac: float = 0.08):
-    """Gaussian mixture fit of the noise-subtracted signal.
+                        max_components: int = MAX_COMPONENTS, *, bounds):
+    """Gaussian mixture fit of the noise-subtracted signal between the
+    (begin_elev, end_elev) bounds.
 
     The component count minimizing BIC over 1..max_components wins; each
     count is fitted by bounded nonlinear least squares (projected
     Levenberg-Marquardt) initialized from smoothed local maxima. The scan
     stops early once two consecutive counts fail to improve the best BIC.
     Components are discarded as insignificant when their amplitude stays
-    under min_amplitude_sds noise spreads, or under min_amplitude_frac of
+    under MIN_AMPLITUDE_SDS noise spreads, or under MIN_AMPLITUDE_FRAC of
     the strongest component (shoulder artifacts of an overparameterized
     mixture fit); the strongest one always survives. Returns (components
     ordered by descending center elevation, residual RMS). Raises
     FitFailure when no count converges.
     """
     _check_components(max_components)
-    if bounds is None:
-        _, begin_elev, end_elev = detect_signal_bounds(w)
-    else:
-        begin_elev, end_elev = bounds
-    window = _fit_window(w, noise, begin_elev, end_elev)
+    window = _fit_window(w, noise, *bounds)
     fit = _fit_orders([window], max_components)[0]
-    return _significant(w, noise, fit, window[0].size,
-                        min_amplitude_sds, min_amplitude_frac)
+    return _significant(w, noise, fit, window[0].size)
 
 
 def identify_ground_peak(components) -> GaussianComponent:
@@ -343,19 +338,16 @@ def _plane_slope_deg(patch: np.ndarray, cellsize: float) -> float:
     return math.degrees(math.atan(math.hypot(coef[1], coef[2])))
 
 
-def extract_metrics(w: WaveformRecord, components, dem_patch,
-                    noise: NoiseStats | None = None, bounds=None,
-                    dem_cellsize: float = 90.0) -> WaveformMetrics:
-    """Canopy metrics from decomposed components and a 3x3 DEM patch.
+def extract_metrics(w: WaveformRecord, components, dem_patch, *, noise: NoiseStats,
+                    bounds, dem_cellsize: float = 90.0) -> WaveformMetrics:
+    """Canopy metrics from decomposed components, a 3x3 DEM patch and the
+    (begin_elev, end_elev) signal bounds.
 
     Quantile heights are depths below the signal beginning at which the
     cumulative noise-subtracted energy (top-down, inside the signal
     bounds) reaches 10..90 percent, linearly interpolated between bins.
     """
-    if noise is None or bounds is None:
-        noise, begin_elev, end_elev = detect_signal_bounds(w)
-    else:
-        begin_elev, end_elev = bounds
+    begin_elev, end_elev = bounds
     ground = identify_ground_peak(components)
     top = components[0]
     wext = begin_elev - end_elev
@@ -409,16 +401,15 @@ def centroid_elevation(w: WaveformRecord, noise: NoiseStats,
     return float((energy * elev[sel]).sum() / total)
 
 
-def quality_filter(w: WaveformRecord, bounds_result,
-                   snr_min: float = SNR_MIN, cloud_ok: int = CLOUD_OK,
+def quality_filter(w: WaveformRecord, bounds_result, snr_min: float = SNR_MIN,
                    max_elev_gap: float = MAX_ELEV_GAP) -> FilterResult:
     """Keep a footprint only when it passes, in order: signal-to-noise at
-    least snr_min, cloud flag equal to cloud_ok, saturation index zero, and
+    least snr_min, cloud flag equal to CLOUD_OK, saturation index zero, and
     reference-elevation gap within max_elev_gap metres."""
     noise, begin_elev, end_elev = bounds_result
     if noise.snr < snr_min:
         return FilterResult(False, "SNR")
-    if w.cloud_flag != cloud_ok:
+    if w.cloud_flag != CLOUD_OK:
         return FilterResult(False, "Cloud")
     if w.sat_ndx > 0:
         return FilterResult(False, "Saturated")
@@ -438,20 +429,26 @@ class FootprintResult:
     metrics: WaveformMetrics | None = None
 
 
-def process_waveforms(records, patches, *, k: float = DETECT_K,
-                      max_components: int = 6, snr_min: float = SNR_MIN,
-                      max_elev_gap: float = MAX_ELEV_GAP,
-                      dem_cellsize: float = 90.0) -> list:
-    """Bounds, filter, decomposition and metrics for each footprint.
+def process_waveforms(records, dem, *, k: float = DETECT_K,
+                      max_components: int = MAX_COMPONENTS, snr_min: float = SNR_MIN,
+                      max_elev_gap: float = MAX_ELEV_GAP) -> list:
+    """Bounds, filter, decomposition and metrics for every waveform record.
 
-    patches holds one 3x3 DEM patch per record, or None for flat terrain.
-    Bounds and the quality filter run per record; the kept records are
-    decomposed together. Detection or fit failures become rejects carrying
-    the error name.
+    A footprint outside the dem Grid is rejected as OutsideDem; with
+    dem=None the terrain patch is flat (only the filter report, which
+    writes no metrics, runs without a DEM). Bounds and the quality filter
+    run per record; the kept records are decomposed together. Detection or
+    fit failures become rejects carrying the error name.
     """
+    _check_components(max_components)
+    cellsize = 90.0 if dem is None else dem.cellsize
     results = [None] * len(records)
     todo = []
     for i, w in enumerate(records):
+        patch = np.zeros((3, 3)) if dem is None else dem.patch3x3(w.lon, w.lat)
+        if patch is None:
+            results[i] = FootprintResult(w, FilterResult(False, "OutsideDem"))
+            continue
         try:
             noise, begin_elev, end_elev = detect_signal_bounds(w, k)
         except (NoSignal, DegenerateNoise) as e:
@@ -462,35 +459,23 @@ def process_waveforms(records, patches, *, k: float = DETECT_K,
         if not fr.kept:
             results[i] = FootprintResult(w, fr)
             continue
-        _check_components(max_components)
         try:
-            todo.append((i, noise, (begin_elev, end_elev),
+            todo.append((i, noise, (begin_elev, end_elev), patch,
                          _fit_window(w, noise, begin_elev, end_elev)))
         except FitFailure as e:
             results[i] = FootprintResult(w, FilterResult(False, type(e).__name__))
     fits = _fit_orders([window for *_, window in todo], max_components)
-    for (i, noise, bounds, window), fit in zip(todo, fits):
+    for (i, noise, bounds, patch, window), fit in zip(todo, fits):
         w = records[i]
         try:
             comps, _ = _significant(w, noise, fit, window[0].size)
-            patch = patches[i] if patches[i] is not None else np.zeros((3, 3))
-            metrics = extract_metrics(w, comps, patch, noise=noise, bounds=bounds,
-                                      dem_cellsize=dem_cellsize)
-        except (FitFailure, NoSignal) as e:
+        except FitFailure as e:
             results[i] = FootprintResult(w, FilterResult(False, type(e).__name__))
             continue
+        metrics = extract_metrics(w, comps, patch, noise=noise, bounds=bounds,
+                                  dem_cellsize=cellsize)
         results[i] = FootprintResult(w, FilterResult(True), metrics)
     return results
-
-
-def process_waveform(w: WaveformRecord, dem_patch=None, k: float = DETECT_K,
-                     max_components: int = 6, snr_min: float = SNR_MIN,
-                     max_elev_gap: float = MAX_ELEV_GAP,
-                     dem_cellsize: float = 90.0) -> FootprintResult:
-    """process_waveforms for one footprint."""
-    return process_waveforms([w], [dem_patch], k=k, max_components=max_components,
-                             snr_min=snr_min, max_elev_gap=max_elev_gap,
-                             dem_cellsize=dem_cellsize)[0]
 
 
 def read_waveforms(path) -> list:

@@ -25,7 +25,7 @@ from agbmap.raster import Grid, band_pca
 from agbmap.synth import generate_scene, small_config
 from agbmap.textures import DEFAULT_OFFSETS, glcm_textures
 from agbmap.waveform import (decompose_gaussians, detect_signal_bounds,
-                             extract_metrics, process_waveform)
+                             extract_metrics, process_waveforms)
 
 from test_textures import center_values, oracle_stats
 
@@ -212,10 +212,9 @@ def test_criterion_4_waveform_recovery_and_filter():
         seed=4003, n_footprints=500, n_plots=0, cloud_violation_rate=0.06,
         sat_violation_rate=0.05, low_snr_rate=0.05, elev_mismatch_rate=0.04))
     got = {}
-    for w in mixed.footprints:
-        r = process_waveform(w, max_components=1)
+    for r in process_waveforms(mixed.footprints, None, max_components=1):
         if not r.result.kept:
-            got[w.id] = r.result.reason
+            got[r.record.id] = r.result.reason
     assert got == mixed.expected_rejects
     elapsed = time.time() - t0
     report(4, f"canopy height within 1 bin on all 300 noiseless footprints "

@@ -47,6 +47,9 @@ def test_usage_errors_exit_2(capsys):
     assert main(["metrics", "--in", "w.ndjson", "--dem", "d.asc", "--out", "m.csv",
                  "--max-components", "9"]) == 2
     assert "invalid choice: 9" in capsys.readouterr().err
+    assert main(["map", "--config", "c.json", "--seed", "-1"]) == 2
+    assert main(["simulate", "--seed", "-1", "--out", "d"]) == 2
+    assert "must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_out_scipy_optimize():
@@ -63,6 +66,9 @@ def test_cli_import_leaves_out_scipy_optimize():
     ("grid_sizes", 5, "'grid_sizes' must be list, got 5"),
     ("n_trees", "x", "'n_trees' must be int, got 'x'"),
     ("grid_sizes", [500, "x"], "'grid_sizes' holds 'x'"),
+    ("n_trees", 0, "'n_trees' must be >= 1, got 0"),
+    ("seed", -1, "'seed' must be >= 0, got -1"),
+    ("variogram_nbins", 0, "'variogram_nbins' must be >= 1, got 0"),
 ])
 def test_bad_run_config_value_exits_1_naming_key(tmp_path, capsys, key, value, message):
     doc = {"waveforms": "w.ndjson", "dem": "d.asc", "covariates": {"c": "c.asc"},

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,11 +10,10 @@ from scipy.optimize import least_squares
 from agbmap import waveform
 from agbmap.errors import DegenerateNoise, NoSignal
 from agbmap.lsq import plm
-from agbmap.pipeline import process_footprints
 from agbmap.synth import generate_scene, small_config
-from agbmap.waveform import (GaussianComponent, WaveformRecord, decompose_gaussians,
-                             detect_signal_bounds, extract_metrics,
-                             identify_ground_peak, process_waveform, quality_filter,
+from agbmap.waveform import (FilterResult, GaussianComponent, WaveformRecord,
+                             decompose_gaussians, detect_signal_bounds, extract_metrics,
+                             identify_ground_peak, process_waveforms, quality_filter,
                              read_waveforms, write_waveforms)
 
 
@@ -171,12 +171,19 @@ def test_three_components_on_one_gaussian_converge_inside_bounds():
 def test_batched_footprints_match_one_record_calls():
     scene = generate_scene(small_config(seed=7))
     kw = dict(k=4.5, max_components=3, snr_min=15.0, max_elev_gap=100.0)
-    batched = process_footprints(scene.footprints, scene.dem, **kw)
+    records = list(scene.footprints)
+    # a copy of a kept footprint moved west of the DEM, placed mid-batch
+    outside = dataclasses.replace(records[0], id="outside",
+                                  lon=scene.dem.origin_x - scene.dem.cellsize)
+    records.insert(len(records) // 2, outside)
+    batched = process_waveforms(records, scene.dem, **kw)
+    assert batched[0].result.kept
     assert sum(fr.result.kept for fr in batched) > 300
     for fr in batched:
-        one = process_waveform(fr.record, scene.dem.patch3x3(fr.record.lon, fr.record.lat),
-                               dem_cellsize=scene.dem.cellsize, **kw)
+        one = process_waveforms([fr.record], scene.dem, **kw)[0]
         assert one.result == fr.result
+        if fr.record is outside:
+            assert fr.result == FilterResult(False, "OutsideDem") and fr.metrics is None
         if fr.metrics is None:
             assert one.metrics is None
             continue
@@ -285,10 +292,8 @@ def test_synthetic_batch_pass_rate_matches_injection():
                        cloud_violation_rate=0.06, sat_violation_rate=0.05,
                        low_snr_rate=0.04, elev_mismatch_rate=0.05)
     scene = generate_scene(cfg)
-    kept = 0
-    for w in scene.footprints:
-        r = process_waveform(w, max_components=1)
-        kept += r.result.kept
+    kept = sum(r.result.kept for r in process_waveforms(scene.footprints, None,
+                                                        max_components=1))
     expected = 1.0 - 0.06 - 0.05 - 0.04 - 0.05
     assert kept / 1000 == pytest.approx(expected, abs=0.02)
 
