@@ -33,6 +33,14 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of --detect-k: the noise threshold is k standard deviations, k > 0."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="agbmap",
                                 description="Biomass mapping toolchain")
@@ -50,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
     s.add_argument("--snr-min", type=float, default=SNR_MIN)
     s.add_argument("--max-elev-gap", type=float, default=MAX_ELEV_GAP)
-    s.add_argument("--detect-k", type=float, default=DETECT_K)
+    s.add_argument("--detect-k", type=_positive_float, default=DETECT_K)
 
     s = sub.add_parser("metrics", help="extract canopy metrics for kept waveforms")
     s.add_argument("--in", dest="infile", required=True)
@@ -60,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=range(1, MAX_COMPONENTS + 1))
     s.add_argument("--snr-min", type=float, default=SNR_MIN)
     s.add_argument("--max-elev-gap", type=float, default=MAX_ELEV_GAP)
-    s.add_argument("--detect-k", type=float, default=DETECT_K)
+    s.add_argument("--detect-k", type=_positive_float, default=DETECT_K)
 
     s = sub.add_parser("sweep", help="calibration quality vs match distance")
     s.add_argument("--metrics", required=True)

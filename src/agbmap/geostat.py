@@ -209,7 +209,7 @@ class OrdinaryKriger:
         dx = pts[:, :, 0][:, :, None] - pts[:, :, 0][:, None, :]
         dy = pts[:, :, 1][:, :, None] - pts[:, :, 1][:, None, :]
         a = np.ones((n, k + 1, k + 1))
-        a[:, :k, :k] = self.model.gamma(np.hypot(dx, dy))
+        a[:, :k, :k] = self.model.gamma(np.sqrt(dx * dx + dy * dy))
         a[:, k, k] = 0.0
         b = np.ones((n, k + 1))
         b[:, :k] = self.model.gamma(dist)

@@ -142,19 +142,15 @@ def _resample_stack(stack: GridStack, grid_size: float) -> GridStack:
 
 
 def _covariate_rows(stack: GridStack, xy: np.ndarray):
-    """(row indices kept, matrix of band values at the containing cells)."""
+    """(indices of the points inside the grid on a cell valid in every band,
+    matrix of band values at those cells), located as Grid.cell_of does."""
     geom = stack.geometry()
-    cube = stack.array()
-    keep, rows = [], []
-    for i, (x, y) in enumerate(xy):
-        rc = geom.cell_of(x, y)
-        if rc is None:
-            continue
-        vals = cube[:, rc[0], rc[1]]
-        if np.all(np.isfinite(vals)):
-            keep.append(i)
-            rows.append(vals)
-    return np.array(keep, dtype=int), np.array(rows)
+    col = np.floor((xy[:, 0] - geom.origin_x) / geom.cellsize)
+    row = geom.nrows - 1 - np.floor((xy[:, 1] - geom.origin_y) / geom.cellsize)
+    keep = np.flatnonzero((0 <= row) & (row < geom.nrows) & (0 <= col) & (col < geom.ncols))
+    X = stack.array()[:, row[keep].astype(int), col[keep].astype(int)].T
+    complete = np.isfinite(X).all(axis=1)
+    return keep[complete], X[complete]
 
 
 def build_map(footprint_agb: SampleSet, covariates: GridStack, grid_size: float,
@@ -351,12 +347,14 @@ _ITEM_TYPES = {"covariates": (str,), "grid_sizes": (int, float),
                "sweep_distances": (int, float), "categorical": (str,)}
 # (test, wording) of the range of each numeric value, or of each list item
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_POSITIVE = (lambda v: v > 0, "> 0")
 _RANGES = {"n_trees": _AT_LEAST_1, "min_leaf": _AT_LEAST_1, "neighborhood": _AT_LEAST_1,
            "variogram_nbins": _AT_LEAST_1, "min_plots_per_cell": _AT_LEAST_1,
            "mtry": _AT_LEAST_1, "trend_top_k": _AT_LEAST_1,
            "seed": (lambda v: v >= 0, ">= 0"), "kfold": (lambda v: v >= 2, ">= 2"),
            "max_components": (lambda v: 1 <= v <= MAX_COMPONENTS, f"in 1..{MAX_COMPONENTS}"),
-           "calib_max_dist": (lambda v: v > 0, "> 0"),
+           "calib_max_dist": _POSITIVE, "detect_k": _POSITIVE,
+           "variogram_max_lag": _POSITIVE,
            "grid_sizes": (lambda v: v > 0, "a list of sizes > 0")}
 
 

@@ -50,6 +50,11 @@ def test_usage_errors_exit_2(capsys):
     assert main(["map", "--config", "c.json", "--seed", "-1"]) == 2
     assert main(["simulate", "--seed", "-1", "--out", "d"]) == 2
     assert "must be >= 0, got -1" in capsys.readouterr().err
+    assert main(["filter", "--in", "w.ndjson", "--out", "f.csv", "--detect-k", "0"]) == 2
+    assert "--detect-k: must be > 0, got 0" in capsys.readouterr().err
+    assert main(["metrics", "--in", "w.ndjson", "--dem", "d.asc", "--out", "m.csv",
+                 "--detect-k", "-1.5"]) == 2
+    assert "--detect-k: must be > 0, got -1.5" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_out_scipy_optimize():
@@ -69,6 +74,9 @@ def test_cli_import_leaves_out_scipy_optimize():
     ("n_trees", 0, "'n_trees' must be >= 1, got 0"),
     ("seed", -1, "'seed' must be >= 0, got -1"),
     ("variogram_nbins", 0, "'variogram_nbins' must be >= 1, got 0"),
+    ("detect_k", 0, "'detect_k' must be > 0, got 0"),
+    ("detect_k", -2.5, "'detect_k' must be > 0, got -2.5"),
+    ("variogram_max_lag", 0, "'variogram_max_lag' must be > 0, got 0"),
 ])
 def test_bad_run_config_value_exits_1_naming_key(tmp_path, capsys, key, value, message):
     doc = {"waveforms": "w.ndjson", "dem": "d.asc", "covariates": {"c": "c.asc"},

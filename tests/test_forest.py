@@ -1,7 +1,10 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
-from agbmap.errors import EmptyDesign
+from agbmap.errors import ConfigError, EmptyDesign
 from agbmap.forest import Forest, ForestParams, fit_random_forest, rf_importance
 from agbmap.linear import DesignMatrix
 from agbmap.model_io import load_model, save_model
@@ -129,6 +132,26 @@ def test_forest_persistence_round_trip(tmp_path):
     assert np.array_equal(loaded.predict(X), f.predict(X))
     save_model(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["trees"][1].pop("left"), "missing model key 'trees[1].left'"),
+    (lambda doc: doc["trees"][2]["feature"].__setitem__(0, 0.5),
+     "model key 'trees[2].feature' must hold int, got float"),
+    (lambda doc: doc["params"].__setitem__("n_trees", "3"),
+     "model key 'params.n_trees' must hold int, got str"),
+    (lambda doc: doc.pop("y_max"), "missing model key 'y_max'"),
+])
+def test_load_model_bad_forest_key_names_key(tmp_path, edit, message):
+    rng = np.random.default_rng(2)
+    X = rng.normal(0, 1, (40, 2))
+    p = tmp_path / "f.json"
+    save_model(fit_random_forest(dm(X, X[:, 0]), ForestParams(n_trees=3), seed=1), p)
+    doc = json.loads(p.read_text())
+    edit(doc)
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_model(p)
 
 
 def _bootstrap(n, seed, tree=0, n_trees=1):

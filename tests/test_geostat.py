@@ -282,6 +282,16 @@ def test_zero_nugget_exact_interpolation():
         assert var == pytest.approx(0.0, abs=1e-8)
 
 
+def test_zero_nugget_local_neighbourhood_interpolates_every_sample():
+    rng = np.random.default_rng(5)
+    xy = rng.uniform(0, 1000, (200, 2))
+    v = rng.normal(100, 20, 200)
+    kriger = OrdinaryKriger(SampleSet(xy, v), VariogramModel(0.0, 50.0, 300.0), neighborhood=8)
+    est, var = kriger.predict(xy[:, 0], xy[:, 1])
+    np.testing.assert_allclose(est, v, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(var, 0.0, rtol=0, atol=1e-9)
+
+
 def test_matches_dense_oracle_and_weights_sum():
     rng = np.random.default_rng(3)
     xy = rng.uniform(0, 1000, (5, 2))

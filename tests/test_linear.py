@@ -1,11 +1,13 @@
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agbmap.errors import BadK, RankDeficient
+from agbmap.errors import BadK, ConfigError, RankDeficient
 from agbmap.linear import (DesignMatrix, bic_score, encode_categorical, fit_ols,
                            kfold_cv, stepwise_bic, _fit_named)
 
@@ -226,3 +228,42 @@ def test_linear_model_persistence_round_trip(tmp_path):
     assert back.bic == m.bic and back.rss == m.rss
     save_model(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _saved_linear_doc(tmp_path):
+    from agbmap.model_io import save_model
+    X = np.column_stack([np.arange(8.0), np.arange(8.0) ** 2])
+    save_model(stepwise_bic(dm(X, X[:, 0] * 2 + 1)), tmp_path / "m.json")
+    return json.loads((tmp_path / "m.json").read_text())
+
+
+def test_load_model_malformed_json_names_path_and_line(tmp_path):
+    from agbmap.model_io import load_model
+    p = tmp_path / "bad.json"
+    p.write_text('{"format": "agbmap-model",\n "version": 1,\n "kind": ]\n')
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(p))}:3: Expecting value"):
+        load_model(p)
+    p.write_bytes(b'{"format":\n"\xff"}\n')
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(p))}:2: .*can't decode byte 0xff"):
+        load_model(p)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("intercept", None, "missing model key 'intercept'"),
+    ("intercept", "1.5", "model key 'intercept' must hold int or float, got str"),
+    ("n", 8.0, "model key 'n' must hold int, got float"),
+    ("coefficients", {"x0": "2"}, "model key 'coefficients' must hold int or float, got str"),
+    ("selected_features", "x0", "model key 'selected_features' must hold list, got str"),
+    ("encoder", {"x0": [1, True]}, "model key 'encoder' must hold int or float, got bool"),
+])
+def test_load_model_bad_key_names_key(tmp_path, key, value, message):
+    from agbmap.model_io import load_model
+    doc = _saved_linear_doc(tmp_path)
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_model(p)

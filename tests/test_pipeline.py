@@ -5,8 +5,8 @@ from agbmap.errors import ConfigError, NoPairs, NoQualifyingCells, RankDeficient
 from agbmap.forest import ForestParams
 from agbmap.geostat import SampleSet
 from agbmap.linear import stepwise_bic
-from agbmap.pipeline import (METRIC_FEATURES, RunConfig, build_map, calibration_sweep,
-                             fit_footprint_agb_model, predict_footprints, run_mapping,
+from agbmap.pipeline import (METRIC_FEATURES, RunConfig, _covariate_rows, build_map,
+                             calibration_sweep, fit_footprint_agb_model, predict_footprints, run_mapping,
                              split_plots, validate_map)
 from agbmap.allometry import PlotRecord
 from agbmap.raster import Grid, GridStack
@@ -157,6 +157,36 @@ def scene_samples(scene, noise=10.0, seed=0):
     vals = np.array([scene.footprint_truth[i][0] for i in ids])
     rng = np.random.default_rng(seed)
     return SampleSet(xy, np.maximum(vals + rng.normal(0, noise, len(vals)), 0.0))
+
+
+def test_covariate_rows_match_per_point_cell_of():
+    ox, oy, cs = 1000.0, 2000.0, 30.0
+    a = np.arange(20.0).reshape(4, 5)
+    b = a + 100.0
+    b[2, 3] = -9999.0  # nodata in one band only
+    stack = GridStack([("a", Grid(a, ox, oy, cs)), ("b", Grid(b, ox, oy, cs))])
+    geom = stack.geometry()
+    rng = np.random.default_rng(4)
+    xy = np.vstack([
+        rng.uniform([ox - 40, oy - 40], [ox + 5 * cs + 40, oy + 4 * cs + 40], (200, 2)),
+        [[ox - 1e-9, oy + 10], [ox + 10, oy - 1e-9],              # west, south
+         [ox + 5 * cs + 1, oy + 10], [ox + 10, oy + 4 * cs + 1],  # east, north
+         [ox, oy], [ox, oy + 45.0],                              # on the origin edges
+         [ox + 5 * cs, oy + 10], [ox + 10, oy + 4 * cs],          # on the far edges
+         geom.cell_center(2, 3)]])                                # the cell NaN in b
+    cube = stack.array()
+    keep, rows = [], []
+    for i, (x, y) in enumerate(xy):
+        rc = geom.cell_of(x, y)
+        if rc is not None and np.isfinite(cube[:, rc[0], rc[1]]).all():
+            keep.append(i)
+            rows.append(cube[:, rc[0], rc[1]])
+    got_keep, got_X = _covariate_rows(stack, xy)
+    assert np.array_equal(got_keep, keep)
+    assert np.array_equal(got_X, np.array(rows))
+    n = len(xy)
+    assert {n - 5, n - 4} <= set(got_keep)  # origin edges are inside
+    assert not {n - 9, n - 8, n - 7, n - 6, n - 3, n - 2, n - 1} & set(got_keep)
 
 
 def test_build_map_zero_residuals_equals_trend():
