@@ -51,9 +51,9 @@ def save_model(model, path) -> None:
     _dump(doc, path)
 
 
-# JSON types of each key of a model document, of its forest params and of
-# each tree, then of the key's items and of their items in turn (a null
-# item has none)
+# For each key of a model document, of its forest params and of each tree:
+# the JSON types its value may have, then those of the value's items, then
+# those of their items (a null value has no items)
 _NUM = (int, float)
 _NULL = type(None)
 _LINEAR_KEYS = {"intercept": (_NUM,), "coefficients": ((dict,), _NUM),

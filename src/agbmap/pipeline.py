@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -354,7 +355,7 @@ _RANGES = {"n_trees": _AT_LEAST_1, "min_leaf": _AT_LEAST_1, "neighborhood": _AT_
            "seed": (lambda v: v >= 0, ">= 0"), "kfold": (lambda v: v >= 2, ">= 2"),
            "max_components": (lambda v: 1 <= v <= MAX_COMPONENTS, f"in 1..{MAX_COMPONENTS}"),
            "calib_max_dist": _POSITIVE, "detect_k": _POSITIVE,
-           "variogram_max_lag": _POSITIVE,
+           "variogram_max_lag": (lambda v: 0 < v < math.inf, "finite and > 0"),
            "grid_sizes": (lambda v: v > 0, "a list of sizes > 0")}
 
 

@@ -76,7 +76,8 @@ def test_cli_import_leaves_out_scipy_optimize():
     ("variogram_nbins", 0, "'variogram_nbins' must be >= 1, got 0"),
     ("detect_k", 0, "'detect_k' must be > 0, got 0"),
     ("detect_k", -2.5, "'detect_k' must be > 0, got -2.5"),
-    ("variogram_max_lag", 0, "'variogram_max_lag' must be > 0, got 0"),
+    ("variogram_max_lag", 0, "'variogram_max_lag' must be finite and > 0, got 0"),
+    ("variogram_max_lag", float("inf"), "'variogram_max_lag' must be finite and > 0, got inf"),
 ])
 def test_bad_run_config_value_exits_1_naming_key(tmp_path, capsys, key, value, message):
     doc = {"waveforms": "w.ndjson", "dem": "d.asc", "covariates": {"c": "c.asc"},
