@@ -9,14 +9,14 @@ ratio.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadRecord, InvalidPlot, InvalidTree, UnitError
+from .errors import InvalidPlot, InvalidTree, UnitError
 from .raster import Grid
+from .readers import csv_rows
 
 AGB_COEF = 0.0673
 AGB_EXP = 0.973
@@ -93,31 +93,6 @@ def carbon_stock(agb_map: Grid, literal_per_km2: bool = False) -> CarbonStock:
 
 # ---------------------------------------------------------------------------
 # CSV interfaces
-
-def csv_rows(path, parse) -> list:
-    """parse(row) for each data row of a CSV file, rows as header-keyed dicts.
-
-    A byte that is not UTF-8, a row that lacks a column or a value parse
-    cannot convert raises BadRecord naming path:line.
-    """
-    with open(path, "rb") as f:
-        raw = f.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        line_no = raw.count(b"\n", 0, e.start) + 1
-        raise BadRecord(f"{path}:{line_no}: {e}") from None
-    out = []
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    for row in reader:
-        try:
-            out.append(parse(row))
-        except KeyError as e:
-            raise BadRecord(f"{path}:{reader.line_num}: missing column {e}") from None
-        except (ValueError, TypeError) as e:
-            raise BadRecord(f"{path}:{reader.line_num}: {e}") from None
-    return out
-
 
 def _plot_row(row) -> PlotRecord:
     agb = row.get("agb_mg_ha")

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import pipeline, synth
-from .allometry import carbon_stock, csv_rows, load_plots, write_carbon_report
+from .allometry import carbon_stock, load_plots, write_carbon_report
 from .errors import AgbmapError
 from .geostat import SampleSet, empirical_variogram, fit_exponential, write_variogram_report
 from .model_io import save_model
@@ -20,6 +20,7 @@ from .pipeline import (RunConfig, calibration_pairs, calibration_sweep,
                        fit_footprint_agb_model, validate_map, write_sweep_csv,
                        write_validation_csv)
 from .raster import read_ascii_grid, write_ascii_grid
+from .readers import csv_rows
 from .textures import glcm_textures
 from .waveform import (DETECT_K, MAX_COMPONENTS, MAX_ELEV_GAP, SNR_MIN, process_waveforms,
                        read_metrics_csv, read_waveforms, write_filter_csv, write_metrics_csv)
@@ -132,16 +133,7 @@ def _output(path):
 
 
 def _cmd_simulate(args) -> int:
-    overrides = {}
-    if args.config:
-        with open(args.config) as f:
-            overrides = json.load(f)
-    overrides["seed"] = args.seed
-    if args.full_scale:
-        cfg = synth.SceneConfig(**overrides)
-    else:
-        cfg = synth.small_config(**overrides)
-    scene = synth.generate_scene(cfg)
+    scene = synth.generate_scene(synth.scene_config(args.seed, args.full_scale, args.config))
     paths = synth.write_scene(scene, args.out)
     run_cfg = {
         "waveforms": paths["waveforms"], "dem": paths["dem"],

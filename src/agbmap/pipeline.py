@@ -29,6 +29,7 @@ from .geostat import (EmpiricalVariogram, SampleSet, VariogramModel, at_range_bo
 from .linear import DesignMatrix, fit_ols, kfold_cv, stepwise_bic
 from .model_io import save_model
 from .raster import Grid, GridStack, match_points, read_ascii_grid, resample, write_ascii_grid
+from .readers import check_fields, read_json
 from .waveform import (DETECT_K, MAX_COMPONENTS, MAX_ELEV_GAP, METRIC_COLUMNS, SNR_MIN,
                        process_waveforms, read_waveforms, write_filter_csv,
                        write_metrics_csv)
@@ -54,7 +55,6 @@ class MapProduct:
     empirical: EmpiricalVariogram | None
     trend_model: object
     grid_size: float
-    validation: tuple | None = None      # (rmsep, r2, n_cells)
     warning: str = ""
     n_clamped: int = 0
 
@@ -304,22 +304,8 @@ class RunConfig:
     def from_json(cls, path) -> "RunConfig":
         """The config in a JSON file; a malformed file, an unknown or missing
         key or a value of the wrong type or out of range raises ConfigError."""
-        with open(path) as f:
-            try:
-                doc = json.load(f)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"{path}:{e.lineno}: {e.msg}") from None
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path}: a run config is a JSON object")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = {"waveforms", "dem", "covariates", "plots", "out_dir"} - set(doc)
-        if missing:
-            raise ConfigError(f"missing config keys: {sorted(missing)}")
-        for key, value in doc.items():
-            _check_config_value(key, value, cls.__dataclass_fields__[key].type)
+        doc = check_fields(cls, read_json(path), path, items=_ITEM_TYPES, ranges=_RANGES,
+                           required=("waveforms", "dem", "covariates", "plots", "out_dir"))
         cfg = cls(**doc)
         for name in ("grid_sizes", "sweep_distances", "categorical"):
             setattr(cfg, name, tuple(getattr(cfg, name)))
@@ -340,13 +326,10 @@ class RunConfig:
                             min_leaf=self.min_leaf)
 
 
-# JSON types accepted for each RunConfig annotation, and for the items of
-# its list- and dict-valued keys
-_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "dict": (dict,),
-               "tuple": (list,), "None": (type(None),)}
+# JSON types of the items of RunConfig's list- and dict-valued keys
 _ITEM_TYPES = {"covariates": (str,), "grid_sizes": (int, float),
                "sweep_distances": (int, float), "categorical": (str,)}
-# (test, wording) of the range of each numeric value, or of each list item
+# (test, wording) of the range of each numeric or list value
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 _POSITIVE = (lambda v: v > 0, "> 0")
 _RANGES = {"n_trees": _AT_LEAST_1, "min_leaf": _AT_LEAST_1, "neighborhood": _AT_LEAST_1,
@@ -356,25 +339,7 @@ _RANGES = {"n_trees": _AT_LEAST_1, "min_leaf": _AT_LEAST_1, "neighborhood": _AT_
            "max_components": (lambda v: 1 <= v <= MAX_COMPONENTS, f"in 1..{MAX_COMPONENTS}"),
            "calib_max_dist": _POSITIVE, "detect_k": _POSITIVE,
            "variogram_max_lag": (lambda v: 0 < v < math.inf, "finite and > 0"),
-           "grid_sizes": (lambda v: v > 0, "a list of sizes > 0")}
-
-
-def _check_config_value(key: str, value, annotation: str) -> None:
-    """Raise ConfigError naming key when value does not match its annotation
-    or falls outside its range."""
-    allowed = sum((_JSON_TYPES[t] for t in annotation.split(" | ")), ())
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        raise ConfigError(f"config key {key!r} must be {annotation.replace('tuple', 'list')}, "
-                          f"got {value!r}")
-    items = () if key not in _ITEM_TYPES else value.values() if key == "covariates" else value
-    for item in items:
-        if isinstance(item, bool) or not isinstance(item, _ITEM_TYPES[key]):
-            names = " or ".join(t.__name__ for t in _ITEM_TYPES[key])
-            raise ConfigError(f"config key {key!r} holds {item!r}; its items must be {names}")
-    if key in _RANGES and value is not None:
-        in_range, wording = _RANGES[key]
-        if not all(map(in_range, value if isinstance(value, list) else [value])):
-            raise ConfigError(f"config key {key!r} must be {wording}, got {value!r}")
+           "grid_sizes": (lambda v: all(s > 0 for s in v), "a list of sizes > 0")}
 
 
 def split_plots(plots, seed: int):

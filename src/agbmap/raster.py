@@ -15,6 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import BadFactor, BadRecord, TooFewBands
+from .readers import read_text
 
 DEFAULT_NODATA = -9999.0
 
@@ -190,13 +191,7 @@ def read_ascii_grid(path) -> Grid:
     header value that is not a number, a missing header key, a non-positive
     size, a body value that is not a number or a wrong number of values.
     """
-    with open(path, "rb") as f:
-        raw = f.read()
-    try:
-        lines = raw.decode("utf-8").split("\n")
-    except UnicodeDecodeError as e:
-        line_no = raw.count(b"\n", 0, e.start) + 1
-        raise BadRecord(f"{path}:{line_no}: {e}") from None
+    lines = read_text(path, BadRecord).split("\n")
     header = {}  # key -> (value text, line number)
     body_line = 1
     for line in lines[:6]:

@@ -26,6 +26,7 @@ import numpy as np
 from .allometry import PlotRecord, write_plots
 from .errors import ConfigError
 from .raster import Grid, GridStack, write_ascii_grid
+from .readers import check_fields, read_json
 from .waveform import WaveformRecord, write_waveforms
 
 
@@ -268,3 +269,12 @@ def small_config(**overrides) -> SceneConfig:
                        n_footprints=400, n_plots=400, plot_noise_sd=15.0,
                        canopy_noise_sd=1.0)
     return replace(base, **overrides)
+
+
+def scene_config(seed: int, full_scale: bool, overrides=None) -> SceneConfig:
+    """The full-scale or desk profile with seed and the fields set in the JSON
+    file at path overrides; a malformed file, an unknown key or a value of
+    the wrong type raises ConfigError naming the file."""
+    fields = {} if overrides is None else check_fields(
+        SceneConfig, read_json(overrides), overrides, items={"trend_coefficients": (int, float)})
+    return replace(SceneConfig() if full_scale else small_config(), seed=seed, **fields)

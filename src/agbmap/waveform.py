@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allometry import csv_rows
 from .errors import BadRecord, DegenerateNoise, FitFailure, NoSignal
 from .lsq import plm
+from .readers import csv_rows
 
 DETECT_K = 4.5
 SNR_MIN = 15.0

@@ -70,7 +70,7 @@ def test_cli_import_leaves_out_scipy_optimize():
     ("max_components", 9, "'max_components' must be in 1..6, got 9"),
     ("grid_sizes", 5, "'grid_sizes' must be list, got 5"),
     ("n_trees", "x", "'n_trees' must be int, got 'x'"),
-    ("grid_sizes", [500, "x"], "'grid_sizes' holds 'x'"),
+    ("grid_sizes", [500, "x"], "'grid_sizes[1]' must be int or float, got 'x'"),
     ("n_trees", 0, "'n_trees' must be >= 1, got 0"),
     ("seed", -1, "'seed' must be >= 0, got -1"),
     ("variogram_nbins", 0, "'variogram_nbins' must be >= 1, got 0"),
@@ -86,8 +86,26 @@ def test_bad_run_config_value_exits_1_naming_key(tmp_path, capsys, key, value, m
     path.write_text(json.dumps(doc))
     assert main(["map", "--config", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: config key ") and message in err
+    assert err == f"error: {path}: key {message}\n"
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("map", b'{"waveforms": "w\xff.ndjson"}', ":1: 'utf-8' codec can't decode byte 0xff"),
+    ("simulate", b'{"bogus": 1}', ": unknown key 'bogus'"),
+    ("simulate", b'{"extent": "15000"}', ": key 'extent' must be int or float, got '15000'"),
+    ("simulate", b'{"extent": 15000', ":1: Expecting ',' delimiter"),
+    ("simulate", b'{"trend_coefficients": [1, null, 2]}',
+     ": key 'trend_coefficients[1]' must be int or float, got None"),
+])
+def test_bad_json_config_exits_1_naming_path(tmp_path, capsys, command, text, message):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text)
+    out = ["--out", str(tmp_path / "scene")] if command == "simulate" else []
+    assert main([command, "--config", str(path), *out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}{message}") and "Traceback" not in err
+    assert not (tmp_path / "scene").exists()
 
 
 def test_domain_errors_exit_1(tmp_path, capsys):

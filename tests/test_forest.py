@@ -135,12 +135,12 @@ def test_forest_persistence_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda doc: doc["trees"][1].pop("left"), "missing model key 'trees[1].left'"),
+    (lambda doc: doc["trees"][1].pop("left"), "missing key 'trees[1].left'"),
     (lambda doc: doc["trees"][2]["feature"].__setitem__(0, 0.5),
-     "model key 'trees[2].feature' must hold int, got float"),
+     "key 'trees[2].feature[0]' must be int, got 0.5"),
     (lambda doc: doc["params"].__setitem__("n_trees", "3"),
-     "model key 'params.n_trees' must hold int, got str"),
-    (lambda doc: doc.pop("y_max"), "missing model key 'y_max'"),
+     "key 'params.n_trees' must be int, got '3'"),
+    (lambda doc: doc.pop("y_max"), "missing key 'y_max'"),
 ])
 def test_load_model_bad_forest_key_names_key(tmp_path, edit, message):
     rng = np.random.default_rng(2)
@@ -150,7 +150,7 @@ def test_load_model_bad_forest_key_names_key(tmp_path, edit, message):
     doc = json.loads(p.read_text())
     edit(doc)
     p.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match=re.escape(message)):
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{p}: {message}')}$"):
         load_model(p)
 
 

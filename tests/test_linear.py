@@ -249,12 +249,12 @@ def test_load_model_malformed_json_names_path_and_line(tmp_path):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("intercept", None, "missing model key 'intercept'"),
-    ("intercept", "1.5", "model key 'intercept' must hold int or float, got str"),
-    ("n", 8.0, "model key 'n' must hold int, got float"),
-    ("coefficients", {"x0": "2"}, "model key 'coefficients' must hold int or float, got str"),
-    ("selected_features", "x0", "model key 'selected_features' must hold list, got str"),
-    ("encoder", {"x0": [1, True]}, "model key 'encoder' must hold int or float, got bool"),
+    ("intercept", None, "missing key 'intercept'"),
+    ("intercept", "1.5", "key 'intercept' must be int or float, got '1.5'"),
+    ("n", 8.0, "key 'n' must be int, got 8.0"),
+    ("coefficients", {"x0": "2"}, "key 'coefficients[x0]' must be int or float, got '2'"),
+    ("selected_features", "x0", "key 'selected_features' must be list, got 'x0'"),
+    ("encoder", {"x0": [1, True]}, "key 'encoder[x0][1]' must be int or float, got True"),
 ])
 def test_load_model_bad_key_names_key(tmp_path, key, value, message):
     from agbmap.model_io import load_model
@@ -265,5 +265,5 @@ def test_load_model_bad_key_names_key(tmp_path, key, value, message):
         doc[key] = value
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match=re.escape(message)):
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{p}: {message}')}$"):
         load_model(p)
