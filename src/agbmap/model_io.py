@@ -69,10 +69,36 @@ _TREE_KEYS = {"feature": ((list,), (int,)), "threshold": ((list,), _NUM),
               "right": ((list,), (int,)), "value": ((list,), _NUM)}
 
 
+def _tree(doc: dict, n_features: int, path, key: str) -> Tree:
+    """The tree doc describes, once it holds every tree key, its node lists
+    have one length >= 1, and each inner node splits on one of n_features
+    features and has both children after it and inside the tree; a
+    ConfigError names the key otherwise."""
+    check_keys(doc, _TREE_KEYS, path, key + ".")
+    n = len(doc["feature"])
+    if n == 0:
+        raise ConfigError(f"{path}: key '{key}.feature' must be a non-empty list, got []")
+    for name in _TREE_KEYS:
+        if len(doc[name]) != n:
+            raise ConfigError(f"{path}: key '{key}.{name}' must be a list of {n} nodes, "
+                              f"got {len(doc[name])}")
+    # children after their parent rule out cycles, so predict ends at a leaf
+    for k, feature in enumerate(doc["feature"]):
+        if feature >= n_features:
+            raise ConfigError(f"{path}: key '{key}.feature[{k}]' must be "
+                              f"< {n_features}, got {feature}")
+        for name in ("left", "right"):
+            child = doc[name][k]
+            if feature >= 0 and not k < child < n:
+                raise ConfigError(f"{path}: key '{key}.{name}[{k}]' must be "
+                                  f"in {k + 1}..{n - 1}, got {child}")
+    return Tree.from_dict(doc)
+
+
 def load_model(path):
     """The model saved at path. A file that is not UTF-8 JSON names path:line,
-    and a missing key or a value of the wrong JSON type names the key; both
-    raise ConfigError."""
+    and a missing key, a value of the wrong JSON type or a tree that is not
+    a breadth-first node table names the key; all raise ConfigError."""
     doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
         raise ConfigError(f"{path}: not an {FORMAT_TAG} file")
@@ -91,8 +117,10 @@ def load_model(path):
         check_keys(doc, _FOREST_KEYS, path)
         params = check_fields(ForestParams, doc["params"], path, prefix="params.",
                               required=tuple(ForestParams.__dataclass_fields__))
-        trees = [Tree.from_dict(check_keys(t, _TREE_KEYS, path, f"trees[{i}]."))
-                 for i, t in enumerate(doc["trees"])]
+        if not doc["trees"]:
+            raise ConfigError(f"{path}: key 'trees' must be a non-empty list, got []")
+        n_features = len(doc["feature_names"])
+        trees = [_tree(t, n_features, path, f"trees[{i}]") for i, t in enumerate(doc["trees"])]
         return Forest(trees, list(doc["feature_names"]),
                       frozenset(doc["categorical"]), ForestParams(**params), doc["seed"],
                       doc["oob_error"], doc["y_min"], doc["y_max"], inbag=None)

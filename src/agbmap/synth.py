@@ -60,8 +60,16 @@ class SceneConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.extent <= 0 or self.cellsize <= 0 or self.extent < 2 * self.cellsize:
-            raise ConfigError("extent and cellsize must be positive with extent >= 2 cells")
+        if not (0 < self.cellsize and 2 * self.cellsize <= self.extent < math.inf):
+            raise ConfigError("extent and cellsize must be positive and finite "
+                              "with extent >= 2 cells")
+        cells = self.extent / self.cellsize
+        if not min(cells % 1, -cells % 1) <= 1e-9 * cells:
+            raise ConfigError(f"extent must be a whole number of cells, got {cells:g}")
+        if not all(v > 0 for v in (self.bin_size, self.agb_per_meter, self.covariate_range)):
+            raise ConfigError("bin_size, agb_per_meter and covariate_range must be > 0")
+        if self.n_covariates < 1:
+            raise ConfigError("n_covariates must be >= 1")
         if self.residual_range >= self.extent:
             raise ConfigError("residual range must be below the extent")
         if min(self.residual_nugget, self.residual_psill) < 0:
@@ -273,8 +281,18 @@ def small_config(**overrides) -> SceneConfig:
 
 def scene_config(seed: int, full_scale: bool, overrides=None) -> SceneConfig:
     """The full-scale or desk profile with seed and the fields set in the JSON
-    file at path overrides; a malformed file, an unknown key or a value of
-    the wrong type raises ConfigError naming the file."""
-    fields = {} if overrides is None else check_fields(
-        SceneConfig, read_json(overrides), overrides, items={"trend_coefficients": (int, float)})
-    return replace(SceneConfig() if full_scale else small_config(), seed=seed, **fields)
+    file at path overrides. A malformed file, an unknown key, a `seed` key
+    (the caller sets the seed), a value of the wrong type or a scene that
+    fails validate raises ConfigError naming the file."""
+    fields = {}
+    if overrides is not None:
+        fields = check_fields(SceneConfig, read_json(overrides), overrides,
+                              items={"trend_coefficients": (int, float)})
+        if "seed" in fields:
+            raise ConfigError(f"{overrides}: key 'seed' is not allowed; --seed sets it")
+    cfg = replace(SceneConfig() if full_scale else small_config(), seed=seed, **fields)
+    try:
+        cfg.validate()
+    except ConfigError as e:
+        raise ConfigError(f"{overrides}: {e}") from None
+    return cfg

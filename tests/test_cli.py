@@ -97,6 +97,11 @@ def test_bad_run_config_value_exits_1_naming_key(tmp_path, capsys, key, value, m
     ("simulate", b'{"extent": 15000', ":1: Expecting ',' delimiter"),
     ("simulate", b'{"trend_coefficients": [1, null, 2]}',
      ": key 'trend_coefficients[1]' must be int or float, got None"),
+    ("simulate", b'{"seed": 3}', ": key 'seed' is not allowed; --seed sets it"),
+    ("simulate", b'{"bin_size": 0}', ": bin_size, agb_per_meter and covariate_range must"),
+    ("simulate", b'{"cellsize": 6000}', ": extent must be a whole number of cells, got 2.5"),
+    ("simulate", b'{"n_covariates": 0, "trend_coefficients": []}',
+     ": n_covariates must be >= 1"),
 ])
 def test_bad_json_config_exits_1_naming_path(tmp_path, capsys, command, text, message):
     path = tmp_path / "cfg.json"

@@ -141,6 +141,17 @@ def test_forest_persistence_round_trip(tmp_path):
     (lambda doc: doc["params"].__setitem__("n_trees", "3"),
      "key 'params.n_trees' must be int, got '3'"),
     (lambda doc: doc.pop("y_max"), "missing key 'y_max'"),
+    # a node that is its own child made predict loop for ever
+    (lambda doc: doc["trees"][0]["left"].__setitem__(0, 0),
+     "key 'trees[0].left[0]' must be in 1.."),
+    (lambda doc: doc["trees"][0]["right"].__setitem__(0, 999),
+     "key 'trees[0].right[0]' must be in 1.."),
+    (lambda doc: doc["trees"][0]["feature"].__setitem__(0, 7),
+     "key 'trees[0].feature[0]' must be < 2, got 7"),
+    (lambda doc: doc["trees"][1]["value"].pop(), "key 'trees[1].value' must be a list of "),
+    (lambda doc: doc["trees"][2].update({k: [] for k in doc["trees"][2]}),
+     "key 'trees[2].feature' must be a non-empty list, got []"),
+    (lambda doc: doc.__setitem__("trees", []), "key 'trees' must be a non-empty list, got []"),
 ])
 def test_load_model_bad_forest_key_names_key(tmp_path, edit, message):
     rng = np.random.default_rng(2)
@@ -150,7 +161,7 @@ def test_load_model_bad_forest_key_names_key(tmp_path, edit, message):
     doc = json.loads(p.read_text())
     edit(doc)
     p.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match=f"^{re.escape(f'{p}: {message}')}$"):
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{p}: {message}')}"):
         load_model(p)
 
 

@@ -77,6 +77,17 @@ def test_config_validation():
         SceneConfig(cloud_violation_rate=0.8, sat_violation_rate=0.5).validate()
     with pytest.raises(ConfigError):
         SceneConfig(trend_coefficients=(1.0,)).validate()
+    # each of these crashed generate_scene before validate caught it
+    for field in ("bin_size", "agb_per_meter", "covariate_range"):
+        with pytest.raises(ConfigError, match=f"{field}.* must be > 0"):
+            SceneConfig(**{field: 0.0}).validate()
+    with pytest.raises(ConfigError, match="n_covariates must be >= 1"):
+        SceneConfig(n_covariates=0, trend_coefficients=()).validate()
+    with pytest.raises(ConfigError, match="whole number of cells, got 2.5"):
+        SceneConfig(extent=15_000.0, cellsize=6000.0).validate()
+    for extent in (float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="extent and cellsize"):
+            SceneConfig(extent=extent).validate()
 
 
 def test_write_scene_emits_pipeline_formats(tmp_path):
