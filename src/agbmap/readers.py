@@ -54,9 +54,8 @@ def csv_rows(path, parse) -> list:
 def read_json(path):
     """The JSON document in the file at path; a file that is not UTF-8 JSON
     raises ConfigError naming path:line."""
-    text = read_text(path, ConfigError)
     try:
-        return json.loads(text)
+        return json.loads(read_text(path, ConfigError))
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}: {e.msg}") from None
 
