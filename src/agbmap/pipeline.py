@@ -329,7 +329,7 @@ class RunConfig:
 # JSON types of the items of RunConfig's list- and dict-valued keys
 _ITEM_TYPES = {"covariates": (str,), "grid_sizes": (int, float),
                "sweep_distances": (int, float), "categorical": (str,)}
-# (test, wording) of the range of each numeric or list value
+# (test, wording) of the values each key may take
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 _POSITIVE = (lambda v: v > 0, "> 0")
 _RANGES = {"n_trees": _AT_LEAST_1, "min_leaf": _AT_LEAST_1, "neighborhood": _AT_LEAST_1,
@@ -339,6 +339,7 @@ _RANGES = {"n_trees": _AT_LEAST_1, "min_leaf": _AT_LEAST_1, "neighborhood": _AT_
            "max_components": (lambda v: 1 <= v <= MAX_COMPONENTS, f"in 1..{MAX_COMPONENTS}"),
            "calib_max_dist": _POSITIVE, "detect_k": _POSITIVE,
            "variogram_max_lag": (lambda v: 0 < v < math.inf, "finite and > 0"),
+           "trend": (lambda v: v in ("lm", "rf"), "'lm' or 'rf'"),
            "grid_sizes": (lambda v: all(s > 0 for s in v), "a list of sizes > 0")}
 
 

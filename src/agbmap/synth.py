@@ -60,9 +60,11 @@ class SceneConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if not (0 < self.cellsize and 2 * self.cellsize <= self.extent < math.inf):
-            raise ConfigError("extent and cellsize must be positive and finite "
-                              "with extent >= 2 cells")
+        for name, value in vars(self).items():
+            if not all(-math.inf < v < math.inf for v in np.ravel(value).tolist()):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+        if self.extent <= 0 or self.cellsize <= 0 or self.extent < 2 * self.cellsize:
+            raise ConfigError("extent and cellsize must be positive with extent >= 2 cells")
         cells = self.extent / self.cellsize
         if not min(cells % 1, -cells % 1) <= 1e-9 * cells:
             raise ConfigError(f"extent must be a whole number of cells, got {cells:g}")

@@ -78,6 +78,7 @@ def test_cli_import_leaves_out_scipy_optimize():
     ("detect_k", -2.5, "'detect_k' must be > 0, got -2.5"),
     ("variogram_max_lag", 0, "'variogram_max_lag' must be finite and > 0, got 0"),
     ("variogram_max_lag", float("inf"), "'variogram_max_lag' must be finite and > 0, got inf"),
+    ("trend", "xx", "'trend' must be 'lm' or 'rf', got 'xx'"),
 ])
 def test_bad_run_config_value_exits_1_naming_key(tmp_path, capsys, key, value, message):
     doc = {"waveforms": "w.ndjson", "dem": "d.asc", "covariates": {"c": "c.asc"},
@@ -102,6 +103,7 @@ def test_bad_run_config_value_exits_1_naming_key(tmp_path, capsys, key, value, m
     ("simulate", b'{"cellsize": 6000}', ": extent must be a whole number of cells, got 2.5"),
     ("simulate", b'{"n_covariates": 0, "trend_coefficients": []}',
      ": n_covariates must be >= 1"),
+    ("simulate", b'{"residual_range": NaN}', ": residual_range must be finite, got nan"),
 ])
 def test_bad_json_config_exits_1_naming_path(tmp_path, capsys, command, text, message):
     path = tmp_path / "cfg.json"

@@ -85,9 +85,10 @@ def test_config_validation():
         SceneConfig(n_covariates=0, trend_coefficients=()).validate()
     with pytest.raises(ConfigError, match="whole number of cells, got 2.5"):
         SceneConfig(extent=15_000.0, cellsize=6000.0).validate()
-    for extent in (float("inf"), float("nan")):
-        with pytest.raises(ConfigError, match="extent and cellsize"):
-            SceneConfig(extent=extent).validate()
+    for field, value in (("extent", float("inf")), ("residual_range", float("nan")),
+                         ("trend_coefficients", (1.0, float("-inf"), 2.0))):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            SceneConfig(**{field: value}).validate()
 
 
 def test_write_scene_emits_pipeline_formats(tmp_path):
