@@ -65,7 +65,7 @@ class SceneConfig:
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.extent <= 0 or self.cellsize <= 0 or self.extent < 2 * self.cellsize:
             raise ConfigError("extent and cellsize must be positive with extent >= 2 cells")
-        cells = self.extent / self.cellsize
+        cells = self.extent / self.cellsize  # inf for a subnormal cellsize, which fails here
         if not min(cells % 1, -cells % 1) <= 1e-9 * cells:
             raise ConfigError(f"extent must be a whole number of cells, got {cells:g}")
         if not all(v > 0 for v in (self.bin_size, self.agb_per_meter, self.covariate_range)):
