@@ -9,7 +9,7 @@ exponential with the practical-range convention
 
 so gamma(range) covers 95 percent of the partial sill. Ordinary kriging
 solves the semivariance system with a Lagrange row enforcing unit weight
-sum, over a k-nearest-neighbour window found through a KD-tree.
+sum, over a k-nearest-neighbour window found by `raster.nearest`.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import EmptyNeighborhood, FitFailure, SingularSystem, TooFewSamples
 from .lsq import plm
-from .raster import Grid
+from .raster import Grid, nearest
 
 _DUP_TOL = 1e-6  # metres; closer samples are merged by averaging
 RANGE_BOUND = 3.0  # fit_exponential caps the range at RANGE_BOUND * max_lag
@@ -179,8 +178,8 @@ def at_range_bound(model: VariogramModel, ev: EmpiricalVariogram) -> bool:
 class OrdinaryKriger:
     """Local-neighbourhood ordinary kriging against a fitted variogram.
 
-    The KD-tree over the sample locations is built once; targets are solved
-    _CHUNK at a time, as one stack of augmented systems over k nearest samples.
+    The k nearest samples of every target are found in one search; targets
+    are solved _CHUNK at a time, as one stack of augmented systems.
     """
 
     def __init__(self, samples: SampleSet, model: VariogramModel,
@@ -192,19 +191,19 @@ class OrdinaryKriger:
         self.samples = samples
         self.model = model
         self.k = min(neighborhood, samples.n)
-        self.tree = cKDTree(samples.xy)
 
     def weights_at(self, x: float, y: float):
         """(neighbor indices, weights, lagrange multiplier) at one target."""
-        idx, lam, mu, _ = self._solve(np.array([[x, y]], dtype=float))
+        target = np.array([[x, y]], dtype=float)
+        dist, idx = nearest(self.samples.xy, target, self.k)
+        lam, mu, _ = self._solve(target, dist, idx)
         return idx[0], lam[0], float(mu[0])
 
-    def _solve(self, targets: np.ndarray):
-        """Neighbour indices (n, k), weights (n, k), Lagrange multipliers (n,)
-        and neighbour-to-target semivariances (n, k) for (n, 2) targets."""
-        n, k = targets.shape[0], self.k
-        dist, idx = self.tree.query(targets, k=k)
-        dist, idx = dist.reshape(n, k), idx.reshape(n, k)
+    def _solve(self, targets: np.ndarray, dist: np.ndarray, idx: np.ndarray):
+        """Weights (n, k), Lagrange multipliers (n,) and neighbour-to-target
+        semivariances (n, k) for (n, 2) targets whose nearest samples are
+        idx (n, k) at distances dist (n, k)."""
+        n, k = idx.shape
         pts = self.samples.xy[idx]
         dx = pts[:, :, 0][:, :, None] - pts[:, :, 0][:, None, :]
         dy = pts[:, :, 1][:, :, None] - pts[:, :, 1][:, None, :]
@@ -223,7 +222,7 @@ class OrdinaryKriger:
         if bad.size:
             x, y = targets[bad[0]]
             raise SingularSystem(f"kriging system singular at ({x}, {y})")
-        return idx, sol[:, :k], sol[:, k], b[:, :k]
+        return sol[:, :k], sol[:, k], b[:, :k]
 
     def predict(self, x, y):
         """(estimate, kriging variance) at each target; x and y are scalars
@@ -232,13 +231,14 @@ class OrdinaryKriger:
         targets = np.column_stack([x.ravel(), y.ravel()])
         est = np.empty(targets.shape[0])
         var = np.empty(targets.shape[0])
+        dist, idx = nearest(self.samples.xy, targets, self.k)
         for start in range(0, targets.shape[0], _CHUNK):
             part = slice(start, start + _CHUNK)
-            idx, lam, mu, gamma0 = self._solve(targets[part])
+            lam, mu, gamma0 = self._solve(targets[part], dist[part], idx[part])
             # row dot products as stacked (1, k) @ (k, 1) products, which sum
             # in the same order as the one-target `lam @ values`
             lam_rows = lam[:, None, :]
-            est[part] = (lam_rows @ self.samples.values[idx][:, :, None])[:, 0, 0]
+            est[part] = (lam_rows @ self.samples.values[idx[part]][:, :, None])[:, 0, 0]
             var[part] = (lam_rows @ gamma0[:, :, None])[:, 0, 0] + mu
         var = np.maximum(var, 0.0)
         return est.reshape(x.shape)[()], var.reshape(x.shape)[()]

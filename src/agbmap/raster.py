@@ -8,16 +8,17 @@ grid entering a computation is assumed co-registered.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import BadFactor, BadRecord, TooFewBands
 from .readers import read_text
 
 DEFAULT_NODATA = -9999.0
+_TILE_TARGETS = 32  # targets per tile of `nearest`, on average, at the least
 
 
 @dataclass
@@ -332,6 +333,80 @@ def pca_stack(stack: GridStack, n_components: int) -> GridStack:
     return GridStack(bands)
 
 
+def nearest(points, targets, k: int):
+    """The k points nearest each target: (dist (m, k), idx (m, k)).
+
+    points: (n, 2), targets: (m, 2), finite. Neighbours come in ascending
+    distance, ties going to the lower point index; k above n gives all n.
+    A cell method (Bentley, Weide & Yao 1980): r0 is about 1.5 times the
+    radius that holds k points at the points' mean density, and targets are
+    grouped into square tiles of side r0, or larger where that would leave
+    fewer than _TILE_TARGETS targets per tile on average. A tile's candidates
+    are the points within Chebyshev distance r of its targets' bounding box;
+    r starts at r0 and doubles until every target's k-th squared distance is
+    below r * r or every point is a candidate. Distances are
+    sqrt(dx*dx + dy*dy).
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    targets = np.asarray(targets, dtype=float).reshape(-1, 2)
+    n, m = points.shape[0], targets.shape[0]
+    if n == 0 or k < 1:
+        raise ValueError(f"need at least one point and k >= 1, got {n} points and k = {k}")
+    if not (np.isfinite(points).all() and np.isfinite(targets).all()):
+        raise ValueError("points and targets must be finite")
+    k = min(k, n)
+    if m == 0:
+        return np.empty((0, k)), np.empty((0, k), dtype=np.intp)
+    lo = np.minimum(points.min(axis=0), targets.min(axis=0))
+    span = float((np.maximum(points.max(axis=0), targets.max(axis=0)) - lo).max())
+    extent = points.max(axis=0) - points.min(axis=0)
+    # the floor spreads the points along the span of points and targets,
+    # which bounds the tile index by 2n/k and the doublings by log2(2n/k):
+    # every point is a candidate once r >= span. It is 0 only when every
+    # point and target coincide, where any r > 0 takes them all at once.
+    r0 = max(1.5 * math.sqrt(extent[0] * extent[1] * k / (math.pi * n)),
+             0.5 * span * k / n) or 1.0
+    # each tile costs a few dozen numpy calls, which outweigh its arithmetic
+    # when it holds only a few targets (k = 1, or coarse grids)
+    target_extent = targets.max(axis=0) - targets.min(axis=0)
+    side = max(r0, math.sqrt(target_extent[0] * target_extent[1] * _TILE_TARGETS / m))
+    cell = np.floor((targets - lo) / side).astype(np.int64)
+    key = cell[:, 0] * (int(cell[:, 1].max()) + 1) + cell[:, 1]
+    order = np.argsort(key, kind="stable")
+    px, py = points[:, 0].copy(), points[:, 1].copy()
+    d2_out = np.empty((m, k))
+    idx_out = np.empty((m, k), dtype=np.intp)
+    for rows in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        tx, ty = targets[rows, 0], targets[rows, 1]
+        gap = np.maximum(np.maximum(tx.min() - px, px - tx.max()),
+                         np.maximum(ty.min() - py, py - ty.max()))
+        r = r0
+        while True:
+            cand = np.flatnonzero(gap <= r)
+            if cand.size >= k:
+                dx = tx[:, None] - px[cand]
+                dy = ty[:, None] - py[cand]
+                d2 = dx * dx + dy * dy
+                kth = np.partition(d2, k - 1, axis=1)[:, k - 1, None]
+                # strict: a point outside the grown box has d2 >= r * r
+                if cand.size == n or (kth < r * r).all():
+                    break
+            r *= 2.0
+        # a row holding exactly k columns within its k-th distance takes them
+        # in index order, a row with a tie there its whole row stably sorted;
+        # a stable sort by distance then leaves ties to the lower index
+        within = d2 <= kth
+        tie = within.sum(axis=1) > k
+        sel = np.empty((rows.size, k), dtype=np.intp)
+        sel[~tie] = np.nonzero(within[~tie])[1].reshape(-1, k)
+        sel[tie] = np.argsort(d2[tie], axis=1, kind="stable")[:, :k]
+        line = np.arange(rows.size)[:, None]
+        sel = sel[line, np.argsort(d2[line, sel], axis=1, kind="stable")]
+        d2_out[rows] = d2[line, sel]
+        idx_out[rows] = cand[sel]
+    return np.sqrt(d2_out), idx_out
+
+
 def match_points(a: np.ndarray, b: np.ndarray, max_dist: float):
     """Nearest b-point for every a-point, kept when within max_dist.
 
@@ -341,10 +416,6 @@ def match_points(a: np.ndarray, b: np.ndarray, max_dist: float):
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         return []
-    tree = cKDTree(b)
-    dists, idx = tree.query(a, k=1)
-    pairs = []
-    for i, (d, j) in enumerate(zip(dists, idx)):
-        if d <= max_dist:
-            pairs.append((i, int(j), float(d)))
-    return pairs
+    dist, idx = nearest(b, a, 1)
+    keep = np.flatnonzero(dist[:, 0] <= max_dist)
+    return [(int(i), int(idx[i, 0]), float(dist[i, 0])) for i in keep]

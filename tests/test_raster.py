@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agbmap.errors import BadFactor, TooFewBands
-from agbmap.raster import (Grid, GridStack, band_pca, match_points, pca_stack,
+from agbmap.raster import (Grid, GridStack, band_pca, match_points, nearest, pca_stack,
                            read_ascii_grid, resample, write_ascii_grid)
+from agbmap.synth import generate_scene, scene_config
 
 
 def make_grid(values, cellsize=100.0, nodata=-9999.0):
@@ -150,6 +153,95 @@ def test_pca_stack_nodata_and_band_count():
     assert out.band("pc1").values[4, 4] == -9999.0
     with pytest.raises(TooFewBands):
         pca_stack(stack, 5)
+
+
+# ---------------------------------------------------------------- nearest
+
+def full_sort(points, targets, k):
+    """Oracle: every squared distance, sorted stably, so that ties go to the
+    lower point index."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    targets = np.asarray(targets, dtype=float).reshape(-1, 2)
+    dx = targets[:, 0, None] - points[:, 0]
+    dy = targets[:, 1, None] - points[:, 1]
+    d2 = dx * dx + dy * dy
+    idx = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return np.sqrt(np.take_along_axis(d2, idx, axis=1)), idx
+
+
+def nearest_cases():
+    rng = np.random.default_rng(31)
+    scatter = rng.uniform(0, 1000, (60, 2))
+    targets = rng.uniform(-200, 1200, (40, 2))
+    lattice = np.array([(x, y) for x in range(6) for y in range(6)], dtype=float)
+    line = np.linspace(0.0, 900.0, 50)
+    return {
+        "duplicated points": (np.repeat(scatter[:20], 3, axis=0), targets, 5),
+        "lattice, four-way ties": (lattice, lattice[:25] + 0.5, 3),
+        "lattice, two-way ties": (lattice, lattice + [0.5, 0.0], 3),
+        "targets on points": (lattice, lattice[::-1], 6),
+        "one point": (np.array([[5.0, -3.0]]), targets, 1),
+        "one point, k above n": (np.array([[5.0, -3.0]]), targets, 4),
+        "collinear points": (np.column_stack([line, np.full(50, 7.0)]), targets, 6),
+        "collinear diagonal": (np.column_stack([line, 2.0 * line + 1.0]), targets, 6),
+        "k equal to n": (scatter, targets, 60),
+        "k above n": (scatter[:10], targets, 25),
+        "all at one location": (np.full((5, 2), 3.0), np.full((4, 2), 3.0), 2),
+        "tiny cluster, far targets": (1e-200 * rng.uniform(size=(10, 2)),
+                                      [[1e9, -1e9], [0.0, 0.0], [1e-200, 0.0]], 3),
+        "one tile": (scatter, targets[:1], 8),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(nearest_cases()))
+def test_nearest_matches_full_sort(name):
+    points, targets, k = nearest_cases()[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dist, idx = nearest(points, targets, k)
+    want_dist, want_idx = full_sort(points, targets, k)
+    np.testing.assert_array_equal(idx, want_idx)
+    np.testing.assert_array_equal(dist, want_dist)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=40),
+       st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=20),
+       st.integers(1, 12))
+def test_nearest_matches_full_sort_on_lattices(points, targets, k):
+    # small integer coordinates: duplicates, collinear sets and ties at the
+    # k-th distance are common
+    dist, idx = nearest(np.array(points, dtype=float), np.array(targets, dtype=float), k)
+    want_dist, want_idx = full_sort(points, targets, k)
+    np.testing.assert_array_equal(idx, want_idx)
+    np.testing.assert_array_equal(dist, want_dist)
+
+
+def test_nearest_equals_kdtree_on_the_seed_7_scene():
+    from scipy.spatial import cKDTree  # oracle only: the package does not use scipy
+
+    scene = generate_scene(scene_config(7, True))
+    xy = np.array([[w.lon, w.lat] for w in scene.footprints])
+    x, y = resample(scene.covariates.geometry(), 2).cell_centers()
+    cells = np.column_stack([x.ravel(), y.ravel()])
+    for k in (1, 32):
+        dist, idx = nearest(xy, cells, k)
+        want_dist, want_idx = cKDTree(xy).query(cells, k=k)
+        np.testing.assert_array_equal(idx, want_idx.reshape(-1, k))
+        np.testing.assert_array_equal(dist, want_dist.reshape(-1, k))
+
+
+def test_nearest_rejects_what_it_cannot_search():
+    with pytest.raises(ValueError):
+        nearest(np.empty((0, 2)), [[0.0, 0.0]], 1)
+    with pytest.raises(ValueError):
+        nearest([[0.0, 0.0]], [[0.0, 0.0]], 0)
+    with pytest.raises(ValueError):
+        nearest([[0.0, 0.0], [np.nan, 1.0]], [[0.0, 0.0]], 1)
+    with pytest.raises(ValueError):
+        nearest([[0.0, 0.0]], [[np.inf, 0.0]], 1)
+    dist, idx = nearest([[0.0, 0.0]], np.empty((0, 2)), 3)
+    assert dist.shape == idx.shape == (0, 1)
 
 
 # ---------------------------------------------------------------- matching
