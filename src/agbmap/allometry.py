@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidPlot, InvalidTree, UnitError
 from .raster import Grid
-from .readers import csv_rows
+from .readers import csv_rows, finite
 
 AGB_COEF = 0.0673
 AGB_EXP = 0.973
@@ -96,9 +96,9 @@ def carbon_stock(agb_map: Grid, literal_per_km2: bool = False) -> CarbonStock:
 
 def _plot_row(row) -> PlotRecord:
     agb = row.get("agb_mg_ha")
-    return PlotRecord(row["plot_id"], float(row["lon"]), float(row["lat"]),
-                      float(row["area_ha"]),
-                      agb_mg_ha=float(agb) if agb not in (None, "") else None)
+    return PlotRecord(row["plot_id"], finite(row["lon"], "lon"), finite(row["lat"], "lat"),
+                      finite(row["area_ha"], "area_ha"),
+                      agb_mg_ha=finite(agb, "agb_mg_ha") if agb not in (None, "") else None)
 
 
 def _tree_row(row):

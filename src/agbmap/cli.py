@@ -20,7 +20,7 @@ from .pipeline import (RunConfig, calibration_pairs, calibration_sweep,
                        fit_footprint_agb_model, validate_map, write_sweep_csv,
                        write_validation_csv)
 from .raster import read_ascii_grid, write_ascii_grid
-from .readers import csv_rows
+from .readers import csv_rows, finite
 from .textures import glcm_textures
 from .waveform import (DETECT_K, MAX_COMPONENTS, MAX_ELEV_GAP, SNR_MIN, process_waveforms,
                        read_metrics_csv, read_waveforms, write_filter_csv, write_metrics_csv)
@@ -235,7 +235,7 @@ def _cmd_carbon(args) -> int:
 
 def _cmd_variogram(args) -> int:
     rows = csv_rows(args.samples,
-                    lambda row: (float(row["x"]), float(row["y"]), float(row["value"])))
+                    lambda row: [finite(row[c], c) for c in ("x", "y", "value")])
     table = np.array(rows, dtype=float).reshape(-1, 3)
     samples = SampleSet(table[:, :2], table[:, 2])
     ev = empirical_variogram(samples, bin_width=args.bin_width, max_lag=args.max_lag)

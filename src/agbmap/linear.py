@@ -6,6 +6,11 @@ below that level residuals are pure floating-point noise, and clamping
 them makes interpolating models compare by parameter count alone, so
 stepwise still prunes redundant features from exact fits.
 
+Every fit is an SVD of the design [1, X_s] with s features. The rank rule
+is numpy's matrix_rank default: a design with n > s is fitted when every
+singular value exceeds S.max() * max(n, s + 1) * eps, and the fit is then
+the minimum-norm solution that lstsq returns.
+
 Qualitative features enter through one-hot encoding with the first level
 as reference; encoding happens inside the fitters and the fitted model
 re-applies it at prediction time.
@@ -128,83 +133,73 @@ def bic_score(n: int, rss: float, n_params: int, tss: float = 0.0) -> float:
     return n * math.log(max(rss, floor) / n) + n_params * math.log(n)
 
 
-def _fit_named(names, X, y) -> tuple:
-    """OLS on already-numeric columns. Returns (intercept, coefs, rss, bic)."""
-    n = X.shape[0]
-    A = np.column_stack([np.ones(n), X])
-    if n <= A.shape[1] - 1:
-        raise RankDeficient(f"n={n} too small for {A.shape[1] - 1} features")
-    if np.linalg.matrix_rank(A) < A.shape[1]:
-        raise RankDeficient("design matrix is rank deficient")
-    beta, _, _, _ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ beta
-    rss = float(resid @ resid)
+def _fit_subsets(enc_d: DesignMatrix, subsets) -> list:
+    """(beta, rss, bic) of y on [1, X_s] for each column subset s, in input
+    order, or None where the rank rule rejects the design. Subsets of one
+    size are solved as one stacked SVD."""
+    n, y = enc_d.n, enc_d.y
     tss = float(np.sum((y - y.mean()) ** 2))
-    return (float(beta[0]), dict(zip(names, beta[1:].tolist())), rss,
-            bic_score(n, rss, len(names) + 1, tss))
+    out = [None] * len(subsets)
+    for size in {len(s) for s in subsets if len(s) < n}:
+        idx = np.array([i for i, s in enumerate(subsets) if len(s) == size])
+        cols = np.array([subsets[i] for i in idx], dtype=int)
+        A = np.concatenate([np.ones((len(idx), n, 1)),
+                            enc_d.X[:, cols].transpose(1, 0, 2)], axis=2)
+        U, S, Vt = np.linalg.svd(A, full_matrices=False)
+        ok = np.all(S > S[:, :1] * max(n, size + 1) * np.finfo(float).eps, axis=1)
+        A, U, S, Vt = A[ok], U[ok], S[ok], Vt[ok]
+        beta = np.einsum("mji,mj->mi", Vt, (y @ U) / S)
+        resid = y - np.einsum("mnk,mk->mn", A, beta)
+        for i, b, r in zip(idx[ok], beta, np.einsum("mn,mn->m", resid, resid).tolist()):
+            out[i] = (b, r, bic_score(n, r, size + 1, tss))
+    return out
 
 
-def fit_ols(d: DesignMatrix, drop_aliased: bool = False) -> LinearModel:
-    """Least-squares fit on all non-constant features.
-
-    Constant columns are excluded (they alias the intercept); remaining
-    collinearity raises RankDeficient unless drop_aliased is set, in which
-    case aliased columns are removed greedily the way R's lm drops them.
-    """
-    enc_d, enc = encode_categorical(d)
-    if drop_aliased:
-        idx = _max_independent(enc_d, [j for j in range(enc_d.p)
-                                       if np.ptp(enc_d.X[:, j]) > 0])
-        keep = [enc_d.feature_names[j] for j in idx]
-    else:
-        keep = [name for j, name in enumerate(enc_d.feature_names)
-                if np.ptp(enc_d.X[:, j]) > 0]
-    X = enc_d.X[:, [enc_d.feature_names.index(nm) for nm in keep]]
-    intercept, coefs, rss, bic = _fit_named(keep, X, enc_d.y)
+def _model(d: DesignMatrix, enc_d: DesignMatrix, enc, subset, fit) -> LinearModel:
+    beta, rss, bic = fit
+    names = [enc_d.feature_names[j] for j in subset]
     tss = float(np.sum((d.y - d.y.mean()) ** 2))
     r2 = 1.0 - rss / tss if tss > 0 else 1.0
-    return LinearModel(intercept, coefs, keep, rss, bic, r2, d.n,
-                       encoder=enc, raw_features=list(d.feature_names))
-
-
-def _subset_fit(enc_d: DesignMatrix, subset: tuple):
-    names = [enc_d.feature_names[j] for j in subset]
-    X = enc_d.X[:, list(subset)]
-    return _fit_named(names, X, enc_d.y)
+    return LinearModel(float(beta[0]), dict(zip(names, beta[1:].tolist())), names,
+                       rss, bic, r2, d.n, encoder=enc, raw_features=list(d.feature_names))
 
 
 def _max_independent(enc_d: DesignMatrix, candidates) -> tuple:
     """Greedy maximal subset of columns independent of each other and the
     intercept; aliased columns drop out the way R's lm treats them."""
-    n = enc_d.n
-    A = np.ones((n, 1))
-    kept = []
+    kept = ()
     for j in candidates:
-        cand = np.column_stack([A, enc_d.X[:, j]])
-        if cand.shape[1] <= n and np.linalg.matrix_rank(cand) == cand.shape[1]:
-            A = cand
-            kept.append(j)
-    return tuple(kept)
+        if _fit_subsets(enc_d, [kept + (j,)])[0] is not None:
+            kept += (j,)
+    return kept
+
+
+def fit_ols(d: DesignMatrix) -> LinearModel:
+    """Least-squares fit on all non-constant features.
+
+    Constant columns alias the intercept and are excluded; a column aliased
+    with the intercept and the columns before it is dropped too, greedily
+    in column order, the way R's lm drops aliased columns.
+    """
+    enc_d, enc = encode_categorical(d)
+    keep = _max_independent(enc_d, [j for j in range(enc_d.p)
+                                    if np.ptp(enc_d.X[:, j]) > 0])
+    return _model(d, enc_d, enc, keep, _fit_subsets(enc_d, [keep])[0])
 
 
 def _descend(enc_d: DesignMatrix, nonconst, start):
     """Bidirectional single-feature descent from one starting subset."""
     current = start
-    state = _subset_fit(enc_d, current)
+    state = _fit_subsets(enc_d, [current])[0]
     while True:
-        best = None
         moves = [tuple(f for f in current if f != j) for j in current]
         moves += [tuple(sorted(current + (j,))) for j in nonconst if j not in current]
-        for cand in moves:
-            try:
-                fit = _subset_fit(enc_d, cand)
-            except RankDeficient:
-                continue
-            if fit[3] < state[3] - 1e-12 and (best is None or fit[3] < best[1][3]):
-                best = (cand, fit)
-        if best is None:
+        fits = _fit_subsets(enc_d, moves)
+        bics = [math.inf if fit is None else fit[2] for fit in fits]
+        best = int(np.argmin(bics))  # the first of equal lowest BICs
+        if not bics[best] < state[2] - 1e-12:
             return current, state
-        current, state = best
+        current, state = moves[best], fits[best]
 
 
 def stepwise_bic(d: DesignMatrix) -> LinearModel:
@@ -228,15 +223,9 @@ def stepwise_bic(d: DesignMatrix) -> LinearModel:
         raise RankDeficient("no usable candidate features")
     current, state = _descend(enc_d, nonconst, full)
     alt_current, alt_state = _descend(enc_d, nonconst, ())
-    if alt_state[3] < state[3] - 1e-12:
+    if alt_state[2] < state[2] - 1e-12:
         current, state = alt_current, alt_state
-    intercept, coefs, rss, cur_bic = state
-
-    tss = float(np.sum((d.y - d.y.mean()) ** 2))
-    r2 = 1.0 - rss / tss if tss > 0 else 1.0
-    return LinearModel(intercept, coefs, [enc_d.feature_names[j] for j in current],
-                       rss, cur_bic, r2, d.n, encoder=enc,
-                       raw_features=list(d.feature_names))
+    return _model(d, enc_d, enc, current, state)
 
 
 def kfold_cv(d: DesignMatrix, fitter, k: int, seed: int = 0):

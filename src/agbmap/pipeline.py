@@ -94,8 +94,7 @@ def calibration_sweep(plots, footprints, distances, kfold: int = 10, seed: int =
         n = len(y)
         if n >= len(METRIC_FEATURES) + 3:
             d = _metric_design(metric_rows, y)
-            fitter = lambda t: fit_ols(t, drop_aliased=True)
-            r2, rmse = kfold_cv(d, fitter, k=min(kfold, n), seed=seed)
+            r2, rmse = kfold_cv(d, fit_ols, k=min(kfold, n), seed=seed)
         else:
             r2, rmse = float("nan"), float("nan")  # too few pairs to fit
         rows.append(CalibrationSweepRow(float(dist), n, r2, rmse))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import reprlib
 
 from .errors import BadRecord, ConfigError
@@ -48,6 +49,14 @@ def csv_rows(path, parse) -> list:
             raise BadRecord(f"{path}:{reader.line_num}: missing column {e}") from None
         except (ValueError, TypeError) as e:
             raise BadRecord(f"{path}:{reader.line_num}: {e}") from None
+    return out
+
+
+def finite(value, name) -> float:
+    """float(value); a NaN or an infinity raises ValueError naming name."""
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return out
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BadRecord, DegenerateNoise, FitFailure, NoSignal
 from .lsq import plm
-from .readers import csv_rows
+from .readers import csv_rows, finite
 
 DETECT_K = 4.5
 SNR_MIN = 15.0
@@ -46,6 +46,8 @@ class WaveformRecord:
     acquired_at: str | None = None
 
     def __post_init__(self):
+        for name in ("lon", "lat", "bin_top_elev", "srtm_elev"):
+            setattr(self, name, finite(getattr(self, name), f"waveform {self.id}: {name}"))
         self.intensities = np.asarray(self.intensities, dtype=float)
         if self.intensities.ndim != 1 or self.intensities.size < 10:
             raise ValueError(f"waveform {self.id}: need >= 10 intensity bins")
@@ -539,8 +541,8 @@ def write_metrics_csv(results, f) -> None:
 
 
 def _metrics_row(row):
-    return (row["id"], float(row["lon"]), float(row["lat"]),
-            {col: float(row[col]) for col in METRIC_COLUMNS})
+    return (row["id"], finite(row["lon"], "lon"), finite(row["lat"], "lat"),
+            {col: finite(row[col], col) for col in METRIC_COLUMNS})
 
 
 def read_metrics_csv(path):

@@ -5,7 +5,6 @@ lines. Every tolerance is asserted exactly as stated; timing guards use
 wall-clock seconds.
 """
 
-import itertools
 import math
 import time
 
@@ -15,11 +14,11 @@ import scipy.linalg
 
 from agbmap.allometry import TreeRecord, carbon_stock, tree_agb
 from agbmap.cli import main as cli_main
-from agbmap.errors import DegenerateNoise, FitFailure, NoSignal, RankDeficient
+from agbmap.errors import DegenerateNoise, FitFailure, NoSignal
 from agbmap.forest import ForestParams, rf_importance
 from agbmap.geostat import (EmpiricalVariogram, OrdinaryKriger, SampleSet,
                             VariogramModel, empirical_variogram, fit_exponential)
-from agbmap.linear import DesignMatrix, bic_score, stepwise_bic, _fit_named
+from agbmap.linear import DesignMatrix, stepwise_bic
 from agbmap.pipeline import build_map
 from agbmap.raster import Grid, band_pca
 from agbmap.synth import generate_scene, small_config
@@ -27,6 +26,7 @@ from agbmap.textures import DEFAULT_OFFSETS, glcm_textures
 from agbmap.waveform import (decompose_gaussians, detect_signal_bounds,
                              extract_metrics, process_waveforms)
 
+from test_linear import exhaustive_bic_minimum
 from test_textures import center_values, oracle_stats
 
 
@@ -225,25 +225,6 @@ def test_criterion_4_waveform_recovery_and_filter():
 
 # -------------------------------------------------------------------------
 # 5. model selection
-
-def exhaustive_bic_minimum(d):
-    best = None
-    for r in range(d.p + 1):
-        for subset in itertools.combinations(range(d.p), r):
-            if r == 0:
-                rss = float(np.sum((d.y - d.y.mean()) ** 2))
-                bic = bic_score(d.n, rss, 1)
-            else:
-                try:
-                    _, _, rss, bic = _fit_named(
-                        [d.feature_names[j] for j in subset],
-                        d.X[:, list(subset)], d.y)
-                except RankDeficient:
-                    continue
-            if best is None or bic < best[0] - 1e-12:
-                best = (bic, frozenset(d.feature_names[j] for j in subset))
-    return best
-
 
 def test_criterion_5_model_selection():
     t0 = time.time()

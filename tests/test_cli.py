@@ -361,6 +361,51 @@ def test_bad_csv_row_exits_1_naming_path_and_line(tmp_path, capsys, command, tex
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, bad_file, column, value, line", [
+    ("calibrate", "plots.csv", "lon", "nan", 3),
+    ("calibrate", "metrics.csv", "lon", "inf", 3),
+    ("calibrate", "metrics.csv", "h50", "inf", 3),
+    ("validate", "plots.csv", "lat", "nan", 3),
+    ("variogram", "samples.csv", "x", "nan", 3),
+    ("variogram", "samples.csv", "value", "nan", 3),
+    ("metrics", "waveforms.ndjson", "lon", float("nan"), 2),
+])
+def test_non_finite_number_exits_1_naming_path_and_line(tmp_path, capsys, command,
+                                                        bad_file, column, value, line):
+    from agbmap.waveform import METRIC_COLUMNS
+    tables = {
+        "plots.csv": [{"plot_id": f"p{i}", "lon": 100.0 + 200 * i, "lat": 100.0,
+                       "area_ha": 1.0, "agb_mg_ha": 90.0} for i in range(2)],
+        "metrics.csv": [{"id": f"f{i}", "lon": 100.0 + 200 * i, "lat": 100.0,
+                         **{c: 1.0 for c in METRIC_COLUMNS}} for i in range(2)],
+        "samples.csv": [{"x": 10.0 * i, "y": 0.0, "value": 1.0} for i in range(2)],
+        "waveforms.ndjson": [{"id": f"w{i}", "lon": 10.0, "lat": 10.0, "bin_top_elev": 9.0,
+                              "bin_size": 0.15, "intensities": [1.0] * 20} for i in range(2)],
+    }
+    tables[bad_file][1][column] = value
+    for name, rows in tables.items():
+        with (tmp_path / name).open("w", newline="") as f:
+            if name.endswith(".ndjson"):
+                f.writelines(json.dumps(r) + "\n" for r in rows)
+            else:
+                w = csv.DictWriter(f, fieldnames=list(rows[0]))
+                w.writeheader()
+                w.writerows(rows)
+    write_ascii_grid(Grid([[100.0]], 0.0, 0.0, 20.0), tmp_path / "g.asc")
+    path = {name: str(tmp_path / name) for name in tables}
+    argv = {"calibrate": ["--metrics", path["metrics.csv"], "--plots", path["plots.csv"],
+                          "--out-model", str(tmp_path / "m.json")],
+            "validate": ["--map", str(tmp_path / "g.asc"), "--plots", path["plots.csv"]],
+            "variogram": ["--samples", path["samples.csv"]],
+            "metrics": ["--in", path["waveforms.ndjson"], "--dem", str(tmp_path / "g.asc"),
+                        "--out", str(tmp_path / "o.csv")]}[command]
+    assert main([command, *argv]) == 1
+    err = capsys.readouterr().err
+    name = "waveform w1: lon" if bad_file.endswith(".ndjson") else column
+    assert err.startswith(f"error: {path[bad_file]}:{line}: {name} must be finite, got {value!r}")
+    assert "Traceback" not in err
+
+
 def test_textures_command(tmp_path, capsys):
     grid = Grid(np.random.default_rng(1).uniform(0, 10, (8, 8)), 0, 0, 100.0)
     src = tmp_path / "g.asc"

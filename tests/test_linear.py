@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from agbmap.errors import BadK, ConfigError, RankDeficient
 from agbmap.linear import (DesignMatrix, bic_score, encode_categorical, fit_ols,
-                           kfold_cv, stepwise_bic, _fit_named)
+                           kfold_cv, stepwise_bic, _fit_subsets)
 
 
 def dm(X, y, names=None, categorical=()):
@@ -57,16 +57,14 @@ def test_residuals_orthogonal_to_design():
         assert dot < 1e-6 * np.linalg.norm(X[:, j]) * max(np.linalg.norm(resid), 1e-12)
 
 
-def test_constant_column_dropped_and_rank_errors():
+def test_constant_and_aliased_columns_dropped():
     X = np.column_stack([np.ones(10), np.arange(10.0)])
     m = fit_ols(dm(X, np.arange(10.0)))
     assert m.selected_features == ["x1"]
     dup = np.column_stack([np.arange(10.0), np.arange(10.0)])
-    with pytest.raises(RankDeficient):
-        fit_ols(dm(dup, np.arange(10.0)))
-    with pytest.raises(RankDeficient):
-        fit_ols(dm(np.random.default_rng(0).normal(0, 1, (3, 5)),
-                   np.zeros(3)))
+    assert fit_ols(dm(dup, np.arange(10.0))).selected_features == ["x0"]
+    m = fit_ols(dm(np.random.default_rng(0).normal(0, 1, (3, 5)), np.zeros(3)))
+    assert m.selected_features == ["x0", "x1"]  # n - 1 columns at most
 
 
 def test_one_hot_encoding_first_level_reference():
@@ -79,6 +77,43 @@ def test_one_hot_encoding_first_level_reference():
     assert pred == pytest.approx([0, 0, 1, 2, 2, 1], abs=1e-9)
 
 
+# ---------------------------------------------------------------- subsets
+
+def oracle_fit(X, y):
+    """(beta, rss, bic) of y on [1, X] by matrix_rank and lstsq, one fit at
+    a time; None when n <= p or [1, X] is rank deficient."""
+    n = X.shape[0]
+    A = np.column_stack([np.ones(n), X])
+    if n <= X.shape[1] or np.linalg.matrix_rank(A) < A.shape[1]:
+        return None
+    beta = np.linalg.lstsq(A, y, rcond=None)[0]
+    resid = y - A @ beta
+    rss = float(resid @ resid)
+    return beta, rss, bic_score(n, rss, A.shape[1], float(np.sum((y - y.mean()) ** 2)))
+
+
+def test_fit_subsets_matches_one_at_a_time_oracle():
+    subsets = [(), (0,), (3, 1), (0, 1, 2, 3), (2,), (0, 1, 3), (0, 1, 3, 4),
+               (1, 3, 4), (4,), (0, 1, 2, 3, 4), (0, 2)]
+    nones = 0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n = (3, 4, 5, 12, 40, 134)[seed]
+        X = rng.normal(0, 1, (n, 5))
+        X[:, 4] = X[:, 0] - X[:, 1] - X[:, 3]  # exactly aliased, like trail = wext - tch - lead
+        y = X[:, :4] @ rng.normal(0, 1, 4) + rng.normal(0, 1, n)
+        tss = float(np.sum((y - y.mean()) ** 2))
+        for s, got in zip(subsets, _fit_subsets(dm(X, y), subsets)):
+            want = oracle_fit(X[:, list(s)], y)
+            assert (got is None) == (want is None), (n, s)
+            nones += want is None
+            if want is not None:
+                assert got[0] == pytest.approx(want[0], rel=1e-9, abs=1e-12)
+                assert got[1] == pytest.approx(want[1], rel=1e-9, abs=1e-12 * tss)
+                assert got[2] == pytest.approx(want[2], rel=1e-9)
+    assert nones > 6 * 2  # the aliased subsets and the n <= s ones
+
+
 # ---------------------------------------------------------------- stepwise
 
 def exhaustive_bic_minimum(d):
@@ -86,18 +121,9 @@ def exhaustive_bic_minimum(d):
     best = None
     for r in range(d.p + 1):
         for subset in itertools.combinations(range(d.p), r):
-            if r == 0:
-                rss = float(np.sum((d.y - d.y.mean()) ** 2))
-                bic = bic_score(d.n, rss, 1)
-            else:
-                try:
-                    _, _, rss, bic = _fit_named(
-                        [d.feature_names[j] for j in subset],
-                        d.X[:, list(subset)], d.y)
-                except RankDeficient:
-                    continue
-            if best is None or bic < best[0] - 1e-12:
-                best = (bic, frozenset(d.feature_names[j] for j in subset))
+            fit = oracle_fit(d.X[:, list(subset)], d.y)
+            if fit is not None and (best is None or fit[2] < best[0] - 1e-12):
+                best = (fit[2], frozenset(d.feature_names[j] for j in subset))
     return best
 
 
