@@ -102,8 +102,7 @@ def _plot_row(row) -> PlotRecord:
 
 
 def _tree_row(row):
-    return row["plot_id"], TreeRecord(float(row["wsg"]), float(row["dbh_cm"]),
-                                      float(row["height_m"]))
+    return row["plot_id"], TreeRecord(*(finite(row[c], c) for c in ("wsg", "dbh_cm", "height_m")))
 
 
 def load_plots(plot_csv, tree_csv=None) -> list[PlotRecord]:

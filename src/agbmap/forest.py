@@ -8,13 +8,22 @@ which is optimal for squared error.
 Growth is level-wise. At each depth, every frontier node of a group of
 trees is split in one pass: for each feature, the group's bootstrap rows are
 ordered by (node, value) and each node's best split comes from segment-wise
-cumulative sums. Ties go to the lowest split position within a feature and
-to the lowest feature index across features. Nodes are numbered
-breadth-first within a tree, and node k's mtry subset is the k-th draw from
-its tree's stream, after that tree's bootstrap. Every tree has its own
-stream spawned off the master seed, so a tree depends neither on fitting
-order nor on how trees are grouped. Prediction moves all rows down a tree
-one depth at a time.
+cumulative sums. That order comes from presorted attribute lists (SLIQ,
+Mehta, Agrawal & Rissanen 1996; SPRINT, Shafer, Agrawal & Mehta 1996): each
+feature's rows are sorted by value once per group, and each depth reorders
+them with a stable sort of the node ids alone, so equal values keep row
+order. Ties go to the lowest split position within a feature and to the
+lowest feature index across features. Nodes are numbered breadth-first
+within a tree, and node k's mtry subset is the k-th draw from its tree's
+stream, after that tree's bootstrap. Every tree has its own stream spawned
+off the master seed, so a tree depends neither on fitting order nor on how
+trees are grouped.
+
+A fitted forest is one node table: the trees' nodes concatenated, a root
+offset per tree and one categorical routing table. Prediction, the
+out-of-bag error and permutation importance all walk it the same way: every
+(tree, row) pair moves down one depth per step, in chunks of at most
+GROUP_ROWS pairs, and per-row sums add the trees in tree order.
 
 Permutation importance (%IncMSE) follows the out-of-bag protocol: per tree,
 the relative out-of-bag MSE increase after permuting one feature, averaged
@@ -32,7 +41,8 @@ import numpy as np
 from .errors import EmptyDesign
 from .linear import DesignMatrix
 
-# bootstrap rows grown together in one group of trees; bounds fit memory
+# (tree, row) pairs handled at once: the bootstrap rows of one group of trees
+# in the fit, one chunk of a walk; bounds memory
 GROUP_ROWS = 2 ** 15
 
 
@@ -50,98 +60,164 @@ class ForestParams:
 
 @dataclass(eq=False)
 class Tree:
-    """Nodes in breadth-first order; node 0 is the root."""
+    """One tree of a forest as its own node lists: breadth-first, node 0 the
+    root, children as indices into these lists."""
     feature: np.ndarray    # -1 marks a leaf
     threshold: np.ndarray  # numeric splits
     left_cats: list        # categorical splits: sorted values routed left, else None
-    left: np.ndarray
+    left: np.ndarray       # -1 at a leaf
     right: np.ndarray
     value: np.ndarray      # node mean of the target
-
-    def __post_init__(self):
-        self.feature = np.asarray(self.feature, dtype=np.intp)
-        self.threshold = np.asarray(self.threshold, dtype=float)
-        self.left = np.asarray(self.left, dtype=np.intp)
-        self.right = np.asarray(self.right, dtype=np.intp)
-        self.value = np.asarray(self.value, dtype=float)
-        # categorical routing table: row per categorical node, column per value
-        cat_nodes = [k for k, c in enumerate(self.left_cats) if c is not None]
-        self._cat_values = np.unique(np.concatenate(
-            [self.left_cats[k] for k in cat_nodes] or [np.empty(0)]))
-        self._cat_row = np.full(self.feature.size, -1, dtype=np.intp)
-        self._cat_row[cat_nodes] = np.arange(len(cat_nodes))
-        self._cat_left = np.zeros((len(cat_nodes), self._cat_values.size), dtype=bool)
-        for i, k in enumerate(cat_nodes):
-            self._cat_left[i, np.searchsorted(self._cat_values, self.left_cats[k])] = True
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.intp)
-        live = np.arange(X.shape[0])  # rows not yet at a leaf
-        while live.size:
-            f = self.feature[node[live]]
-            inner = f >= 0
-            live, f = live[inner], f[inner]
-            nd = node[live]
-            xv = X[live, f]
-            go_left = xv <= self.threshold[nd]
-            cat_row = self._cat_row[nd]
-            on = cat_row >= 0
-            if on.any():
-                # a value unseen in training goes right
-                vals, xc = self._cat_values, xv[on]
-                pos = np.minimum(np.searchsorted(vals, xc), vals.size - 1)
-                go_left[on] = (vals[pos] == xc) & self._cat_left[cat_row[on], pos]
-            node[live] = np.where(go_left, self.left[nd], self.right[nd])
-        return self.value[node]
 
     def to_dict(self) -> dict:
         return {"feature": self.feature.tolist(), "threshold": self.threshold.tolist(),
                 "left_cats": self.left_cats, "left": self.left.tolist(),
                 "right": self.right.tolist(), "value": self.value.tolist()}
 
+
+class NodeTable:
+    """Every node of a forest in one set of arrays.
+
+    Tree t holds nodes root[t] .. root[t + 1] - 1 in breadth-first order,
+    its root first; `left` and `right` index the whole table (-1 at a leaf).
+    Categorical splits route through one table over the union of the values
+    they send left: node k sends value cat_values[j] left when
+    cat_left[cat_row[k], j] holds (cat_row is -1 at the other nodes).
+    """
+
+    def __init__(self, root, feature, threshold, left, right, value, left_cats: dict):
+        """`left_cats` maps each categorical split node to the values it
+        sends left."""
+        self.root = np.asarray(root, dtype=np.intp)
+        self.feature = np.asarray(feature, dtype=np.intp)
+        self.threshold = np.asarray(threshold, dtype=float)
+        self.left = np.asarray(left, dtype=np.intp)
+        self.right = np.asarray(right, dtype=np.intp)
+        self.value = np.asarray(value, dtype=float)
+        nodes = sorted(left_cats)
+        self.cat_values = np.unique(np.concatenate(
+            [left_cats[k] for k in nodes] or [np.empty(0)]))
+        self.cat_row = np.full(self.feature.size, -1, dtype=np.intp)
+        self.cat_row[nodes] = np.arange(len(nodes))
+        self.cat_left = np.zeros((len(nodes), self.cat_values.size), dtype=bool)
+        for i, k in enumerate(nodes):
+            self.cat_left[i, np.searchsorted(self.cat_values, left_cats[k])] = True
+        # what the walk reads: per node the feature it tests (0 at a leaf) and
+        # its children, right then left, a leaf being both its own children
+        inner = self.feature >= 0
+        own = np.arange(self.feature.size)
+        self._reads = np.where(inner, self.feature, 0)
+        self._child = np.column_stack([np.where(inner, self.right, own),
+                                       np.where(inner, self.left, own)]).ravel()
+        self._depth = 0  # edges from a root to the deepest leaf
+        level = self.root[:-1]
+        while (level := level[inner[level]]).size:
+            level = np.unique(np.concatenate([self.left[level], self.right[level]]))
+            self._depth += 1
+
     @classmethod
-    def from_dict(cls, d: dict) -> "Tree":
-        return cls(d["feature"], d["threshold"], list(d["left_cats"]),
-                   d["left"], d["right"], d["value"])
+    def from_trees(cls, trees: list) -> "NodeTable":
+        """The table of per-tree node lists laid out as `Tree.to_dict` writes them."""
+        size = [len(t["feature"]) for t in trees]
+        root = np.concatenate(([0], np.cumsum(size)))
+        feature, threshold, left, right, value = (
+            np.concatenate([np.asarray(t[name], dtype=dtype) for t in trees])
+            for name, dtype in (("feature", np.intp), ("threshold", float), ("left", np.intp),
+                                ("right", np.intp), ("value", float)))
+        shift = np.repeat(root[:-1], size)
+        inner = feature >= 0
+        left_cats = {int(a) + k: c for a, t in zip(root, trees)
+                     for k, c in enumerate(t["left_cats"]) if c is not None}
+        return cls(root, feature, threshold, np.where(inner, left + shift, -1),
+                   np.where(inner, right + shift, -1), value, left_cats)
+
+    @property
+    def n_trees(self) -> int:
+        return self.root.size - 1
+
+    def tree(self, t: int) -> Tree:
+        """Tree t with tree-local node indices."""
+        a, b = self.root[t], self.root[t + 1]
+        left_cats = [None] * (b - a)
+        for k in np.flatnonzero(self.cat_row[a:b] >= 0):
+            left_cats[k] = self.cat_values[self.cat_left[self.cat_row[a + k]]].tolist()
+        left, right = (np.where(c >= 0, c - a, -1) for c in (self.left[a:b], self.right[a:b]))
+        return Tree(self.feature[a:b], self.threshold[a:b], left_cats, left, right,
+                    self.value[a:b])
+
+    def leaves(self, X: np.ndarray, tree: np.ndarray, row: np.ndarray) -> np.ndarray:
+        """Value of the leaf that each pair (tree[i], X[row[i]]) reaches. All
+        pairs move down one depth per step, as many steps as the deepest tree
+        is deep; a pair at a leaf stays there."""
+        flat = np.ascontiguousarray(X, dtype=float).ravel()  # X[i, f] is flat[i * p + f]
+        at = row * X.shape[1]
+        node = self.root[tree]
+        for _ in range(self._depth):
+            xv = flat[at + self._reads[node]]
+            go_left = xv <= self.threshold[node]
+            if self.cat_left.shape[0]:  # some node splits on categories
+                cat_row = self.cat_row[node]
+                on = cat_row >= 0
+                # a value unseen in training goes right
+                vals, xc = self.cat_values, xv[on]
+                pos = np.minimum(np.searchsorted(vals, xc), vals.size - 1)
+                go_left[on] = (vals[pos] == xc) & self.cat_left[cat_row[on], pos]
+            node = self._child[2 * node + go_left]
+        return self.value[node]
+
+    def tree_sums(self, X: np.ndarray, use: np.ndarray | None = None) -> np.ndarray:
+        """Per row of X, the sum over trees, in tree order, of the leaf values
+        reached, counting tree t for row i only where use[t, i] holds (every
+        tree by default). Rows go in chunks of at most GROUP_ROWS pairs."""
+        n_trees, n = self.n_trees, X.shape[0]
+        total = np.zeros(n)
+        step = max(1, GROUP_ROWS // n_trees)
+        for lo in range(0, n, step):
+            on = np.ones((n_trees, min(step, n - lo)), dtype=bool) if use is None \
+                else use[:, lo:lo + step]
+            tree, row = np.nonzero(on)
+            leaf = np.zeros(on.shape)
+            leaf[on] = self.leaves(X, tree, lo + row)
+            # a cumulative sum adds tree by tree, as a loop over trees would
+            total[lo:lo + step] += np.cumsum(leaf, axis=0)[-1]
+        return total
 
 
-def _best_splits(levels, cat_idx, ys, value, row, node, use, min_leaf):
+def _best_splits(levels, cat_idx, ys, value, row, node, slots, min_leaf):
     """Best split of every frontier node over the features it may use.
 
     `levels[f]` holds feature f's sorted distinct values and each sample's
     index into them. Slots (bootstrap rows) are given by sample `row`,
-    target `ys` and frontier `node`, sorted by node; `value` is each node's
-    mean target and `use[k, f]` says whether node k may split on feature f.
-    Returns per node the winning feature (-1: no valid split) and numeric
-    threshold (0 unless a numeric feature wins), and per categorical feature
-    the sorted keys node * n_values + code routed left.
+    target `ys` and frontier `node`; `value` is each node's mean target and
+    `slots[f]` lists the slots of the nodes that may split on feature f,
+    ordered by (node, value, slot). Returns per node the winning feature
+    (-1: no valid split) and numeric threshold (0 unless a numeric feature
+    wins), and per categorical feature the sorted keys node * n_values +
+    code routed left.
     """
-    nf, p = use.shape
+    nf = value.size
     best = np.full(nf, -np.inf)
     best_f = np.full(nf, -1, dtype=np.intp)
     thr = np.zeros(nf)
     left_keys = {}
     yc = ys - value[node]  # centred per node, so cumulative sums stay small
-    for f in range(p):
-        sel = use[node, f]
-        if not sel.any():
+    for f, s in enumerate(slots):
+        if s.size == 0:
             continue
-        nd, yv = node[sel], yc[sel]
-        vals, codes = levels[f][0], levels[f][1][row[sel]]
-        key = nd * vals.size + codes
+        nd, yv = node[s], yc[s]
+        vals, codes = levels[f][0], levels[f][1][row[s]]
         if f in cat_idx:
+            key = nd * vals.size + codes
             _, inv, cnt = np.unique(key, return_inverse=True, return_counts=True)
-            group_mean = np.bincount(inv, weights=ys[sel]) / cnt
+            group_mean = np.bincount(inv, weights=ys[s]) / cnt
             # categories ordered by their node mean, ties by category value
             order = np.lexsort((codes, group_mean[inv], nd))
-            xk = codes[order]
+            nd, yv, xk = nd[order], yv[order], codes[order]
             boundary = xk[:-1] != xk[1:]
         else:
-            # same order as a stable lexsort by (node, value)
-            order = np.argsort(key, kind="stable")
-            xk = vals[codes[order]]
+            xk = vals[codes]
             boundary = xk[:-1] < xk[1:]
-        nd, cs = nd[order], np.cumsum(yv[order])
+        cs = np.cumsum(yv)
         # a split after sorted position i sends positions first..i left
         cnt = np.bincount(nd, minlength=nf)
         first = np.cumsum(cnt) - cnt
@@ -181,12 +257,22 @@ def _best_splits(levels, cat_idx, ys, value, row, node, use, min_leaf):
     return best_f, thr, left_keys
 
 
-def _grow_trees(X, y, levels, cat_idx, boots, rngs, mtry, params):
-    """Grow one tree per bootstrap, all frontier nodes of a depth at once."""
+def _radix_argsort(keys, n):
+    """Stable argsort of integer keys in 0..n - 1. On the narrowest unsigned
+    type that holds them, numpy sorts keys of up to 16 bits by radix."""
+    return np.argsort(keys.astype(np.min_scalar_type(n)), kind="stable")
+
+
+def _grow_trees(X, y, levels, cat_idx, boots, rngs, mtry, params, first_tree=0):
+    """Grow one tree per bootstrap, all frontier nodes of a depth at once.
+    Returns each depth's frontier; the trees are numbered from first_tree."""
     n_trees, p = len(boots), X.shape[1]
     row = np.concatenate(boots)
     node = np.repeat(np.arange(n_trees), boots[0].size)  # slots stay sorted by node
     tree_of = np.arange(n_trees)                         # tree of each frontier node
+    # per feature, the slots sorted by value, ties by slot: sorted once, then
+    # each depth drops the slots of finished nodes and renumbers the rest
+    by_value = [_radix_argsort(codes[row], vals.size) for vals, codes in levels]
     frontiers = []
     depth = 0
     while tree_of.size:
@@ -208,21 +294,27 @@ def _grow_trees(X, y, levels, cat_idx, boots, rngs, mtry, params):
             use &= can_split[:, None]
         else:
             use = np.repeat(can_split[:, None], p, axis=1)
+        # a stable sort by node keeps each node's slots in (value, slot) order
+        slots = []
+        for f, s in enumerate(by_value):
+            nd = node[s]
+            on = use[nd, f]
+            slots.append(s[on][_radix_argsort(nd[on], nf)])
         best_f, thr, left_keys = _best_splits(levels, cat_idx, ys, value, row, node,
-                                              use, params.min_leaf)
+                                              slots, params.min_leaf)
         split = best_f >= 0
-        left_cats = [None] * nf
+        left_cats = {}
         for f, keys in left_keys.items():
             vals = levels[f][0]
             for k in np.flatnonzero(best_f == f):
                 lo, hi = np.searchsorted(keys, [k * vals.size, (k + 1) * vals.size])
-                left_cats[k] = vals[keys[lo:hi] - k * vals.size].tolist()
+                left_cats[int(k)] = vals[keys[lo:hi] - k * vals.size].tolist()
         # children of the k-th splitting node are 2k and 2k + 1 of the next frontier
         first_child = np.where(split, 2 * (np.cumsum(split) - 1), -1)
-        frontiers.append((tree_of, best_f, thr, left_cats, value, first_child))
+        frontiers.append((first_tree + tree_of, best_f, thr, left_cats, value, first_child))
 
-        keep = split[node]
-        row, node = row[keep], node[keep]
+        n_slots, kept = node.size, np.flatnonzero(split[node])
+        row, node = row[kept], node[kept]
         f = best_f[node]
         go_left = X[row, f] <= thr[node]
         for g, keys in left_keys.items():
@@ -230,41 +322,43 @@ def _grow_trees(X, y, levels, cat_idx, boots, rngs, mtry, params):
             vals, codes = levels[g]
             go_left[on] = np.isin(node[on] * vals.size + codes[row[on]], keys)
         child = first_child[node] + ~go_left
-        order = np.argsort(child, kind="stable")
+        order = _radix_argsort(child, 2 * nf)
         row, node = row[order], child[order]
+        renumber = np.full(n_slots, -1)
+        renumber[kept[order]] = np.arange(order.size)
+        by_value = [s[s >= 0] for s in (renumber[s] for s in by_value)]
         tree_of = np.repeat(tree_of[split], 2)
         depth += 1
-    return _assemble(frontiers, n_trees)
+    return frontiers
 
 
 def _assemble(frontiers, n_trees):
-    """Per-tree breadth-first node tables from the per-depth frontiers."""
+    """The node table of the trees grown depth by depth in `frontiers`."""
     tree_of, feature, threshold, left_cats, value, first_child = zip(*frontiers)
-    # left child's index into the concatenated frontiers, -1 at a leaf
-    offsets = np.cumsum([t.size for t in tree_of])
+    # left child's index into the concatenated frontiers, -1 at a leaf; a
+    # group's last frontier splits no node, so groups concatenate too
+    size = [t.size for t in tree_of]
+    offsets = np.cumsum(size)
     child = np.concatenate([np.where(fc >= 0, off + fc, -1)
                             for off, fc in zip(offsets, first_child)])
-    tree_of, feature, threshold, value = (np.concatenate(a)
-                                          for a in (tree_of, feature, threshold, value))
-    left_cats = [c for level in left_cats for c in level]
-    order = np.argsort(tree_of, kind="stable")  # per tree, breadth-first
-    size = np.bincount(tree_of, minlength=n_trees)
-    start = np.cumsum(size) - size
-    local = np.empty(order.size, dtype=np.intp)
-    local[order] = np.arange(order.size) - np.repeat(start, size)
-    left = np.where(child >= 0, local[child], -1)
-    right = np.where(child >= 0, local[child + 1], -1)
-    trees = []
-    for t in range(n_trees):
-        ids = order[start[t]:start[t] + size[t]]
-        trees.append(Tree(feature[ids], threshold[ids], [left_cats[i] for i in ids],
-                          left[ids], right[ids], value[ids]))
-    return trees
+    tree_of = np.concatenate(tree_of)
+    order = _radix_argsort(tree_of, n_trees)  # per tree, breadth-first
+    at = np.empty(order.size, dtype=np.intp)    # table index of each frontier node
+    at[order] = np.arange(order.size)
+    child = child[order]
+    root = np.concatenate(([0], np.cumsum(np.bincount(tree_of, minlength=n_trees))))
+    cats = {int(at[off - n + k]): c for off, n, level in zip(offsets, size, left_cats)
+            for k, c in level.items()}
+    feature, threshold, value = (np.concatenate(a)[order] for a in (feature, threshold, value))
+    return NodeTable(root, feature, threshold, np.where(child >= 0, at[child], -1),
+                     np.where(child >= 0, at[child + 1], -1), value, cats)
 
 
 @dataclass
 class Forest:
-    trees: list
+    """A fitted forest. `table` holds every node; `trees` gives each tree
+    with its own node indices, for persistence and inspection."""
+    table: NodeTable
     feature_names: list
     categorical: frozenset
     params: ForestParams
@@ -273,6 +367,10 @@ class Forest:
     y_min: float
     y_max: float
     inbag: np.ndarray | None = None  # (n_trees, n) bool, training-time only
+
+    @property
+    def trees(self) -> list:
+        return [self.table.tree(t) for t in range(self.table.n_trees)]
 
     def _align(self, X, names):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -283,10 +381,7 @@ class Forest:
 
     def predict(self, X: np.ndarray, names=None) -> np.ndarray:
         X = self._align(X, names)
-        acc = np.zeros(X.shape[0])
-        for t in self.trees:
-            acc += t.predict(X)
-        return acc / len(self.trees)
+        return self.table.tree_sums(X) / self.table.n_trees
 
     def predict_design(self, d: DesignMatrix) -> np.ndarray:
         return self.predict(d.X, d.feature_names)
@@ -302,7 +397,7 @@ def fit_random_forest(d: DesignMatrix, params: ForestParams | None = None,
     levels = [np.unique(d.X[:, f], return_inverse=True) for f in range(d.p)]
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     streams = root.spawn(params.n_trees)
-    trees = []
+    frontiers = []
     inbag = np.zeros((params.n_trees, d.n), dtype=bool)
     group = max(1, GROUP_ROWS // d.n)
     for g in range(0, params.n_trees, group):
@@ -310,16 +405,12 @@ def fit_random_forest(d: DesignMatrix, params: ForestParams | None = None,
         boots = [rng.integers(0, d.n, size=d.n) for rng in rngs]
         for t, boot in enumerate(boots, start=g):
             inbag[t, boot] = True
-        trees += _grow_trees(d.X, d.y, levels, cat_idx, boots, rngs, mtry, params)
+        frontiers += _grow_trees(d.X, d.y, levels, cat_idx, boots, rngs, mtry, params, g)
+    table = _assemble(frontiers, params.n_trees)
 
     # out-of-bag error over samples covered by at least one tree
-    oob_sum = np.zeros(d.n)
-    oob_cnt = np.zeros(d.n)
-    for t, tree in enumerate(trees):
-        rows = np.flatnonzero(~inbag[t])
-        if rows.size:
-            oob_sum[rows] += tree.predict(d.X[rows])
-            oob_cnt[rows] += 1
+    oob_sum = table.tree_sums(d.X, ~inbag)
+    oob_cnt = np.sum(~inbag, axis=0)
     covered = oob_cnt > 0
     if covered.any():
         oob_pred = oob_sum[covered] / oob_cnt[covered]
@@ -327,7 +418,7 @@ def fit_random_forest(d: DesignMatrix, params: ForestParams | None = None,
     else:
         oob_error = float("nan")
     seed_tag = int(seed) if isinstance(seed, (int, np.integer)) else None
-    return Forest(trees, list(d.feature_names), frozenset(d.categorical), params,
+    return Forest(table, list(d.feature_names), frozenset(d.categorical), params,
                   seed_tag, oob_error, float(d.y.min()), float(d.y.max()), inbag)
 
 
@@ -345,7 +436,9 @@ def rf_importance(d: DesignMatrix, params: ForestParams | None = None,
 
     Per tree: relative OOB MSE increase after permuting one feature's
     out-of-bag values, averaged over trees and scaled to percent. A feature
-    the forest never splits on scores exactly 0.
+    the forest never splits on scores exactly 0. Trees are walked in groups
+    of at most GROUP_ROWS (tree, row) pairs, each tree's out-of-bag rows once
+    as they are and once per permuted feature.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -353,26 +446,30 @@ def rf_importance(d: DesignMatrix, params: ForestParams | None = None,
     var_floor = 1e-12 * max(float(np.var(d.y)), 1.0)
     streams = np.random.SeedSequence(seed).spawn(repetitions)
     per_rep = np.zeros((repetitions, d.p))
+    group = max(1, GROUP_ROWS // ((d.p + 1) * d.n))
     for r, ss in enumerate(streams):
         forest_ss, perm_ss = ss.spawn(2)
         forest = fit_random_forest(d, params, seed=forest_ss)
         rng = np.random.default_rng(perm_ss)
-        increases = np.zeros((len(forest.trees), d.p))
-        used = np.zeros(len(forest.trees), dtype=bool)
-        for t, tree in enumerate(forest.trees):
-            rows = np.flatnonzero(~forest.inbag[t])
-            if rows.size < 2:
-                continue
-            used[t] = True
-            Xo = d.X[rows]
-            base = float(np.mean((d.y[rows] - tree.predict(Xo)) ** 2))
-            denom = max(base, var_floor)
-            for j in range(d.p):
-                perm = rng.permutation(rows.size)
-                Xp = Xo.copy()
-                Xp[:, j] = Xo[perm, j]
-                mse = float(np.mean((d.y[rows] - tree.predict(Xp)) ** 2))
-                increases[t, j] = (mse - base) / denom
-        per_rep[r] = 100.0 * increases[used].mean(axis=0)
+        oob = [np.flatnonzero(~b) for b in forest.inbag]
+        used = [t for t, rows in enumerate(oob) if rows.size >= 2]
+        increases = np.zeros((len(used), d.p))
+        for g in range(0, len(used), group):
+            trees = used[g:g + group]
+            blocks = []
+            for t in trees:
+                # permutations are drawn tree by tree, feature by feature
+                Xo = d.X[oob[t]]
+                Xp = np.repeat(Xo[None], d.p + 1, axis=0)
+                for j in range(d.p):
+                    Xp[j + 1, :, j] = Xo[rng.permutation(oob[t].size), j]
+                blocks.append(Xp.reshape(-1, d.p))
+            sizes = [b.shape[0] for b in blocks]
+            leaf = forest.table.leaves(np.concatenate(blocks), np.repeat(trees, sizes),
+                                       np.arange(sum(sizes)))
+            for i, (t, pred) in enumerate(zip(trees, np.split(leaf, np.cumsum(sizes)[:-1]))):
+                mse = np.mean((d.y[oob[t]] - pred.reshape(d.p + 1, -1)) ** 2, axis=1)
+                increases[g + i] = (mse[1:] - mse[0]) / max(mse[0], var_floor)
+        per_rep[r] = 100.0 * increases.mean(axis=0)
     return ImportanceResult(list(d.feature_names), per_rep.mean(axis=0),
                             per_rep.std(axis=0), per_rep)

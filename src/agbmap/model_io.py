@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .errors import ConfigError
-from .forest import Forest, ForestParams, Tree
+from .forest import Forest, ForestParams, NodeTable
 from .linear import LinearModel, OneHotEncoder
 from .readers import check_fields, check_keys, read_json
 
@@ -69,11 +69,11 @@ _TREE_KEYS = {"feature": ((list,), (int,)), "threshold": ((list,), _NUM),
               "right": ((list,), (int,)), "value": ((list,), _NUM)}
 
 
-def _tree(doc: dict, n_features: int, path, key: str) -> Tree:
-    """The tree doc describes, once it holds every tree key, its node lists
-    have one length >= 1, and each inner node splits on one of n_features
-    features and has both children after it and inside the tree; a
-    ConfigError names the key otherwise."""
+def _tree(doc: dict, n_features: int, path, key: str) -> dict:
+    """The tree doc, once it holds every tree key, its node lists have one
+    length >= 1, and each inner node splits on one of n_features features
+    and has both children after it and inside the tree; a ConfigError names
+    the key otherwise."""
     check_keys(doc, _TREE_KEYS, path, key + ".")
     n = len(doc["feature"])
     if n == 0:
@@ -92,7 +92,7 @@ def _tree(doc: dict, n_features: int, path, key: str) -> Tree:
             if feature >= 0 and not k < child < n:
                 raise ConfigError(f"{path}: key '{key}.{name}[{k}]' must be "
                                   f"in {k + 1}..{n - 1}, got {child}")
-    return Tree.from_dict(doc)
+    return doc
 
 
 def load_model(path):
@@ -121,7 +121,7 @@ def load_model(path):
             raise ConfigError(f"{path}: key 'trees' must be a non-empty list, got []")
         n_features = len(doc["feature_names"])
         trees = [_tree(t, n_features, path, f"trees[{i}]") for i, t in enumerate(doc["trees"])]
-        return Forest(trees, list(doc["feature_names"]),
+        return Forest(NodeTable.from_trees(trees), list(doc["feature_names"]),
                       frozenset(doc["categorical"]), ForestParams(**params), doc["seed"],
                       doc["oob_error"], doc["y_min"], doc["y_max"], inbag=None)
     raise ConfigError(f"{path}: key 'kind' must be 'linear' or 'forest', got {kind!r}")

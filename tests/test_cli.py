@@ -366,6 +366,7 @@ def test_bad_csv_row_exits_1_naming_path_and_line(tmp_path, capsys, command, tex
     ("calibrate", "metrics.csv", "lon", "inf", 3),
     ("calibrate", "metrics.csv", "h50", "inf", 3),
     ("validate", "plots.csv", "lat", "nan", 3),
+    ("validate", "trees.csv", "dbh_cm", "nan", 3),
     ("variogram", "samples.csv", "x", "nan", 3),
     ("variogram", "samples.csv", "value", "nan", 3),
     ("metrics", "waveforms.ndjson", "lon", float("nan"), 2),
@@ -379,6 +380,8 @@ def test_non_finite_number_exits_1_naming_path_and_line(tmp_path, capsys, comman
         "metrics.csv": [{"id": f"f{i}", "lon": 100.0 + 200 * i, "lat": 100.0,
                          **{c: 1.0 for c in METRIC_COLUMNS}} for i in range(2)],
         "samples.csv": [{"x": 10.0 * i, "y": 0.0, "value": 1.0} for i in range(2)],
+        "trees.csv": [{"plot_id": f"p{i}", "wsg": 0.6, "dbh_cm": 30.0, "height_m": 20.0}
+                      for i in range(2)],
         "waveforms.ndjson": [{"id": f"w{i}", "lon": 10.0, "lat": 10.0, "bin_top_elev": 9.0,
                               "bin_size": 0.15, "intensities": [1.0] * 20} for i in range(2)],
     }
@@ -395,7 +398,8 @@ def test_non_finite_number_exits_1_naming_path_and_line(tmp_path, capsys, comman
     path = {name: str(tmp_path / name) for name in tables}
     argv = {"calibrate": ["--metrics", path["metrics.csv"], "--plots", path["plots.csv"],
                           "--out-model", str(tmp_path / "m.json")],
-            "validate": ["--map", str(tmp_path / "g.asc"), "--plots", path["plots.csv"]],
+            "validate": ["--map", str(tmp_path / "g.asc"), "--plots", path["plots.csv"],
+                         "--trees", path["trees.csv"]],
             "variogram": ["--samples", path["samples.csv"]],
             "metrics": ["--in", path["waveforms.ndjson"], "--dem", str(tmp_path / "g.asc"),
                         "--out", str(tmp_path / "o.csv")]}[command]

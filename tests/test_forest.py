@@ -4,8 +4,9 @@ import re
 import numpy as np
 import pytest
 
+from agbmap import forest as forest_module
 from agbmap.errors import ConfigError, EmptyDesign
-from agbmap.forest import Forest, ForestParams, fit_random_forest, rf_importance
+from agbmap.forest import GROUP_ROWS, Forest, ForestParams, fit_random_forest, rf_importance
 from agbmap.linear import DesignMatrix
 from agbmap.model_io import load_model, save_model
 
@@ -171,6 +172,167 @@ def _bootstrap(n, seed, tree=0, n_trees=1):
     return np.random.default_rng(ss).integers(0, n, size=n)
 
 
+def oracle_tree_predict(tree, X):
+    """Leaf values of one tree for the rows of X: the per-tree depth loop,
+    with its own categorical routing table, that prediction used before the
+    forest kept one node table."""
+    cat_nodes = [k for k, c in enumerate(tree.left_cats) if c is not None]
+    cat_values = np.unique(np.concatenate([tree.left_cats[k] for k in cat_nodes]
+                                          or [np.empty(0)]))
+    cat_row = np.full(tree.feature.size, -1, dtype=np.intp)
+    cat_row[cat_nodes] = np.arange(len(cat_nodes))
+    cat_left = np.zeros((len(cat_nodes), cat_values.size), dtype=bool)
+    for i, k in enumerate(cat_nodes):
+        cat_left[i, np.searchsorted(cat_values, tree.left_cats[k])] = True
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    live = np.arange(X.shape[0])  # rows not yet at a leaf
+    while live.size:
+        f = tree.feature[node[live]]
+        inner = f >= 0
+        live, f = live[inner], f[inner]
+        nd = node[live]
+        xv = X[live, f]
+        go_left = xv <= tree.threshold[nd]
+        on = cat_row[nd] >= 0
+        if on.any():
+            # a value unseen in training goes right
+            xc = xv[on]
+            pos = np.minimum(np.searchsorted(cat_values, xc), cat_values.size - 1)
+            go_left[on] = (cat_values[pos] == xc) & cat_left[cat_row[nd][on], pos]
+        node[live] = np.where(go_left, tree.left[nd], tree.right[nd])
+    return tree.value[node]
+
+
+def oracle_predict(forest, X):
+    """Forest prediction as a sum over trees, one tree at a time."""
+    acc = np.zeros(X.shape[0])
+    for tree in forest.trees:
+        acc += oracle_tree_predict(tree, X)
+    return acc / len(forest.trees)
+
+
+def oracle_oob_error(forest, d):
+    """Out-of-bag MSE with one per-tree walk per tree."""
+    oob_sum = np.zeros(d.n)
+    oob_cnt = np.zeros(d.n)
+    for t, tree in enumerate(forest.trees):
+        rows = np.flatnonzero(~forest.inbag[t])
+        if rows.size:
+            oob_sum[rows] += oracle_tree_predict(tree, d.X[rows])
+            oob_cnt[rows] += 1
+    covered = oob_cnt > 0
+    return float(np.mean((d.y[covered] - oob_sum[covered] / oob_cnt[covered]) ** 2))
+
+
+def oracle_importance(d, params, repetitions, seed):
+    """rf_importance's per-repetition %IncMSE, one tree and one permuted
+    feature at a time."""
+    var_floor = 1e-12 * max(float(np.var(d.y)), 1.0)
+    per_rep = np.zeros((repetitions, d.p))
+    for r, ss in enumerate(np.random.SeedSequence(seed).spawn(repetitions)):
+        forest_ss, perm_ss = ss.spawn(2)
+        forest = fit_random_forest(d, params, seed=forest_ss)
+        rng = np.random.default_rng(perm_ss)
+        increases = np.zeros((len(forest.trees), d.p))
+        used = np.zeros(len(forest.trees), dtype=bool)
+        for t, tree in enumerate(forest.trees):
+            rows = np.flatnonzero(~forest.inbag[t])
+            if rows.size < 2:
+                continue
+            used[t] = True
+            Xo = d.X[rows]
+            base = float(np.mean((d.y[rows] - oracle_tree_predict(tree, Xo)) ** 2))
+            denom = max(base, var_floor)
+            for j in range(d.p):
+                perm = rng.permutation(rows.size)
+                Xp = Xo.copy()
+                Xp[:, j] = Xo[perm, j]
+                mse = float(np.mean((d.y[rows] - oracle_tree_predict(tree, Xp)) ** 2))
+                increases[t, j] = (mse - base) / denom
+        per_rep[r] = 100.0 * increases[used].mean(axis=0)
+    return per_rep
+
+
+def _categorical_design(n, seed):
+    """A numeric column with heavy ties, a categorical column with rare
+    categories (so bootstraps see different subsets of them) and a
+    continuous column."""
+    rng = np.random.default_rng(seed)
+    cats = rng.choice(8, size=n, p=[0.3, 0.25, 0.2, 0.15, 0.05, 0.03, 0.01, 0.01]).astype(float)
+    X = np.column_stack([rng.integers(0, 5, n), cats, rng.normal(0, 1, n)]).astype(float)
+    y = 2 * X[:, 0] + np.where(np.isin(cats, [1.0, 4.0, 6.0]), 6.0, 0.0) \
+        + X[:, 2] + rng.normal(0, 0.5, n)
+    return dm(X, y, categorical=["x1"])
+
+
+def test_forest_walk_matches_per_tree_oracle():
+    d = _categorical_design(300, 20)
+    f = fit_random_forest(d, ForestParams(n_trees=40, min_leaf=2), seed=21)
+    assert any(lc is not None for t in f.trees for lc in t.left_cats)
+    rng = np.random.default_rng(22)
+    # category 9 never occurs in training; rows x trees span two chunks
+    Xq = np.column_stack([rng.integers(-1, 7, 1000), rng.integers(0, 10, 1000),
+                          rng.normal(0, 2, 1000)]).astype(float)
+    assert GROUP_ROWS < 40 * Xq.shape[0] < 2 * GROUP_ROWS
+    assert np.array_equal(f.predict(Xq), oracle_predict(f, Xq))
+    assert f.oob_error == oracle_oob_error(f, d)
+
+
+@pytest.mark.parametrize("group_rows", [GROUP_ROWS, 1000])
+def test_importance_matches_per_tree_oracle(monkeypatch, group_rows):
+    # 1000 pairs walk one tree's out-of-bag rows and their permutations at a time
+    monkeypatch.setattr(forest_module, "GROUP_ROWS", group_rows)
+    d = _categorical_design(120, 23)
+    params = ForestParams(n_trees=15, min_leaf=3)
+    imp = rf_importance(d, params, repetitions=3, seed=24)
+    assert np.array_equal(imp.per_repetition, oracle_importance(d, params, 3, 24))
+
+
+def test_presorted_order_equals_composite_key_order(monkeypatch):
+    """At every depth of every tree group, each feature's slots come in the
+    order of a stable argsort of node * n_values + code: equal values keep
+    slot order, so the cumulative sums add in the same order."""
+    d = _categorical_design(300, 25)
+    levels = [np.unique(d.X[:, f], return_inverse=True) for f in range(d.p)]
+    calls = []
+
+    def checked(levels_, cat_idx, ys, value, row, node, slots, min_leaf):
+        for f, s in enumerate(slots):
+            vals, codes = levels[f]
+            sel = np.isin(node, node[s])  # every slot of the nodes that may use f
+            key = node[sel] * vals.size + codes[row[sel]]
+            assert np.array_equal(s, np.flatnonzero(sel)[np.argsort(key, kind="stable")])
+        calls.append(value.size)
+        return best_splits(levels_, cat_idx, ys, value, row, node, slots, min_leaf)
+
+    def grow(*args):
+        groups.append(len(calls))
+        return grow_trees(*args)
+
+    best_splits, grow_trees, groups = forest_module._best_splits, forest_module._grow_trees, []
+    monkeypatch.setattr(forest_module, "_best_splits", checked)
+    monkeypatch.setattr(forest_module, "_grow_trees", grow)
+    monkeypatch.setattr(forest_module, "GROUP_ROWS", 2000)  # 6 trees of 300 rows a group
+    fit_random_forest(d, ForestParams(n_trees=15, min_leaf=2), seed=26)
+    assert [calls[i] for i in groups] == [6, 6, 3]  # each group's roots
+    assert len(calls) > 3 * 5  # every group grows more than five levels
+
+
+def test_forest_with_per_tree_category_subsets_round_trips(tmp_path):
+    d = _categorical_design(200, 27)
+    f = fit_random_forest(d, ForestParams(n_trees=20, min_leaf=2), seed=28)
+    routed = [lc for t in f.trees for lc in t.left_cats if lc is not None]
+    assert all(lc == sorted(set(lc)) for lc in routed)
+    seen = {frozenset(v for lc in t.left_cats if lc is not None for v in lc) for t in f.trees}
+    assert len(seen) > 1  # trees route different category subsets
+    p1, p2 = tmp_path / "f1.json", tmp_path / "f2.json"
+    save_model(f, p1)
+    loaded = load_model(p1)
+    assert np.array_equal(loaded.predict(d.X), f.predict(d.X))
+    save_model(loaded, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
 def _leaf_of(tree, x):
     """Naive walk of one row from the root to its leaf."""
     k = 0
@@ -228,9 +390,17 @@ def test_depth_loop_predict_matches_per_row_walk():
     # fresh rows, including a category never seen in training
     Xq = np.column_stack([rng.normal(0, 1.5, 80), rng.integers(0, 7, 80).astype(float),
                           rng.uniform(-0.2, 1.2, 80)])
-    for tree in f.trees:
-        naive = [tree.value[_leaf_of(tree, x)] for x in Xq]
-        assert np.array_equal(tree.predict(Xq), naive)
+    n_trees, n = len(f.trees), Xq.shape[0]
+    tree_ids, rows = np.repeat(np.arange(n_trees), n), np.tile(np.arange(n), n_trees)
+    naive = [t.value[_leaf_of(t, x)] for t in f.trees for x in Xq]
+    assert np.array_equal(f.table.leaves(Xq, tree_ids, rows), naive)
+    # the forest walk and the per-tree walk it replaced reach the same leaves
+    assert np.array_equal(f.table.leaves(Xq, tree_ids, rows),
+                          np.concatenate([oracle_tree_predict(t, Xq) for t in f.trees]))
+    total = np.zeros(n)
+    for t in f.trees:
+        total += [t.value[_leaf_of(t, x)] for x in Xq]
+    assert np.array_equal(f.predict(Xq), total / n_trees)
 
 
 @pytest.mark.parametrize("max_depth", [None, 4])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agbmap.errors import ConfigError
-from agbmap.forest import Forest, ForestParams, Tree
+from agbmap.forest import Forest, ForestParams, NodeTable
 from agbmap.model_io import load_model, save_model
 from agbmap.pipeline import RunConfig
 from agbmap.synth import scene_config
@@ -39,10 +39,11 @@ def intact(tmp_path_factory):
     """Name -> (bytes of the valid document, a directory for corrupt copies)."""
     out = tmp_path_factory.mktemp("readers")
     # small hand-made trees, so that most bytes are node indices and features
-    trees = [Tree([0, 1, -1, -1, -1], [0.5, -0.5, 0, 0, 0], [None] * 5, [1, 3, -1, -1, -1],
-                  [2, 4, -1, -1, -1], [2, 1, 3, 0, 2]) for _ in range(3)]
-    save_model(Forest(trees, ["x0", "x1"], frozenset(), ForestParams(n_trees=3), 4, 1.0, 0, 3),
-               out / "forest.json")
+    tree = {"feature": [0, 1, -1, -1, -1], "threshold": [0.5, -0.5, 0, 0, 0],
+            "left_cats": [None] * 5, "left": [1, 3, -1, -1, -1], "right": [2, 4, -1, -1, -1],
+            "value": [2, 1, 3, 0, 2]}
+    save_model(Forest(NodeTable.from_trees([tree] * 3), ["x0", "x1"], frozenset(),
+                      ForestParams(n_trees=3), 4, 1.0, 0, 3), out / "forest.json")
     (out / "run config.json").write_text(json.dumps(RUN_CONFIG, indent=1))
     (out / "scene overrides.json").write_text(json.dumps(SCENE))
     docs = {}
