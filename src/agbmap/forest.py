@@ -79,57 +79,60 @@ class NodeTable:
     """Every node of a forest in one set of arrays.
 
     Tree t holds nodes root[t] .. root[t + 1] - 1 in breadth-first order,
-    its root first; `left` and `right` index the whole table (-1 at a leaf).
-    Categorical splits route through one table over the union of the values
-    they send left: node k sends value cat_values[j] left when
-    cat_left[cat_row[k], j] holds (cat_row is -1 at the other nodes).
+    its root first. child[k, 1] is node k's left child and child[k, 0] its
+    right one, as indices into the whole table, so that a row goes on to
+    child[k, go_left]; a leaf is both its own children. Categorical splits
+    route through one table over the union of the values they send left:
+    node k sends value cat_values[j] left when cat_left[cat_row[k], j]
+    holds (cat_row is -1 at the other nodes).
     """
 
-    def __init__(self, root, feature, threshold, left, right, value, left_cats: dict):
+    def __init__(self, root, feature, threshold, child, value, left_cats: dict):
         """`left_cats` maps each categorical split node to the values it
         sends left."""
-        self.root = np.asarray(root, dtype=np.intp)
-        self.feature = np.asarray(feature, dtype=np.intp)
-        self.threshold = np.asarray(threshold, dtype=float)
-        self.left = np.asarray(left, dtype=np.intp)
-        self.right = np.asarray(right, dtype=np.intp)
-        self.value = np.asarray(value, dtype=float)
+        self.root, self.feature, self.threshold = root, feature, threshold
+        self.child, self.value = child, value
         nodes = sorted(left_cats)
         self.cat_values = np.unique(np.concatenate(
             [left_cats[k] for k in nodes] or [np.empty(0)]))
-        self.cat_row = np.full(self.feature.size, -1, dtype=np.intp)
+        self.cat_row = np.full(feature.size, -1, dtype=np.intp)
         self.cat_row[nodes] = np.arange(len(nodes))
         self.cat_left = np.zeros((len(nodes), self.cat_values.size), dtype=bool)
         for i, k in enumerate(nodes):
             self.cat_left[i, np.searchsorted(self.cat_values, left_cats[k])] = True
-        # what the walk reads: per node the feature it tests (0 at a leaf) and
-        # its children, right then left, a leaf being both its own children
-        inner = self.feature >= 0
-        own = np.arange(self.feature.size)
-        self._reads = np.where(inner, self.feature, 0)
-        self._child = np.column_stack([np.where(inner, self.right, own),
-                                       np.where(inner, self.left, own)]).ravel()
+        self._reads = np.maximum(feature, 0)  # the feature a node tests, 0 at a leaf
         self._depth = 0  # edges from a root to the deepest leaf
-        level = self.root[:-1]
-        while (level := level[inner[level]]).size:
-            level = np.unique(np.concatenate([self.left[level], self.right[level]]))
+        level = root[:-1]
+        while (level := level[feature[level] >= 0]).size:
+            level = np.unique(child[level])
             self._depth += 1
+
+    @classmethod
+    def concat(cls, blocks) -> "NodeTable":
+        """The table of blocks of whole trees laid end to end. A block is
+        (node count per tree, feature, threshold, child, value, left_cats),
+        with child entries and left_cats keys indexing the block's nodes."""
+        sizes, feature, threshold, child, value, cats = zip(*blocks)
+        start = np.cumsum([0] + [f.size for f in feature])  # first node of each block
+        return cls(np.concatenate(([0], np.cumsum(np.concatenate(sizes)))),
+                   np.concatenate(feature), np.concatenate(threshold),
+                   np.concatenate([c + s for c, s in zip(child, start)]),
+                   np.concatenate(value),
+                   {int(s) + k: v for s, c in zip(start, cats) for k, v in c.items()})
 
     @classmethod
     def from_trees(cls, trees: list) -> "NodeTable":
         """The table of per-tree node lists laid out as `Tree.to_dict` writes them."""
-        size = [len(t["feature"]) for t in trees]
-        root = np.concatenate(([0], np.cumsum(size)))
-        feature, threshold, left, right, value = (
-            np.concatenate([np.asarray(t[name], dtype=dtype) for t in trees])
-            for name, dtype in (("feature", np.intp), ("threshold", float), ("left", np.intp),
-                                ("right", np.intp), ("value", float)))
-        shift = np.repeat(root[:-1], size)
-        inner = feature >= 0
-        left_cats = {int(a) + k: c for a, t in zip(root, trees)
-                     for k, c in enumerate(t["left_cats"]) if c is not None}
-        return cls(root, feature, threshold, np.where(inner, left + shift, -1),
-                   np.where(inner, right + shift, -1), value, left_cats)
+        blocks = []
+        for t in trees:
+            feature = np.asarray(t["feature"], dtype=np.intp)
+            inner, own = feature >= 0, np.arange(feature.size)
+            child = np.column_stack([np.where(inner, np.asarray(t[side], dtype=np.intp), own)
+                                     for side in ("right", "left")])
+            blocks.append(([feature.size], feature, np.asarray(t["threshold"], dtype=float),
+                           child, np.asarray(t["value"], dtype=float),
+                           {k: c for k, c in enumerate(t["left_cats"]) if c is not None}))
+        return cls.concat(blocks)
 
     @property
     def n_trees(self) -> int:
@@ -141,7 +144,8 @@ class NodeTable:
         left_cats = [None] * (b - a)
         for k in np.flatnonzero(self.cat_row[a:b] >= 0):
             left_cats[k] = self.cat_values[self.cat_left[self.cat_row[a + k]]].tolist()
-        left, right = (np.where(c >= 0, c - a, -1) for c in (self.left[a:b], self.right[a:b]))
+        inner = self.feature[a:b] >= 0
+        right, left = (np.where(inner, c - a, -1) for c in self.child[a:b].T)
         return Tree(self.feature[a:b], self.threshold[a:b], left_cats, left, right,
                     self.value[a:b])
 
@@ -151,6 +155,7 @@ class NodeTable:
         is deep; a pair at a leaf stays there."""
         flat = np.ascontiguousarray(X, dtype=float).ravel()  # X[i, f] is flat[i * p + f]
         at = row * X.shape[1]
+        child = self.child.ravel()  # node k's children at 2k (right) and 2k + 1 (left)
         node = self.root[tree]
         for _ in range(self._depth):
             xv = flat[at + self._reads[node]]
@@ -162,7 +167,7 @@ class NodeTable:
                 vals, xc = self.cat_values, xv[on]
                 pos = np.minimum(np.searchsorted(vals, xc), vals.size - 1)
                 go_left[on] = (vals[pos] == xc) & self.cat_left[cat_row[on], pos]
-            node = self._child[2 * node + go_left]
+            node = child[2 * node + go_left]
         return self.value[node]
 
     def tree_sums(self, X: np.ndarray, use: np.ndarray | None = None) -> np.ndarray:
@@ -263,9 +268,9 @@ def _radix_argsort(keys, n):
     return np.argsort(keys.astype(np.min_scalar_type(n)), kind="stable")
 
 
-def _grow_trees(X, y, levels, cat_idx, boots, rngs, mtry, params, first_tree=0):
+def _grow_trees(X, y, levels, cat_idx, boots, rngs, mtry, params):
     """Grow one tree per bootstrap, all frontier nodes of a depth at once.
-    Returns each depth's frontier; the trees are numbered from first_tree."""
+    Returns the trees as one block of nodes (see NodeTable.concat)."""
     n_trees, p = len(boots), X.shape[1]
     row = np.concatenate(boots)
     node = np.repeat(np.arange(n_trees), boots[0].size)  # slots stay sorted by node
@@ -311,7 +316,7 @@ def _grow_trees(X, y, levels, cat_idx, boots, rngs, mtry, params, first_tree=0):
                 left_cats[int(k)] = vals[keys[lo:hi] - k * vals.size].tolist()
         # children of the k-th splitting node are 2k and 2k + 1 of the next frontier
         first_child = np.where(split, 2 * (np.cumsum(split) - 1), -1)
-        frontiers.append((first_tree + tree_of, best_f, thr, left_cats, value, first_child))
+        frontiers.append((tree_of, best_f, thr, left_cats, value, first_child))
 
         n_slots, kept = node.size, np.flatnonzero(split[node])
         row, node = row[kept], node[kept]
@@ -329,29 +334,28 @@ def _grow_trees(X, y, levels, cat_idx, boots, rngs, mtry, params, first_tree=0):
         by_value = [s[s >= 0] for s in (renumber[s] for s in by_value)]
         tree_of = np.repeat(tree_of[split], 2)
         depth += 1
-    return frontiers
+    return _assemble(frontiers, n_trees)
 
 
 def _assemble(frontiers, n_trees):
-    """The node table of the trees grown depth by depth in `frontiers`."""
+    """The block of the trees grown depth by depth in `frontiers`."""
     tree_of, feature, threshold, left_cats, value, first_child = zip(*frontiers)
-    # left child's index into the concatenated frontiers, -1 at a leaf; a
-    # group's last frontier splits no node, so groups concatenate too
+    # left child's index into the concatenated frontiers, -1 at a leaf
     size = [t.size for t in tree_of]
     offsets = np.cumsum(size)
     child = np.concatenate([np.where(fc >= 0, off + fc, -1)
                             for off, fc in zip(offsets, first_child)])
     tree_of = np.concatenate(tree_of)
     order = _radix_argsort(tree_of, n_trees)  # per tree, breadth-first
-    at = np.empty(order.size, dtype=np.intp)    # table index of each frontier node
+    at = np.empty(order.size, dtype=np.intp)  # block index of each frontier node
     at[order] = np.arange(order.size)
     child = child[order]
-    root = np.concatenate(([0], np.cumsum(np.bincount(tree_of, minlength=n_trees))))
+    inner, own = child >= 0, np.arange(order.size)
+    child = np.column_stack([np.where(inner, at[child + 1], own), np.where(inner, at[child], own)])
     cats = {int(at[off - n + k]): c for off, n, level in zip(offsets, size, left_cats)
             for k, c in level.items()}
     feature, threshold, value = (np.concatenate(a)[order] for a in (feature, threshold, value))
-    return NodeTable(root, feature, threshold, np.where(child >= 0, at[child], -1),
-                     np.where(child >= 0, at[child + 1], -1), value, cats)
+    return np.bincount(tree_of, minlength=n_trees), feature, threshold, child, value, cats
 
 
 @dataclass
@@ -397,7 +401,7 @@ def fit_random_forest(d: DesignMatrix, params: ForestParams | None = None,
     levels = [np.unique(d.X[:, f], return_inverse=True) for f in range(d.p)]
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     streams = root.spawn(params.n_trees)
-    frontiers = []
+    blocks = []
     inbag = np.zeros((params.n_trees, d.n), dtype=bool)
     group = max(1, GROUP_ROWS // d.n)
     for g in range(0, params.n_trees, group):
@@ -405,8 +409,9 @@ def fit_random_forest(d: DesignMatrix, params: ForestParams | None = None,
         boots = [rng.integers(0, d.n, size=d.n) for rng in rngs]
         for t, boot in enumerate(boots, start=g):
             inbag[t, boot] = True
-        frontiers += _grow_trees(d.X, d.y, levels, cat_idx, boots, rngs, mtry, params, g)
-    table = _assemble(frontiers, params.n_trees)
+        blocks.append(_grow_trees(d.X, d.y, levels, cat_idx, boots, rngs, mtry, params))
+    table = NodeTable.concat(blocks)
+    del blocks  # the table holds their nodes; free them before the out-of-bag walk
 
     # out-of-bag error over samples covered by at least one tree
     oob_sum = table.tree_sums(d.X, ~inbag)
