@@ -350,6 +350,7 @@ def _assemble(frontiers, n_trees):
     at = np.empty(order.size, dtype=np.intp)  # block index of each frontier node
     at[order] = np.arange(order.size)
     child = child[order]
+    # each node's (right, left) children as block indices, a leaf its own
     inner, own = child >= 0, np.arange(order.size)
     child = np.column_stack([np.where(inner, at[child + 1], own), np.where(inner, at[child], own)])
     cats = {int(at[off - n + k]): c for off, n, level in zip(offsets, size, left_cats)
@@ -396,6 +397,8 @@ def fit_random_forest(d: DesignMatrix, params: ForestParams | None = None,
     if d.n == 0 or d.p == 0:
         raise EmptyDesign("design matrix has no rows or no features")
     params = params or ForestParams()
+    if params.n_trees < 1:
+        raise ValueError("n_trees must be >= 1")
     mtry = params.resolve_mtry(d.p)
     cat_idx = frozenset(d.feature_names.index(f) for f in d.categorical)
     levels = [np.unique(d.X[:, f], return_inverse=True) for f in range(d.p)]

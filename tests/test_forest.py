@@ -71,6 +71,8 @@ def test_deterministic_given_seed():
 def test_empty_design_rejected():
     with pytest.raises(EmptyDesign):
         fit_random_forest(DesignMatrix([], np.empty((0, 0)), np.empty(0)), PARAMS)
+    with pytest.raises(ValueError, match="n_trees must be >= 1"):
+        fit_random_forest(dm(np.arange(10.0)[:, None], np.arange(10.0)), ForestParams(n_trees=0))
 
 
 def test_categorical_subset_splits():
