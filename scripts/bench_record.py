@@ -9,7 +9,8 @@ the end-to-end ones. It refuses to run when the two
 `bench/` directories differ, since the comparison then measures different
 harnesses. The record holds every result line, each side's median and
 quartiles per metric, the number of pairs the change won per metric, the
-seed, and the machine (nproc and the Python, numpy and scipy versions).
+seed, and the machine (nproc, the Python and numpy versions, and the
+scipy version read from its installed metadata, or null).
 
     python3 scripts/bench_record.py --parent ../parent --change . \\
         --slug batched_decomposition --workload desk-map --pairs 10 --traced-pairs 3
@@ -17,6 +18,7 @@ seed, and the machine (nproc and the Python, numpy and scipy versions).
 
 import argparse
 import hashlib
+import importlib.metadata
 import json
 import os
 import platform
@@ -25,7 +27,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 SKIP_DIRS = {"out", "__pycache__"}  # run outputs and bytecode, not the harness
 
@@ -125,8 +126,9 @@ def main() -> int:
         "workloads": args.workload,
         "commits": {side: commit_of(root) for side, root in roots.items()},
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": np.__version__, "scipy": scipy.__version__,
-                    "platform": platform.platform()},
+                    "numpy": np.__version__, "platform": platform.platform(),
+                    "scipy": next((d.version for d in
+                                   importlib.metadata.distributions(name="scipy")), None)},
         "runs": [],
     }
     for pair in range(args.pairs):

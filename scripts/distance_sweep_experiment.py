@@ -11,9 +11,9 @@ the table shows the pair count rising while the CV r2 falls off.
 import argparse
 import sys
 
-from agbmap.pipeline import METRIC_FEATURES, calibration_sweep
+from agbmap.pipeline import calibration_sweep
 from agbmap.synth import generate_scene, small_config
-from agbmap.waveform import process_waveforms
+from agbmap.waveform import footprint_table, process_waveforms
 
 
 def main():
@@ -29,11 +29,8 @@ def main():
                        trend_coefficients=(15.0, -10.0, 8.0))
     scene = generate_scene(cfg)
     west = [w for w in scene.footprints if w.lon < cfg.extent / 2]
-    results = process_waveforms(west, scene.dem, max_components=3)
-    footprints = [(fr.record.id, fr.record.lon, fr.record.lat,
-                   {f: getattr(fr.metrics, f) for f in METRIC_FEATURES})
-                  for fr in results if fr.result.kept]
-    print(f"{len(footprints)} footprints with metrics (west half only)")
+    footprints = footprint_table(process_waveforms(west, scene.dem, max_components=3))
+    print(f"{len(footprints.xy)} footprints with metrics (west half only)")
     rows = calibration_sweep(scene.plots, footprints, args.distances, kfold=5,
                              seed=args.seed)
     print(f"{'max_dist':>9} {'n_pairs':>8} {'r2':>7} {'rmse':>7}")

@@ -18,9 +18,9 @@ from .raster import (Grid, GridStack, band_pca, match_points, pca_stack, read_as
                      resample, write_ascii_grid)
 from .synth import Scene, SceneConfig, generate_scene, write_scene
 from .textures import glcm_textures
-from .waveform import (FilterResult, GaussianComponent, NoiseStats, WaveformMetrics,
-                       WaveformRecord, decompose_gaussians, detect_signal_bounds,
-                       extract_metrics, identify_ground_peak, process_waveforms,
+from .waveform import (FilterResult, FootprintTable, GaussianComponent, NoiseStats,
+                       WaveformMetrics, WaveformRecord, decompose_gaussians, detect_signal_bounds,
+                       extract_metrics, footprint_table, identify_ground_peak, process_waveforms,
                        quality_filter)
 
 __version__ = "0.1.0"

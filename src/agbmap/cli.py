@@ -16,60 +16,63 @@ from .allometry import carbon_stock, load_plots, write_carbon_report
 from .errors import AgbmapError
 from .geostat import SampleSet, empirical_variogram, fit_exponential, write_variogram_report
 from .model_io import save_model
-from .pipeline import (RunConfig, calibration_pairs, calibration_sweep,
+from .pipeline import (_RANGES, RunConfig, calibration_pairs, calibration_sweep,
                        fit_footprint_agb_model, validate_map, write_sweep_csv,
                        write_validation_csv)
 from .raster import read_ascii_grid, write_ascii_grid
 from .readers import csv_rows, finite
 from .textures import glcm_textures
-from .waveform import (DETECT_K, MAX_COMPONENTS, MAX_ELEV_GAP, SNR_MIN, process_waveforms,
-                       read_metrics_csv, read_waveforms, write_filter_csv, write_metrics_csv)
+from .waveform import (DETECT_K, MAX_COMPONENTS, MAX_ELEV_GAP, SNR_MIN, footprint_table,
+                       process_waveforms, read_metrics_csv, read_waveforms, write_filter_csv,
+                       write_metrics_csv)
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type of --seed: numpy seeds its generators from integers >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _ranged(convert, rule):
+    """argparse type: convert(text), which must pass the (test, wording) rule."""
+    test, wording = rule
+
+    def parse(text):
+        value = convert(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {wording}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse's "invalid float value" names it
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    """argparse type of --detect-k: the noise threshold is k standard deviations, k > 0."""
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
+_SEED = _ranged(int, _RANGES["seed"])
+_LENGTH = _ranged(float, _RANGES["variogram_max_lag"])  # finite and > 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="agbmap",
                                 description="Biomass mapping toolchain")
     sub = p.add_subparsers(dest="command", required=True)
+    driver = argparse.ArgumentParser(add_help=False)  # filter's and metrics' driver settings
+    driver.add_argument("--snr-min", type=_ranged(float, _RANGES["snr_min"]), default=SNR_MIN)
+    driver.add_argument("--max-elev-gap", type=_ranged(float, _RANGES["max_elev_gap"]),
+                        default=MAX_ELEV_GAP)
+    driver.add_argument("--detect-k", type=_ranged(float, _RANGES["detect_k"]), default=DETECT_K)
 
     s = sub.add_parser("simulate", help="generate a synthetic scene with known truth")
-    s.add_argument("--seed", type=_nonnegative_int, default=0)
+    s.add_argument("--seed", type=_SEED, default=0)
     s.add_argument("--out", required=True)
     s.add_argument("--config", help="JSON overriding scene-config fields")
     s.add_argument("--full-scale", action="store_true",
                    help="default 50 km scene instead of the fast desk profile")
 
-    s = sub.add_parser("filter", help="quality-filter waveforms, report keep/reject")
+    s = sub.add_parser("filter", parents=[driver],
+                       help="quality-filter waveforms, report keep/reject")
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--snr-min", type=float, default=SNR_MIN)
-    s.add_argument("--max-elev-gap", type=float, default=MAX_ELEV_GAP)
-    s.add_argument("--detect-k", type=_positive_float, default=DETECT_K)
 
-    s = sub.add_parser("metrics", help="extract canopy metrics for kept waveforms")
+    s = sub.add_parser("metrics", parents=[driver],
+                       help="extract canopy metrics for kept waveforms")
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--dem", required=True)
     s.add_argument("--out", required=True)
     s.add_argument("--max-components", type=int, default=MAX_COMPONENTS,
                    choices=range(1, MAX_COMPONENTS + 1))
-    s.add_argument("--snr-min", type=float, default=SNR_MIN)
-    s.add_argument("--max-elev-gap", type=float, default=MAX_ELEV_GAP)
-    s.add_argument("--detect-k", type=_positive_float, default=DETECT_K)
 
     s = sub.add_parser("sweep", help="calibration quality vs match distance")
     s.add_argument("--metrics", required=True)
@@ -78,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--distances", type=float, nargs="+",
                    default=[100, 200, 250, 300, 350, 400])
     s.add_argument("--kfold", type=int, default=10)
-    s.add_argument("--seed", type=_nonnegative_int, default=0)
+    s.add_argument("--seed", type=_SEED, default=0)
     s.add_argument("--out")
 
     s = sub.add_parser("calibrate", help="fit the footprint AGB model")
@@ -90,17 +93,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("map", help="full mapping chain from a run config")
     s.add_argument("--config", required=True)
-    s.add_argument("--grid-size", type=float, action="append",
+    s.add_argument("--grid-size", type=_LENGTH, action="append",
                    help="repeatable; overrides the config grid sizes")
     s.add_argument("--trend", choices=["lm", "rf"])
-    s.add_argument("--seed", type=_nonnegative_int)
+    s.add_argument("--seed", type=_SEED)
     s.add_argument("--out-dir")
 
     s = sub.add_parser("validate", help="score a map against plots")
     s.add_argument("--map", dest="map_path", required=True)
     s.add_argument("--plots", required=True)
     s.add_argument("--trees")
-    s.add_argument("--min-count", type=int, default=4)
+    s.add_argument("--min-count", type=_ranged(int, _RANGES["min_plots_per_cell"]),
+                   default=4)
     s.add_argument("--out")
 
     s = sub.add_parser("carbon", help="carbon stock of an AGB map")
@@ -110,14 +114,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("variogram", help="empirical variogram plus exponential fit")
     s.add_argument("--samples", required=True, help="CSV with x,y,value columns")
-    s.add_argument("--bin-width", type=float)
-    s.add_argument("--max-lag", type=float)
+    s.add_argument("--bin-width", type=_LENGTH)
+    s.add_argument("--max-lag", type=_LENGTH)
     s.add_argument("--out")
 
     s = sub.add_parser("textures", help="GLCM texture bands of a grid")
     s.add_argument("--in", dest="infile", required=True)
-    s.add_argument("--window", type=int, default=3)
-    s.add_argument("--levels", type=int, default=32)
+    s.add_argument("--window", type=_ranged(int, (lambda v: v >= 3 and v % 2, "odd and >= 3")),
+                   default=3)
+    s.add_argument("--levels", type=_ranged(int, (lambda v: v >= 2, ">= 2")), default=32)
     s.add_argument("--out-prefix", required=True)
     return p
 
@@ -168,22 +173,16 @@ def _cmd_metrics(args) -> int:
     results = process_waveforms(read_waveforms(args.infile), read_ascii_grid(args.dem),
                                 k=args.detect_k, max_components=args.max_components,
                                 snr_min=args.snr_min, max_elev_gap=args.max_elev_gap)
+    footprints = footprint_table(results)
     with _output(args.out) as f:
-        write_metrics_csv(results, f)
-    kept = sum(1 for r in results if r.result.kept and r.metrics is not None)
-    print(f"{kept} of {len(results)} waveforms kept; metrics at {args.out}")
+        write_metrics_csv(footprints, f)
+    print(f"{len(footprints.xy)} of {len(results)} waveforms kept; metrics at {args.out}")
     return 0
 
 
-def _load_pairs_inputs(args):
-    footprints = read_metrics_csv(args.metrics)
-    plots = load_plots(args.plots, args.trees)
-    return plots, footprints
-
-
 def _cmd_sweep(args) -> int:
-    plots, footprints = _load_pairs_inputs(args)
-    rows = calibration_sweep(plots, footprints, args.distances,
+    footprints = read_metrics_csv(args.metrics)
+    rows = calibration_sweep(load_plots(args.plots, args.trees), footprints, args.distances,
                              kfold=args.kfold, seed=args.seed)
     with _output(args.out) as f:
         write_sweep_csv(rows, f)
@@ -191,9 +190,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    plots, footprints = _load_pairs_inputs(args)
-    metric_rows, agb, _ = calibration_pairs(plots, footprints, args.max_dist)
-    model = fit_footprint_agb_model(metric_rows, agb)
+    footprints = read_metrics_csv(args.metrics)
+    foot_rows, agb = calibration_pairs(load_plots(args.plots, args.trees), footprints,
+                                       args.max_dist)
+    model = fit_footprint_agb_model(footprints.metrics[foot_rows], agb)
     save_model(model, args.out_model)
     print(f"{len(agb)} pairs; selected {model.selected_features}; "
           f"r2={model.r2:.3f}; model at {args.out_model}")

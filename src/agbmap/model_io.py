@@ -71,9 +71,10 @@ _TREE_KEYS = {"feature": ((list,), (int,)), "threshold": ((list,), _NUM),
 
 def _tree(doc: dict, n_features: int, path, key: str) -> dict:
     """The tree doc, once it holds every tree key, its node lists have one
-    length >= 1, and each inner node splits on one of n_features features
-    and has both children after it and inside the tree; a ConfigError names
-    the key otherwise."""
+    length >= 1, and each inner node splits on one of n_features features,
+    sends at least one category left when it splits on categories and has
+    both children after it and inside the tree; a ConfigError names the key
+    otherwise."""
     check_keys(doc, _TREE_KEYS, path, key + ".")
     n = len(doc["feature"])
     if n == 0:
@@ -87,6 +88,9 @@ def _tree(doc: dict, n_features: int, path, key: str) -> dict:
         if feature >= n_features:
             raise ConfigError(f"{path}: key '{key}.feature[{k}]' must be "
                               f"< {n_features}, got {feature}")
+        if feature >= 0 and doc["left_cats"][k] == []:
+            raise ConfigError(f"{path}: key '{key}.left_cats[{k}]' must be null or "
+                              "a non-empty list, got []")
         for name in ("left", "right"):
             child = doc[name][k]
             if feature >= 0 and not k < child < n:

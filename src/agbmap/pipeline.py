@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -31,11 +32,12 @@ from .model_io import save_model
 from .raster import Grid, GridStack, match_points, read_ascii_grid, resample, write_ascii_grid
 from .readers import check_fields, read_json
 from .waveform import (DETECT_K, MAX_COMPONENTS, MAX_ELEV_GAP, METRIC_COLUMNS, SNR_MIN,
-                       process_waveforms, read_waveforms, write_filter_csv,
-                       write_metrics_csv)
+                       FootprintTable, footprint_table, process_waveforms, read_waveforms,
+                       write_filter_csv, write_metrics_csv)
 
 METRIC_FEATURES = ("wext", "h10", "h20", "h30", "h40", "h50", "h60", "h70",
                    "h80", "h90", "ti", "slope", "tch", "lead", "trail")
+_FEATURE_COLUMNS = [METRIC_COLUMNS.index(f) for f in METRIC_FEATURES]
 
 
 @dataclass(frozen=True)
@@ -59,41 +61,37 @@ class MapProduct:
     n_clamped: int = 0
 
 
-def _metric_design(pair_rows, y):
-    X = np.array([[m[f] for f in METRIC_FEATURES] for m in pair_rows])
-    return DesignMatrix(list(METRIC_FEATURES), X, np.asarray(y, dtype=float))
+def _metric_design(metrics, y):
+    """The METRIC_FEATURES columns of a footprint metric matrix against y."""
+    return DesignMatrix(list(METRIC_FEATURES), metrics[:, _FEATURE_COLUMNS],
+                        np.asarray(y, dtype=float))
 
 
-def calibration_pairs(plots, footprints, max_dist: float):
+def calibration_pairs(plots, footprints: FootprintTable, max_dist: float):
     """Each plot paired with its nearest footprint within max_dist.
 
-    plots: PlotRecord list; footprints: rows of (id, x, y, metrics dict).
-    Returns (pair metric dicts, pair plot AGB densities, matched footprint
-    ids); raises NoPairs when nothing matches.
+    Returns (matched footprint rows, the pairs' plot AGB densities), in
+    plot order; raises NoPairs when nothing matches.
     """
     plot_xy = np.array([[p.lon, p.lat] for p in plots])
     densities = np.array([plot_agb_density(p) for p in plots])
-    foot_xy = np.array([[x, y] for _, x, y, _ in footprints])
-    pairs = match_points(plot_xy, foot_xy, max_dist)
-    if not pairs:
+    plot_rows, foot_rows, _ = match_points(plot_xy, footprints.xy, max_dist)
+    if plot_rows.size == 0:
         raise NoPairs(f"no plot-footprint pairs within {max_dist} m")
-    metrics = [footprints[j][3] for _, j, _ in pairs]
-    agb = densities[[i for i, _, _ in pairs]]
-    return metrics, agb, {footprints[j][0] for _, j, _ in pairs}
+    return foot_rows, densities[plot_rows]
 
 
-def calibration_sweep(plots, footprints, distances, kfold: int = 10, seed: int = 0):
+def calibration_sweep(plots, footprints: FootprintTable, distances, kfold: int = 10,
+                      seed: int = 0):
     """One row per max distance: matched pair count plus CV score of the
     all-metrics linear model. Distances too small for any pair raise NoPairs.
-
-    plots: PlotRecord list; footprints: rows of (id, x, y, metrics dict).
     """
     rows = []
     for dist in distances:
-        metric_rows, y, _ = calibration_pairs(plots, footprints, dist)
+        foot_rows, y = calibration_pairs(plots, footprints, dist)
         n = len(y)
         if n >= len(METRIC_FEATURES) + 3:
-            d = _metric_design(metric_rows, y)
+            d = _metric_design(footprints.metrics[foot_rows], y)
             r2, rmse = kfold_cv(d, fit_ols, k=min(kfold, n), seed=seed)
         else:
             r2, rmse = float("nan"), float("nan")  # too few pairs to fit
@@ -110,7 +108,8 @@ def write_sweep_csv(rows, f) -> None:
 
 
 def fit_footprint_agb_model(pair_metrics, pair_agb):
-    """Stepwise-selected linear model of AGB on the waveform metrics."""
+    """Stepwise-selected linear model of AGB on the waveform metrics, from
+    the pairs' (n, len(METRIC_COLUMNS)) metric matrix."""
     n = len(pair_agb)
     if n < 2 * len(METRIC_FEATURES):
         raise RankDeficient(
@@ -118,15 +117,11 @@ def fit_footprint_agb_model(pair_metrics, pair_agb):
     return stepwise_bic(_metric_design(pair_metrics, pair_agb))
 
 
-def predict_footprints(model, footprints):
+def predict_footprints(model, footprints: FootprintTable):
     """(SampleSet of footprint AGB, clamp count); negatives clamp to zero."""
-    if not footprints:
-        return SampleSet(np.empty((0, 2)), np.empty(0)), 0
-    xy = np.array([[x, y] for _, x, y, _ in footprints])
-    X = np.array([[m[f] for f in METRIC_FEATURES] for _, _, _, m in footprints])
-    pred = model.predict(X, list(METRIC_FEATURES))
+    pred = model.predict(footprints.metrics[:, _FEATURE_COLUMNS], list(METRIC_FEATURES))
     clamped = int(np.sum(pred < 0))
-    return SampleSet(xy, np.maximum(pred, 0.0)), clamped
+    return SampleSet(footprints.xy, np.maximum(pred, 0.0)), clamped
 
 
 def _resample_stack(stack: GridStack, grid_size: float) -> GridStack:
@@ -331,15 +326,18 @@ _ITEM_TYPES = {"covariates": (str,), "grid_sizes": (int, float),
 # (test, wording) of the values each key may take
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 _POSITIVE = (lambda v: v > 0, "> 0")
+_FINITE = (math.isfinite, "finite")
 _RANGES = {"n_trees": _AT_LEAST_1, "min_leaf": _AT_LEAST_1, "neighborhood": _AT_LEAST_1,
            "variogram_nbins": _AT_LEAST_1, "min_plots_per_cell": _AT_LEAST_1,
            "mtry": _AT_LEAST_1, "trend_top_k": _AT_LEAST_1,
            "seed": (lambda v: v >= 0, ">= 0"), "kfold": (lambda v: v >= 2, ">= 2"),
            "max_components": (lambda v: 1 <= v <= MAX_COMPONENTS, f"in 1..{MAX_COMPONENTS}"),
            "calib_max_dist": _POSITIVE, "detect_k": _POSITIVE,
+           "snr_min": _FINITE, "max_elev_gap": _FINITE,
            "variogram_max_lag": (lambda v: 0 < v < math.inf, "finite and > 0"),
            "trend": (lambda v: v in ("lm", "rf"), "'lm' or 'rf'"),
-           "grid_sizes": (lambda v: all(s > 0 for s in v), "a list of sizes > 0")}
+           "grid_sizes": (lambda v: all(0 < s < math.inf for s in v),
+                          "a list of finite sizes > 0")}
 
 
 def split_plots(plots, seed: int):
@@ -367,58 +365,52 @@ def run_mapping(cfg: RunConfig) -> dict:
                        for name, path in cfg.covariates.items()])
     plots = load_plots(cfg.plots, cfg.trees)
 
+    outputs = []
+
+    def output(name):
+        """The path of name under cfg.out_dir; name joins the run's outputs."""
+        outputs.append(name)
+        return os.path.join(cfg.out_dir, name)
+
     results = process_waveforms(records, dem, k=cfg.detect_k,
                                 max_components=cfg.max_components,
                                 snr_min=cfg.snr_min, max_elev_gap=cfg.max_elev_gap)
-    kept = [fr for fr in results if fr.result.kept]
-    reject_counts: dict = {}
-    for fr in results:
-        if not fr.result.kept:
-            reject_counts[fr.result.reason] = reject_counts.get(fr.result.reason, 0) + 1
-
-    metrics_path = os.path.join(cfg.out_dir, "metrics.csv")
-    with open(metrics_path, "w", newline="") as f:
-        write_metrics_csv(results, f)
-    filter_path = os.path.join(cfg.out_dir, "filter.csv")
-    with open(filter_path, "w", newline="") as f:
+    footprints = footprint_table(results)
+    with open(output("metrics.csv"), "w", newline="") as f:
+        write_metrics_csv(footprints, f)
+    with open(output("filter.csv"), "w", newline="") as f:
         write_filter_csv(results, f)
-    outputs = ["metrics.csv", "filter.csv"]
-
-    footprints = [(fr.record.id, fr.record.lon, fr.record.lat,
-                   {c: getattr(fr.metrics, c) for c in METRIC_COLUMNS})
-                  for fr in kept]
+    rejects = Counter(fr.result.reason for fr in results if not fr.result.kept)
     calib_plots, valid_plots = split_plots(plots, cfg.seed)
 
     telemetry: dict = {
-        "n_waveforms": len(records), "n_kept": len(kept),
-        "rejects": dict(sorted(reject_counts.items())),
+        "n_waveforms": len(records), "n_kept": len(footprints.xy),
+        "rejects": dict(sorted(rejects.items())),
         "n_plots": len(plots), "n_calibration_plots": len(calib_plots),
     }
 
     if cfg.sweep_distances:
         rows = calibration_sweep(calib_plots, footprints, cfg.sweep_distances,
                                  kfold=cfg.kfold, seed=cfg.seed)
-        with open(os.path.join(cfg.out_dir, "sweep.csv"), "w", newline="") as f:
+        with open(output("sweep.csv"), "w", newline="") as f:
             write_sweep_csv(rows, f)
-        outputs.append("sweep.csv")
 
-    pair_metrics, pair_agb, used = calibration_pairs(calib_plots, footprints,
-                                                     cfg.calib_max_dist)
+    foot_rows, pair_agb = calibration_pairs(calib_plots, footprints, cfg.calib_max_dist)
+    pair_metrics = footprints.metrics[foot_rows]
     footprint_model = fit_footprint_agb_model(pair_metrics, pair_agb)
     d_pairs = _metric_design(pair_metrics, pair_agb)
     cv_r2, cv_rmse = kfold_cv(d_pairs, stepwise_bic,
                               k=min(cfg.kfold, len(pair_agb)), seed=cfg.seed)
-    model_path = os.path.join(cfg.out_dir, "footprint_model.json")
-    save_model(footprint_model, model_path)
-    outputs.append("footprint_model.json")
+    save_model(footprint_model, output("footprint_model.json"))
     telemetry["calibration"] = {
         "n_pairs": len(pair_agb), "max_dist": cfg.calib_max_dist,
         "cv_r2": cv_r2, "cv_rmse": cv_rmse,
         "selected": footprint_model.selected_features,
     }
 
-    remaining = [fp for fp in footprints if fp[0] not in used]
-    footprint_agb, n_clamped = predict_footprints(footprint_model, remaining)
+    remaining = np.setdiff1d(np.arange(len(footprints.xy)), foot_rows)
+    footprint_agb, n_clamped = predict_footprints(footprint_model, FootprintTable(
+        footprints.xy[remaining], footprints.metrics[remaining]))
     telemetry["n_footprint_estimates"] = footprint_agb.n
     telemetry["n_negative_clamped"] = n_clamped
 
@@ -432,28 +424,20 @@ def run_mapping(cfg: RunConfig) -> dict:
                             variogram_nbins=cfg.variogram_nbins,
                             variogram_max_lag=cfg.variogram_max_lag,
                             trend_top_k=cfg.trend_top_k)
-        write_ascii_grid(product.agb, os.path.join(cfg.out_dir, f"agb_{tag}.asc"))
-        write_ascii_grid(product.krige_var,
-                         os.path.join(cfg.out_dir, f"krigevar_{tag}.asc"))
-        outputs += [f"agb_{tag}.asc", f"krigevar_{tag}.asc"]
+        write_ascii_grid(product.agb, output(f"agb_{tag}.asc"))
+        write_ascii_grid(product.krige_var, output(f"krigevar_{tag}.asc"))
         if product.empirical is not None:
-            with open(os.path.join(cfg.out_dir, f"variogram_{tag}.csv"),
-                      "w", newline="") as f:
+            with open(output(f"variogram_{tag}.csv"), "w", newline="") as f:
                 write_variogram_report(product.empirical, product.variogram, f)
-            outputs.append(f"variogram_{tag}.csv")
         try:
             validation = validate_map(product.agb, valid_plots, cfg.min_plots_per_cell)
         except NoQualifyingCells:
             validation = None
-        with open(os.path.join(cfg.out_dir, f"validation_{tag}.csv"),
-                  "w", newline="") as f:
+        with open(output(f"validation_{tag}.csv"), "w", newline="") as f:
             write_validation_csv(validation, f)
-        outputs.append(f"validation_{tag}.csv")
         stock = carbon_stock(product.agb)
-        with open(os.path.join(cfg.out_dir, f"carbon_{tag}.csv"),
-                  "w", newline="") as f:
+        with open(output(f"carbon_{tag}.csv"), "w", newline="") as f:
             write_carbon_report(stock, f)
-        outputs.append(f"carbon_{tag}.csv")
         telemetry["maps"][tag] = {
             "validation": None if validation is None else
             dict(zip(VALIDATION_FIELDS, validation)),

@@ -410,12 +410,12 @@ def nearest(points, targets, k: int):
 def match_points(a: np.ndarray, b: np.ndarray, max_dist: float):
     """Nearest b-point for every a-point, kept when within max_dist.
 
-    a, b: (n, 2) projected coordinates. Returns a list of (i_a, i_b, dist).
+    a, b: (n, 2) projected coordinates. Returns the arrays (i_a, i_b, dist)
+    of the kept pairs, in a-point order.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.size == 0 or b.size == 0:
-        return []
+    b = np.asarray(b, dtype=float).reshape(-1, 2)
+    if b.size == 0:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
     dist, idx = nearest(b, a, 1)
     keep = np.flatnonzero(dist[:, 0] <= max_dist)
-    return [(int(i), int(idx[i, 0]), float(dist[i, 0])) for i in keep]
+    return keep, idx[keep, 0], dist[keep, 0]

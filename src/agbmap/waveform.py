@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -522,33 +522,44 @@ def write_waveforms(records, path) -> None:
             f.write("\n")
 
 
-METRIC_COLUMNS = ("wext", "tch", "lead", "trail", "h10", "h20", "h30", "h40",
-                  "h50", "h60", "h70", "h80", "h90", "ti", "slope",
-                  "begin_elev", "end_elev", "ground_elev")
+METRIC_COLUMNS = tuple(f.name for f in fields(WaveformMetrics))  # the metrics CSV's order
 
 
-def write_metrics_csv(results, f) -> None:
-    """One row per kept footprint; the reject_reason column stays empty."""
+@dataclass(frozen=True)
+class FootprintTable:
+    """Footprints as arrays: xy (n, 2) lon/lat and metrics (n, len(METRIC_COLUMNS))
+    in METRIC_COLUMNS order, with the ids when the source names them."""
+    xy: np.ndarray
+    metrics: np.ndarray
+    ids: tuple | None = None
+
+
+def footprint_table(results) -> FootprintTable:
+    """The kept footprints of process_waveforms results, in result order."""
+    kept = [fr for fr in results if fr.metrics is not None]
+    return FootprintTable(
+        np.array([[fr.record.lon, fr.record.lat] for fr in kept]).reshape(-1, 2),
+        np.array([[getattr(fr.metrics, c) for c in METRIC_COLUMNS] for fr in kept],
+                 dtype=float).reshape(-1, len(METRIC_COLUMNS)),
+        tuple(fr.record.id for fr in kept))
+
+
+def write_metrics_csv(table: FootprintTable, f) -> None:
+    """One row per footprint of the table; the reject_reason column stays empty."""
     w = csv.writer(f)
     w.writerow(["id", "lon", "lat", *METRIC_COLUMNS, "reject_reason"])
-    for fr in results:
-        if not fr.result.kept or fr.metrics is None:
-            continue
-        row = [fr.record.id, "%.10g" % fr.record.lon, "%.10g" % fr.record.lat]
-        row += ["%.10g" % getattr(fr.metrics, col) for col in METRIC_COLUMNS]
-        row.append("")
-        w.writerow(row)
+    for fid, xy, metrics in zip(table.ids, table.xy, table.metrics):
+        w.writerow([fid, *("%.10g" % v for v in (*xy, *metrics)), ""])
 
 
-def _metrics_row(row):
-    return (row["id"], finite(row["lon"], "lon"), finite(row["lat"], "lat"),
-            {col: finite(row[col], col) for col in METRIC_COLUMNS})
-
-
-def read_metrics_csv(path):
-    """Rows of (id, lon, lat, {metric: value}); a bad row raises BadRecord
-    naming path:line."""
-    return csv_rows(path, _metrics_row)
+def read_metrics_csv(path) -> FootprintTable:
+    """The footprint table in a metrics CSV; a row that lacks a column or
+    holds a value that is not a finite number raises BadRecord naming
+    path:line."""
+    columns = ("lon", "lat", *METRIC_COLUMNS)
+    rows = csv_rows(path, lambda row: (row["id"], [finite(row[c], c) for c in columns]))
+    values = np.array([v for _, v in rows]).reshape(-1, len(columns))
+    return FootprintTable(values[:, :2], values[:, 2:], tuple(fid for fid, _ in rows))
 
 
 def write_filter_csv(results, f) -> None:

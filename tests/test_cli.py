@@ -55,6 +55,26 @@ def test_usage_errors_exit_2(capsys):
     assert main(["metrics", "--in", "w.ndjson", "--dem", "d.asc", "--out", "m.csv",
                  "--detect-k", "-1.5"]) == 2
     assert "--detect-k: must be > 0, got -1.5" in capsys.readouterr().err
+    grid = ["--in", "g.asc", "--out-prefix", "t_"]
+    for argv, message in [
+            (["validate", "--map", "m.asc", "--plots", "p.csv", "--min-count", "0"],
+             "--min-count: must be >= 1, got 0"),
+            (["variogram", "--samples", "s.csv", "--bin-width", "0"],
+             "--bin-width: must be finite and > 0, got 0"),
+            (["variogram", "--samples", "s.csv", "--max-lag", "-5"],
+             "--max-lag: must be finite and > 0, got -5"),
+            (["textures", *grid, "--window", "2"], "--window: must be odd and >= 3, got 2"),
+            (["textures", *grid, "--levels", "1"], "--levels: must be >= 2, got 1"),
+            (["filter", "--in", "w.ndjson", "--out", "f.csv", "--snr-min", "nan"],
+             "--snr-min: must be finite, got nan"),
+            (["metrics", "--in", "w.ndjson", "--dem", "d.asc", "--out", "m.csv",
+              "--max-elev-gap", "inf"], "--max-elev-gap: must be finite, got inf"),
+            (["map", "--config", "c.json", "--grid-size", "nan"],
+             "--grid-size: must be finite and > 0, got nan")]:
+        assert main(argv) == 2
+        assert f"argument {message}\n" in capsys.readouterr().err
+    assert main(["textures", *grid, "--window", "x"]) == 2
+    assert "argument --window: invalid int value: 'x'" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_out_scipy():
@@ -80,6 +100,10 @@ def test_cli_import_leaves_out_scipy():
     ("variogram_max_lag", 0, "'variogram_max_lag' must be finite and > 0, got 0"),
     ("variogram_max_lag", float("inf"), "'variogram_max_lag' must be finite and > 0, got inf"),
     ("trend", "xx", "'trend' must be 'lm' or 'rf', got 'xx'"),
+    ("snr_min", float("nan"), "'snr_min' must be finite, got nan"),
+    ("max_elev_gap", float("-inf"), "'max_elev_gap' must be finite, got -inf"),
+    ("grid_sizes", [500, float("inf")], "'grid_sizes' must be a list of finite sizes > 0, "
+     "got [500, inf]"),
 ])
 def test_bad_run_config_value_exits_1_naming_key(tmp_path, capsys, key, value, message):
     doc = {"waveforms": "w.ndjson", "dem": "d.asc", "covariates": {"c": "c.asc"},

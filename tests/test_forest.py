@@ -168,6 +168,26 @@ def test_load_model_bad_forest_key_names_key(tmp_path, edit, message):
         load_model(p)
 
 
+def test_load_model_rejects_categorical_split_sending_nothing_left(tmp_path):
+    # a hand-written three-node forest; with no value routed left, predict
+    # indexed an empty category list
+    doc = {"format": "agbmap-model", "version": 1, "kind": "forest",
+           "params": {"n_trees": 1, "mtry": None, "min_leaf": 1, "max_depth": None},
+           "seed": 0, "oob_error": 0.0, "feature_names": ["c"], "categorical": ["c"],
+           "y_min": 0.0, "y_max": 1.0,
+           "trees": [{"feature": [0, -1, -1], "threshold": [0, 0, 0],
+                      "left_cats": [[], None, None], "left": [1, -1, -1],
+                      "right": [2, -1, -1], "value": [0.5, 0.0, 1.0]}]}
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps(doc))
+    message = "key 'trees[0].left_cats[0]' must be null or a non-empty list, got []"
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{p}: {message}')}$"):
+        load_model(p)
+    doc["trees"][0]["left_cats"][0] = [1.0]
+    p.write_text(json.dumps(doc))
+    assert load_model(p).predict(np.array([[1.0], [2.0]])).tolist() == [0.0, 1.0]
+
+
 def _bootstrap(n, seed, tree=0, n_trees=1):
     """Tree `tree`'s bootstrap rows: the first draw from its own stream."""
     ss = np.random.SeedSequence(seed).spawn(n_trees)[tree]

@@ -6,41 +6,33 @@ from agbmap.forest import ForestParams
 from agbmap.geostat import SampleSet
 from agbmap.linear import stepwise_bic
 from agbmap.pipeline import (METRIC_FEATURES, RunConfig, _covariate_rows, build_map,
-                             calibration_sweep, fit_footprint_agb_model, predict_footprints, run_mapping,
-                             split_plots, validate_map)
-from agbmap.allometry import PlotRecord
-from agbmap.raster import Grid, GridStack
+                             calibration_pairs, calibration_sweep, fit_footprint_agb_model,
+                             predict_footprints, run_mapping, split_plots, validate_map)
+from agbmap.allometry import PlotRecord, load_plots
+from agbmap.raster import Grid, GridStack, read_ascii_grid
 from agbmap.synth import generate_scene, small_config, write_scene
+from agbmap.waveform import (METRIC_COLUMNS, FootprintTable, footprint_table, process_waveforms,
+                             read_waveforms, write_waveforms)
+
+COL = {c: j for j, c in enumerate(METRIC_COLUMNS)}  # metric matrix column of each name
 
 
-def metric_row(tch, seed=0):
-    rng = np.random.default_rng(seed)
-    base = {f: float(v) for f, v in zip(METRIC_FEATURES, rng.uniform(1, 5, len(METRIC_FEATURES)))}
-    base["tch"] = tch
-    return base
-
-
-def make_footprints(n, seed=0, spacing=100.0):
-    rng = np.random.default_rng(seed)
-    rows = []
-    for i in range(n):
-        x, y = rng.uniform(0, spacing * 30, 2)
-        rows.append((f"f{i}", x, y, metric_row(rng.uniform(10, 40), seed=i)))
-    return rows
+def feature_matrix(features):
+    """The metric matrix whose METRIC_FEATURES columns hold the columns of
+    features, in that order; the other columns are 0."""
+    features = np.atleast_2d(features)
+    out = np.zeros((len(features), len(METRIC_COLUMNS)))
+    out[:, [COL[f] for f in METRIC_FEATURES]] = features
+    return out
 
 
 # ------------------------------------------------------------ calibration
 
 def test_fit_footprint_model_exact_tch_relationship():
     rng = np.random.default_rng(1)
-    metric_rows = []
-    agb = []
-    for i in range(60):
-        row = {f: float(v) for f, v in
-               zip(METRIC_FEATURES, rng.uniform(1, 50, len(METRIC_FEATURES)))}
-        metric_rows.append(row)
-        agb.append(5.0 * row["tch"])
-    m = fit_footprint_agb_model(metric_rows, agb)
+    metrics = feature_matrix(rng.uniform(1, 50, (60, len(METRIC_FEATURES))))
+    agb = 5.0 * metrics[:, COL["tch"]]
+    m = fit_footprint_agb_model(metrics, agb)
     assert m.selected_features == ["tch"]
     assert m.coefficients["tch"] == pytest.approx(5.0, abs=1e-8)
     assert m.r2 == pytest.approx(1.0)
@@ -50,53 +42,47 @@ def test_fit_footprint_model_selects_planted_subset():
     hits = 0
     for seed in range(40):
         rng = np.random.default_rng(seed)
-        rows, agb = [], []
+        rows, noise = [], []
         for _ in range(90):
-            row = {f: float(v) for f, v in
-                   zip(METRIC_FEATURES, rng.uniform(1, 50, len(METRIC_FEATURES)))}
-            rows.append(row)
-            agb.append(3.0 * row["wext"] + 6.0 * row["tch"] + rng.normal(0, 4))
-        m = fit_footprint_agb_model(rows, agb)
+            rows.append(rng.uniform(1, 50, len(METRIC_FEATURES)))
+            noise.append(rng.normal(0, 4))
+        metrics = feature_matrix(rows)
+        agb = 3.0 * metrics[:, COL["wext"]] + 6.0 * metrics[:, COL["tch"]] + noise
+        m = fit_footprint_agb_model(metrics, agb)
         hits += {"wext", "tch"} <= set(m.selected_features)
     assert hits / 40 >= 0.95
 
 
 def test_fit_footprint_model_pair_guard():
-    rows = [metric_row(20.0, seed=i) for i in range(10)]
+    metrics = feature_matrix(np.random.default_rng(0).uniform(1, 5, (10, len(METRIC_FEATURES))))
     with pytest.raises(RankDeficient):
-        fit_footprint_agb_model(rows, list(range(10)))
+        fit_footprint_agb_model(metrics, list(range(10)))
 
 
 def test_predict_footprints_pass_through_and_clamping():
     rng = np.random.default_rng(2)
-    rows, agb = [], []
-    for i in range(60):
-        row = {f: float(v) for f, v in
-               zip(METRIC_FEATURES, rng.uniform(1, 50, len(METRIC_FEATURES)))}
-        rows.append(row)
-        agb.append(4.0 * row["tch"])
-    model = fit_footprint_agb_model(rows, agb)
-    fps = [(f"f{i}", float(i), float(i), rows[i]) for i in range(60)]
-    samples, clamped = predict_footprints(model, fps)
+    metrics = feature_matrix(rng.uniform(1, 50, (60, len(METRIC_FEATURES))))
+    agb = 4.0 * metrics[:, COL["tch"]]
+    model = fit_footprint_agb_model(metrics, agb)
+    xy = np.repeat(np.arange(60.0)[:, None], 2, axis=1)
+    samples, clamped = predict_footprints(model, FootprintTable(xy, metrics))
     assert clamped == 0
     assert samples.n == 60
+    assert np.array_equal(samples.xy, xy)
     assert samples.values[7] == pytest.approx(agb[7], rel=1e-9)
-    empty, c0 = predict_footprints(model, [])
+    empty, c0 = predict_footprints(
+        model, FootprintTable(np.empty((0, 2)), np.empty((0, len(METRIC_COLUMNS)))))
     assert empty.n == 0 and c0 == 0
 
 
 def test_predict_footprints_clamps_negatives():
     rng = np.random.default_rng(3)
-    rows, agb = [], []
-    for i in range(60):
-        row = {f: float(v) for f, v in
-               zip(METRIC_FEATURES, rng.uniform(1, 50, len(METRIC_FEATURES)))}
-        rows.append(row)
-        agb.append(2.0 * row["tch"] - 30.0)  # negative for low canopies
-    model = fit_footprint_agb_model(rows, agb)
-    low = dict(rows[0])
-    low["tch"] = 1.0
-    samples, clamped = predict_footprints(model, [("f", 0.0, 0.0, low)])
+    metrics = feature_matrix(rng.uniform(1, 50, (60, len(METRIC_FEATURES))))
+    agb = 2.0 * metrics[:, COL["tch"]] - 30.0  # negative for low canopies
+    model = fit_footprint_agb_model(metrics, agb)
+    low = metrics[:1].copy()
+    low[0, COL["tch"]] = 1.0
+    samples, clamped = predict_footprints(model, FootprintTable(np.zeros((1, 2)), low))
     assert clamped == 1
     assert samples.values[0] == 0.0
 
@@ -104,14 +90,15 @@ def test_predict_footprints_clamps_negatives():
 # ------------------------------------------------------------ sweep
 
 def structured_metric_row(h, rng):
-    """Metric vector shaped like the real extractor's output: everything a
-    near-deterministic function of canopy height, so columns are collinear."""
+    """Metric matrix row shaped like the real extractor's output: everything
+    a near-deterministic function of canopy height, so columns are collinear."""
+    row = np.zeros(len(METRIC_COLUMNS))
     wext = h + 24.0 + rng.normal(0, 0.3)
-    row = {"wext": wext, "tch": h + rng.normal(0, 0.2),
-           "lead": 5.0 + rng.normal(0, 0.3), "trail": 4.0 + rng.normal(0, 0.3),
-           "ti": abs(rng.normal(0, 0.5)), "slope": abs(rng.normal(0, 0.05))}
-    for i, q in enumerate(range(10, 100, 10)):
-        row[f"h{q}"] = wext * (q / 100.0) * 0.9 + rng.normal(0, 0.1)
+    row[[COL[c] for c in ("wext", "tch", "lead", "trail", "ti", "slope")]] = (
+        wext, h + rng.normal(0, 0.2), 5.0 + rng.normal(0, 0.3), 4.0 + rng.normal(0, 0.3),
+        abs(rng.normal(0, 0.5)), abs(rng.normal(0, 0.05)))
+    for q in range(10, 100, 10):
+        row[COL[f"h{q}"]] = wext * (q / 100.0) * 0.9 + rng.normal(0, 0.1)
     return row
 
 
@@ -124,9 +111,10 @@ def synthetic_pairs_scene(seed=5):
                       trend_coefficients=(15.0, -10.0, 8.0))
     scene = generate_scene(cfg)
     rng = np.random.default_rng(seed)
-    footprints = [(w.id, w.lon, w.lat,
-                   structured_metric_row(scene.footprint_truth[w.id][1], rng))
-                  for w in scene.footprints if w.lon < 7500.0]
+    west = [w for w in scene.footprints if w.lon < 7500.0]
+    footprints = FootprintTable(
+        np.array([[w.lon, w.lat] for w in west]),
+        np.array([structured_metric_row(scene.footprint_truth[w.id][1], rng) for w in west]))
     return scene, footprints
 
 
@@ -141,7 +129,7 @@ def test_sweep_r2_decays_with_distance():
 
 def test_sweep_no_pairs_and_duplicates():
     plots = [PlotRecord("p", 0.0, 0.0, 1.0, agb_mg_ha=100.0)]
-    fps = [("f", 5000.0, 5000.0, metric_row(20.0))]
+    fps = FootprintTable(np.array([[5000.0, 5000.0]]), np.ones((1, len(METRIC_COLUMNS))))
     with pytest.raises(NoPairs):
         calibration_sweep(plots, fps, [10.0])
     scene, footprints = synthetic_pairs_scene(seed=6)
@@ -368,7 +356,6 @@ def test_run_mapping_end_to_end(tmp_path):
     assert t["n_kept"] + sum(t["rejects"].values()) == t["n_waveforms"]
     assert t["rejects"].get("Cloud", 0) == len(scene.expected_rejects)
     assert t["calibration"]["n_pairs"] >= 30
-    from agbmap.raster import read_ascii_grid
     agb = read_ascii_grid(out / "agb_500.asc")
     var = read_ascii_grid(out / "krigevar_500.asc")
     mask = agb.valid_mask()
@@ -376,3 +363,27 @@ def test_run_mapping_end_to_end(tmp_path):
     assert np.all(var.values[var.valid_mask()] >= 0)
     # trend-valid cells stay valid in the final map
     assert mask.sum() > 0
+
+
+def test_footprint_sharing_a_calibration_id_keeps_its_estimate(tmp_path):
+    # calibration footprints leave the kriging samples by row: a kept
+    # footprint renamed to the id of a matched one still gets an estimate
+    scene = generate_scene(small_config(seed=13, n_footprints=220, n_plots=300,
+                                        extent=10_000.0))
+    paths = write_scene(scene, tmp_path / "scene")
+    cfg = RunConfig(
+        waveforms=paths["waveforms"], dem=paths["dem"], covariates=paths["covariates"],
+        plots=paths["plots"], out_dir=str(tmp_path / "run"), grid_sizes=(1000.0,),
+        trend="lm", seed=13, calib_max_dist=700.0, max_components=3)
+    records = read_waveforms(cfg.waveforms)
+    table = footprint_table(process_waveforms(records, read_ascii_grid(cfg.dem),
+                                              max_components=3))
+    calib_plots, _ = split_plots(load_plots(cfg.plots), cfg.seed)
+    matched = np.unique(calibration_pairs(calib_plots, table, cfg.calib_max_dist)[0])
+    unmatched = np.setdiff1d(np.arange(len(table.xy)), matched)
+    renamed = next(w for w in records if w.id == table.ids[unmatched[0]])
+    renamed.id = table.ids[matched[0]]
+    write_waveforms(records, cfg.waveforms)
+    t = run_mapping(cfg)["telemetry"]
+    assert t["n_kept"] == len(table.xy)
+    assert t["n_footprint_estimates"] == len(table.xy) - matched.size

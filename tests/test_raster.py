@@ -249,17 +249,18 @@ def test_nearest_rejects_what_it_cannot_search():
 def test_match_points_examples():
     a = [(0.0, 0.0)]
     b = [(240.0, 0.0), (400.0, 0.0)]
-    pairs = match_points(a, b, 250.0)
-    assert pairs == [(0, 0, 240.0)]
-    assert match_points(a, [], 250.0) == []
-    assert match_points(a, b, 100.0) == []
+    i, j, d = match_points(a, b, 250.0)
+    assert (i.tolist(), j.tolist(), d.tolist()) == ([0], [0], [240.0])
+    for got in (match_points(a, [], 250.0), match_points(a, b, 100.0),
+                match_points(np.empty((0, 2)), b, 250.0)):
+        assert [v.size for v in got] == [0, 0, 0]
 
 
 def test_match_points_against_brute_force():
     rng = np.random.default_rng(17)
     a = rng.uniform(0, 5000, (400, 2))
     b = rng.uniform(0, 5000, (300, 2))
-    got = match_points(a, b, 300.0)
+    got = list(zip(*match_points(a, b, 300.0)))
     want = []
     for i in range(a.shape[0]):
         d = np.hypot(b[:, 0] - a[i, 0], b[:, 1] - a[i, 1])
@@ -274,6 +275,6 @@ def test_match_points_translation_invariant():
     rng = np.random.default_rng(23)
     a = rng.uniform(0, 1000, (50, 2))
     b = rng.uniform(0, 1000, (60, 2))
-    p1 = match_points(a, b, 150.0)
-    p2 = match_points(a + 5000.0, b + 5000.0, 150.0)
-    assert [(i, j) for i, j, _ in p1] == [(i, j) for i, j, _ in p2]
+    i1, j1, _ = match_points(a, b, 150.0)
+    i2, j2, _ = match_points(a + 5000.0, b + 5000.0, 150.0)
+    assert np.array_equal(i1, i2) and np.array_equal(j1, j2)

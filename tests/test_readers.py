@@ -1,6 +1,8 @@
 """One-byte corruptions of the three JSON documents: the run config, the scene
 overrides of `agbmap simulate --config` and a saved forest. Each reader
-either returns or raises ConfigError, and a forest it returns predicts."""
+either returns or raises ConfigError, and a forest it returns predicts.
+The same corruptions of a metrics CSV either read as a footprint table or
+raise BadRecord."""
 
 import json
 
@@ -9,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agbmap.errors import ConfigError
+from agbmap.errors import BadRecord, ConfigError
 from agbmap.forest import Forest, ForestParams, NodeTable
 from agbmap.model_io import load_model, save_model
 from agbmap.pipeline import RunConfig
 from agbmap.synth import scene_config
+from agbmap.waveform import METRIC_COLUMNS, FootprintTable, read_metrics_csv, write_metrics_csv
 
 RUN_CONFIG = {"waveforms": "s/waveforms.ndjson", "dem": "s/dem.asc",
               "covariates": {"cov1": "s/cov1.asc", "cov2": "s/cov2.asc"},
@@ -53,17 +56,56 @@ def intact(tmp_path_factory):
     return docs
 
 
-@pytest.mark.parametrize("name", READERS)
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(op=st.sampled_from(["replace", "insert", "delete"]), at=st.integers(0, 2 ** 16),
-       byte=st.one_of(st.sampled_from(b'0123456789-'), st.integers(0, 255)))
-def test_one_byte_corruption_reads_or_raises_config_error(intact, name, op, at, byte):
-    data, out = intact[name]
+def _write_corrupt(path, data: bytes, op: str, at: int, byte: int) -> None:
+    """Write data to path with one byte replaced, inserted or deleted near
+    position at."""
     at %= len(data) + (op == "insert")
     new = b"" if op == "delete" else bytes([byte])
-    path = out / "corrupt.json"
+    # a new file each time: truncating one in place can take tens of ms
+    path.unlink(missing_ok=True)
     path.write_bytes(data[:at] + new + data[at + (op != "insert"):])
+
+
+ONE_BYTE = dict(op=st.sampled_from(["replace", "insert", "delete"]), at=st.integers(0, 2 ** 16),
+                byte=st.one_of(st.sampled_from(b'0123456789-,"\n'), st.integers(0, 255)))
+
+
+@pytest.mark.parametrize("name", READERS)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(**ONE_BYTE)
+def test_one_byte_corruption_reads_or_raises_config_error(intact, name, op, at, byte):
+    data, out = intact[name]
+    path = out / "corrupt.json"
+    _write_corrupt(path, data, op, at, byte)
     try:
         READERS[name](path)
     except ConfigError:
         pass
+
+
+@pytest.fixture(scope="module")
+def metrics_csv(tmp_path_factory):
+    """Bytes of a three-footprint metrics CSV and a path for corrupt copies."""
+    rng = np.random.default_rng(0)
+    table = FootprintTable(rng.uniform(0, 1e4, (3, 2)),
+                           rng.uniform(-5, 40, (3, len(METRIC_COLUMNS))), ("f0", "f1", "f2"))
+    path = tmp_path_factory.mktemp("metrics") / "metrics.csv"
+    with path.open("w", newline="") as f:
+        write_metrics_csv(table, f)
+    assert read_metrics_csv(path).ids == table.ids
+    return path.read_bytes(), path.with_name("corrupt.csv")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(**ONE_BYTE)
+def test_one_byte_corruption_of_metrics_csv_reads_or_raises_bad_record(metrics_csv, op, at,
+                                                                      byte):
+    data, path = metrics_csv
+    _write_corrupt(path, data, op, at, byte)
+    try:
+        table = read_metrics_csv(path)
+    except BadRecord:
+        return
+    n = len(table.ids)
+    assert table.xy.shape == (n, 2) and table.metrics.shape == (n, len(METRIC_COLUMNS))
+    assert np.isfinite(table.xy).all() and np.isfinite(table.metrics).all()

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
+SCRIPTS = sorted(SCRIPTS_DIR.glob("*.py"))
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
@@ -15,3 +16,15 @@ def test_script_help_exits_0(script, monkeypatch, capsys):
         runpy.run_path(str(script), run_name="__main__")
     assert e.value.code == 0
     assert capsys.readouterr().out.startswith("usage:")
+
+
+def test_distance_sweep_prints_one_row_per_distance(monkeypatch, capsys):
+    script = SCRIPTS_DIR / "distance_sweep_experiment.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--distances", "300", "1000"])
+    assert runpy.run_path(str(script), run_name="not_main")["main"]() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("footprints with metrics (west half only)")
+    assert lines[1].split() == ["max_dist", "n_pairs", "r2", "rmse"]
+    rows = [line.split() for line in lines[2:]]
+    assert [r[0] for r in rows] == ["300", "1000"]
+    assert 0 < int(rows[0][1]) <= int(rows[1][1])
