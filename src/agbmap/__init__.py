@@ -5,7 +5,7 @@ trend modelling, and regression kriging, with a seeded synthetic-scene
 generator for end-to-end verification against known truth.
 """
 
-from .allometry import CarbonStock, PlotRecord, TreeRecord, carbon_stock, plot_agb_density, tree_agb
+from .allometry import CarbonStock, PlotTable, carbon_stock, tree_agb
 from .forest import Forest, ForestParams, fit_random_forest, rf_importance
 from .geostat import (EmpiricalVariogram, OrdinaryKriger, SampleSet, VariogramModel,
                       empirical_variogram, fit_exponential, regression_krige)

@@ -10,55 +10,38 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPlot, InvalidTree, UnitError
+from .errors import UnitError
 from .raster import Grid
 from .readers import csv_rows, finite
 
 AGB_COEF = 0.0673
 AGB_EXP = 0.973
 CARBON_RATIO = 0.5
+_POSITIVE = (lambda v: v > 0, "> 0")
+_NONNEGATIVE = (lambda v: v >= 0, ">= 0")
 
 
 @dataclass(frozen=True)
-class TreeRecord:
-    wsg: float     # wood specific gravity, g/cm3
-    dbh: float     # diameter at breast height, cm
-    height: float  # m
+class PlotTable:
+    """Plots as arrays: xy (n, 2) lon/lat and agb (n,) AGB densities in
+    Mg/ha, with the plot ids."""
+    ids: tuple
+    xy: np.ndarray
+    agb: np.ndarray
+
+    def take(self, rows) -> "PlotTable":
+        """The table of the plots at rows, in that order."""
+        return PlotTable(tuple(self.ids[i] for i in rows), self.xy[rows], self.agb[rows])
 
 
-@dataclass
-class PlotRecord:
-    id: str
-    lon: float
-    lat: float
-    area_ha: float
-    trees: list = field(default_factory=list)
-    agb_mg_ha: float | None = None
-
-
-def tree_agb(t: TreeRecord) -> float:
-    """Aboveground biomass of one tree in kilograms."""
-    for name in ("wsg", "dbh", "height"):
-        v = getattr(t, name)
-        if not (math.isfinite(v) and v > 0):
-            raise InvalidTree(f"{name} must be positive and finite, got {v!r}")
-    return AGB_COEF * (t.wsg * t.dbh ** 2 * t.height) ** AGB_EXP
-
-
-def plot_agb_density(p: PlotRecord) -> float:
-    """Plot AGB density in Mg/ha; a direct agb_mg_ha value passes through."""
-    if not (math.isfinite(p.area_ha) and p.area_ha > 0):
-        raise InvalidPlot(f"plot {p.id}: area_ha must be positive, got {p.area_ha!r}")
-    if p.agb_mg_ha is not None:
-        if not (math.isfinite(p.agb_mg_ha) and p.agb_mg_ha >= 0):
-            raise InvalidPlot(f"plot {p.id}: agb_mg_ha must be >= 0")
-        return float(p.agb_mg_ha)
-    total_kg = sum(tree_agb(t) for t in p.trees)
-    return total_kg / 1000.0 / p.area_ha
+def tree_agb(wsg, dbh, height):
+    """Aboveground biomass in kilograms of trees of wood specific gravity
+    wsg (g/cm3), diameter dbh (cm) and height (m): numbers or arrays."""
+    return AGB_COEF * (wsg * dbh ** 2 * height) ** AGB_EXP
 
 
 @dataclass(frozen=True)
@@ -94,45 +77,53 @@ def carbon_stock(agb_map: Grid, literal_per_km2: bool = False) -> CarbonStock:
 # ---------------------------------------------------------------------------
 # CSV interfaces
 
-def _plot_row(row) -> PlotRecord:
-    agb = row.get("agb_mg_ha")
-    return PlotRecord(row["plot_id"], finite(row["lon"], "lon"), finite(row["lat"], "lat"),
-                      finite(row["area_ha"], "area_ha"),
-                      agb_mg_ha=finite(agb, "agb_mg_ha") if agb not in (None, "") else None)
+def load_plots(plot_csv, tree_csv=None) -> PlotTable:
+    """The plot table of plot_csv (plot_id, lon, lat, area_ha [, agb_mg_ha]:
+    unique ids, area_ha > 0, agb_mg_ha >= 0 and required without tree_csv).
 
-
-def _tree_row(row):
-    return row["plot_id"], TreeRecord(*(finite(row[c], c) for c in ("wsg", "dbh_cm", "height_m")))
-
-
-def load_plots(plot_csv, tree_csv=None) -> list[PlotRecord]:
-    """Read plots from CSV.
-
-    plot_csv columns: plot_id, lon, lat, area_ha [, agb_mg_ha].
-    tree_csv (optional) columns: plot_id, wsg, dbh_cm, height_m; when given,
-    densities come from the trees of each plot instead of agb_mg_ha.
+    tree_csv rows (plot_id, wsg, dbh_cm, height_m, each > 0) name a plot of
+    plot_csv; a plot with trees takes their mass per hectare, one with
+    neither trees nor agb_mg_ha 0 Mg/ha. A row that breaks a rule raises
+    BadRecord naming path:line.
     """
-    plots: dict[str, PlotRecord] = {}
-    order = []
-    for plot in csv_rows(plot_csv, _plot_row):
-        plots[plot.id] = plot
-        order.append(plot.id)
+    index = {}  # plot id -> row
+
+    def plot_row(row):
+        pid, agb = row["plot_id"], row.get("agb_mg_ha")
+        if pid in index:
+            raise ValueError(f"duplicate plot_id {pid!r}")
+        values = (finite(row["lon"], "lon"), finite(row["lat"], "lat"),
+                  finite(row["area_ha"], "area_ha", _POSITIVE))
+        if agb in (None, "") and tree_csv is None:
+            raise ValueError("agb_mg_ha is required without a tree CSV")
+        index[pid] = len(index)
+        return (*values, finite(agb or 0.0, "agb_mg_ha", _NONNEGATIVE))
+
+    def tree_row(row):
+        pid = row["plot_id"]
+        if pid not in index:
+            raise ValueError(f"unknown plot_id {pid!r}")
+        return (index[pid],
+                *(finite(row[c], c, _POSITIVE) for c in ("wsg", "dbh_cm", "height_m")))
+
+    plots = np.array(csv_rows(plot_csv, plot_row)).reshape(-1, 4)
+    area, agb = plots[:, 2], plots[:, 3]
     if tree_csv is not None:
-        for pid, tree in csv_rows(tree_csv, _tree_row):
-            if pid not in plots:
-                raise InvalidPlot(f"tree references unknown plot {pid!r}")
-            plots[pid].trees.append(tree)
-            plots[pid].agb_mg_ha = None  # densities now come from the trees
-    return [plots[pid] for pid in order]
+        trees = np.array(csv_rows(tree_csv, tree_row)).reshape(-1, 4)
+        plot = trees[:, 0].astype(np.intp)
+        # bincount adds each plot's tree masses in file order
+        kg = np.bincount(plot, tree_agb(*trees[:, 1:].T), minlength=len(agb))
+        agb = np.where(np.bincount(plot, minlength=len(agb)) > 0, kg / 1000.0 / area, agb)
+    return PlotTable(tuple(index), plots[:, :2], agb)
 
 
-def write_plots(plots, path) -> None:
+def write_plots(plots: PlotTable, path) -> None:
+    """A plots CSV of the table, each plot as 1 ha of its AGB density."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["plot_id", "lon", "lat", "area_ha", "agb_mg_ha"])
-        for p in plots:
-            w.writerow([p.id, "%.10g" % p.lon, "%.10g" % p.lat,
-                        "%.10g" % p.area_ha, "%.10g" % plot_agb_density(p)])
+        for pid, (x, y), agb in zip(plots.ids, plots.xy, plots.agb):
+            w.writerow([pid, "%.10g" % x, "%.10g" % y, "1", "%.10g" % agb])
 
 
 def write_carbon_report(stock: CarbonStock, f) -> None:

@@ -14,7 +14,8 @@ import numpy as np
 from . import pipeline, synth
 from .allometry import carbon_stock, load_plots, write_carbon_report
 from .errors import AgbmapError
-from .geostat import SampleSet, empirical_variogram, fit_exponential, write_variogram_report
+from .geostat import (SampleSet, empirical_variogram, fit_exponential, lag_bins,
+                      write_variogram_report)
 from .model_io import save_model
 from .pipeline import (_RANGES, RunConfig, calibration_pairs, calibration_sweep,
                        fit_footprint_agb_model, validate_map, write_sweep_csv,
@@ -266,6 +267,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "variogram" and None not in (args.bin_width, args.max_lag) \
+                and lag_bins(args.max_lag, args.bin_width) < 1:
+            parser.error(f"argument --max-lag: must be at least half of --bin-width, "
+                         f"got {args.max_lag:g} with --bin-width {args.bin_width:g}")
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -22,20 +22,12 @@ class FitFailure(AgbmapError):
 class BadRecord(AgbmapError):
     """An input line that cannot be read: a byte that is not UTF-8, a
     waveform record that is not JSON, lacks a key or is invalid, a
-    malformed ASCII grid header or body, or a CSV row that lacks a column
-    or holds a value that is not a number. The message starts with
-    path:line."""
+    malformed ASCII grid header or body, or a CSV row that lacks a column,
+    holds a value that is not a number or out of range, or repeats or
+    misses a plot id. The message starts with path:line."""
 
 
 # allometry
-class InvalidTree(AgbmapError):
-    pass
-
-
-class InvalidPlot(AgbmapError):
-    pass
-
-
 class UnitError(AgbmapError):
     pass
 

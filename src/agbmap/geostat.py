@@ -90,6 +90,11 @@ class VariogramModel:
         return self.nugget + self.psill
 
 
+def lag_bins(max_lag: float, bin_width: float) -> int:
+    """The number of lag bins of width bin_width centred up to max_lag."""
+    return int(math.floor(max_lag / bin_width + 0.5))
+
+
 def empirical_variogram(s: SampleSet, bin_width: float | None = None,
                         max_lag: float | None = None) -> EmpiricalVariogram:
     """Binned pair semivariances. Bin j is centred at j*bin_width.
@@ -108,7 +113,7 @@ def empirical_variogram(s: SampleSet, bin_width: float | None = None,
         bin_width = max_lag / 30.0
     if bin_width <= 0:
         raise ValueError("bin_width must be > 0")
-    nbins = int(math.floor(max_lag / bin_width + 0.5))
+    nbins = lag_bins(max_lag, bin_width)
     if nbins < 1:
         raise ValueError("max_lag shorter than half a bin")
 

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .allometry import carbon_stock, load_plots, plot_agb_density, write_carbon_report
+from .allometry import PlotTable, carbon_stock, load_plots, write_carbon_report
 from .errors import (ConfigError, EmptyDesign, FitFailure, NoPairs,
                      NoQualifyingCells, RankDeficient, TooFewSamples)
 from .forest import ForestParams, fit_random_forest, rf_importance
@@ -67,21 +67,19 @@ def _metric_design(metrics, y):
                         np.asarray(y, dtype=float))
 
 
-def calibration_pairs(plots, footprints: FootprintTable, max_dist: float):
+def calibration_pairs(plots: PlotTable, footprints: FootprintTable, max_dist: float):
     """Each plot paired with its nearest footprint within max_dist.
 
     Returns (matched footprint rows, the pairs' plot AGB densities), in
     plot order; raises NoPairs when nothing matches.
     """
-    plot_xy = np.array([[p.lon, p.lat] for p in plots])
-    densities = np.array([plot_agb_density(p) for p in plots])
-    plot_rows, foot_rows, _ = match_points(plot_xy, footprints.xy, max_dist)
+    plot_rows, foot_rows, _ = match_points(plots.xy, footprints.xy, max_dist)
     if plot_rows.size == 0:
         raise NoPairs(f"no plot-footprint pairs within {max_dist} m")
-    return foot_rows, densities[plot_rows]
+    return foot_rows, plots.agb[plot_rows]
 
 
-def calibration_sweep(plots, footprints: FootprintTable, distances, kfold: int = 10,
+def calibration_sweep(plots: PlotTable, footprints: FootprintTable, distances, kfold: int = 10,
                       seed: int = 0):
     """One row per max distance: matched pair count plus CV score of the
     all-metrics linear model. Distances too small for any pair raise NoPairs.
@@ -124,28 +122,31 @@ def predict_footprints(model, footprints: FootprintTable):
     return SampleSet(footprints.xy, np.maximum(pred, 0.0)), clamped
 
 
-def _resample_stack(stack: GridStack, grid_size: float) -> GridStack:
+def _resample_factor(stack: GridStack, grid_size: float) -> int:
+    """The number of native cells along a side of a grid_size cell;
+    ConfigError unless grid_size is a whole multiple of the native size."""
     native = stack.geometry().cellsize
-    if grid_size == native:
-        return stack
     factor = grid_size / native
     if abs(factor - round(factor)) > 1e-9 or factor < 1:
         raise ConfigError(
             f"grid size {grid_size} is not an integer multiple of native {native}")
-    return GridStack([(n, resample(g, int(round(factor))))
-                      for n, g in stack.items()])
+    return int(round(factor))
+
+
+def _resample_stack(stack: GridStack, grid_size: float) -> GridStack:
+    factor = _resample_factor(stack, grid_size)
+    if factor == 1:
+        return stack
+    return GridStack([(n, resample(g, factor)) for n, g in stack.items()])
 
 
 def _covariate_rows(stack: GridStack, xy: np.ndarray):
     """(indices of the points inside the grid on a cell valid in every band,
-    matrix of band values at those cells), located as Grid.cell_of does."""
-    geom = stack.geometry()
-    col = np.floor((xy[:, 0] - geom.origin_x) / geom.cellsize)
-    row = geom.nrows - 1 - np.floor((xy[:, 1] - geom.origin_y) / geom.cellsize)
-    keep = np.flatnonzero((0 <= row) & (row < geom.nrows) & (0 <= col) & (col < geom.ncols))
-    X = stack.array()[:, row[keep].astype(int), col[keep].astype(int)].T
-    complete = np.isfinite(X).all(axis=1)
-    return keep[complete], X[complete]
+    matrix of band values at those cells)."""
+    row, col, inside = stack.geometry().locate(xy)
+    X = stack.array()[:, row, col].T
+    keep = np.flatnonzero(inside & np.isfinite(X).all(axis=1))
+    return keep, X[keep]
 
 
 def build_map(footprint_agb: SampleSet, covariates: GridStack, grid_size: float,
@@ -224,31 +225,28 @@ def build_map(footprint_agb: SampleSet, covariates: GridStack, grid_size: float,
                       n_clamped=n_clamped)
 
 
-def validate_map(agb_map: Grid, plots, min_count: int = 4):
+def validate_map(agb_map: Grid, plots: PlotTable, min_count: int = 4):
     """(rmsep, r2, n_cells) comparing cell values against the mean AGB of
-    the plots each cell contains; cells need at least min_count plots."""
+    the plots each valid cell contains; cells need at least min_count plots."""
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    per_cell: dict = {}
-    for p in plots:
-        rc = agb_map.cell_of(p.lon, p.lat)
-        if rc is None:
-            continue
-        v = agb_map.values[rc]
-        if not np.isfinite(v) or v == agb_map.nodata:
-            continue
-        per_cell.setdefault(rc, []).append(plot_agb_density(p))
-    cells = {rc: vals for rc, vals in per_cell.items() if len(vals) >= min_count}
-    if not cells:
+    row, col, inside = agb_map.locate(plots.xy)
+    on_map = np.flatnonzero(inside & agb_map.valid_mask()[row, col])
+    cell = row[on_map] * agb_map.ncols + col[on_map]
+    by_cell = np.argsort(cell, kind="stable")  # cells in row-major order, plots in file order
+    cells, starts, counts = np.unique(cell[by_cell], return_index=True, return_counts=True)
+    groups = np.split(plots.agb[on_map[by_cell]], starts[1:])
+    qualifying = counts >= min_count
+    if not qualifying.any():
         raise NoQualifyingCells(f"no cell contains >= {min_count} plots")
-    keys = sorted(cells)
-    obs = np.array([float(np.mean(cells[rc])) for rc in keys])
-    pred = np.array([agb_map.values[rc] for rc in keys])
+    # np.mean per cell sums each group pairwise, as a mean over a list does
+    obs = np.array([np.mean(g) for g, q in zip(groups, qualifying) if q])
+    pred = agb_map.values.flat[cells[qualifying]]
     resid = pred - obs
     rmsep = float(np.sqrt(np.mean(resid ** 2)))
     tss = float(np.sum((obs - obs.mean()) ** 2))
     r2 = 1.0 - float(resid @ resid) / tss if tss > 0 else float("nan")
-    return rmsep, r2, len(keys)
+    return rmsep, r2, len(obs)
 
 
 VALIDATION_FIELDS = ("rmsep", "r2", "n_cells")  # validate_map's tuple
@@ -340,13 +338,11 @@ _RANGES = {"n_trees": _AT_LEAST_1, "min_leaf": _AT_LEAST_1, "neighborhood": _AT_
                           "a list of finite sizes > 0")}
 
 
-def split_plots(plots, seed: int):
-    """Seeded 50/50 partition into (calibration, validation)."""
-    order = np.random.default_rng(seed).permutation(len(plots))
-    half = len(plots) // 2
-    calib = [plots[i] for i in order[:half]]
-    valid = [plots[i] for i in order[half:]]
-    return calib, valid
+def split_plots(plots: PlotTable, seed: int):
+    """Seeded 50/50 partition into (calibration, validation) tables."""
+    order = np.random.default_rng(seed).permutation(len(plots.ids))
+    half = len(plots.ids) // 2
+    return plots.take(order[:half]), plots.take(order[half:])
 
 
 def _size_tag(size: float) -> str:
@@ -354,16 +350,20 @@ def _size_tag(size: float) -> str:
 
 
 def run_mapping(cfg: RunConfig) -> dict:
-    """Execute the full chain and write every artifact under cfg.out_dir.
+    """Execute the full chain and write every artifact under cfg.out_dir,
+    which is made once the inputs are read and every grid size is found to
+    be a whole multiple of the covariate cell size.
 
     Returns the manifest dictionary (also written as run_manifest.json).
     """
-    os.makedirs(cfg.out_dir, exist_ok=True)
     records = read_waveforms(cfg.waveforms)
     dem = read_ascii_grid(cfg.dem)
     stack = GridStack([(name, read_ascii_grid(path))
                        for name, path in cfg.covariates.items()])
     plots = load_plots(cfg.plots, cfg.trees)
+    for size in cfg.grid_sizes:
+        _resample_factor(stack, size)
+    os.makedirs(cfg.out_dir, exist_ok=True)
 
     outputs = []
 
@@ -386,7 +386,7 @@ def run_mapping(cfg: RunConfig) -> dict:
     telemetry: dict = {
         "n_waveforms": len(records), "n_kept": len(footprints.xy),
         "rejects": dict(sorted(rejects.items())),
-        "n_plots": len(plots), "n_calibration_plots": len(calib_plots),
+        "n_plots": len(plots.ids), "n_calibration_plots": len(calib_plots.ids),
     }
 
     if cfg.sweep_distances:

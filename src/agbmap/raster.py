@@ -66,14 +66,17 @@ class Grid:
     def like(self, fill: float) -> "Grid":
         return self.copy_with(np.full((self.nrows, self.ncols), fill))
 
-    def cell_of(self, x: float, y: float):
-        """(row, col) of the cell containing the point, or None if outside."""
-        col = int(np.floor((x - self.origin_x) / self.cellsize))
-        row_from_bottom = int(np.floor((y - self.origin_y) / self.cellsize))
-        row = self.nrows - 1 - row_from_bottom
-        if 0 <= row < self.nrows and 0 <= col < self.ncols:
-            return row, col
-        return None
+    def locate(self, xy):
+        """(row, col, inside) of the (n, 2) points: the index arrays of the
+        cells that hold them and the mask of the points inside the grid.
+        A cell holds its western and southern edges; an outside point gets
+        row and col 0."""
+        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+        col = np.floor((xy[:, 0] - self.origin_x) / self.cellsize)
+        row = self.nrows - 1 - np.floor((xy[:, 1] - self.origin_y) / self.cellsize)
+        inside = (0 <= row) & (row < self.nrows) & (0 <= col) & (col < self.ncols)
+        return (np.where(inside, row, 0).astype(np.intp),
+                np.where(inside, col, 0).astype(np.intp), inside)
 
     def cell_center(self, row: int, col: int):
         x = self.origin_x + (col + 0.5) * self.cellsize
@@ -88,25 +91,20 @@ class Grid:
         y = self.origin_y + (self.nrows - rows - 0.5) * self.cellsize
         return np.meshgrid(x, y)
 
-    def sample(self, x: float, y: float) -> float:
-        """Value of the containing cell; NaN outside the grid or on nodata."""
-        rc = self.cell_of(x, y)
-        if rc is None:
-            return float("nan")
-        v = self.values[rc]
-        if not np.isfinite(v) or v == self.nodata:
-            return float("nan")
-        return float(v)
+    def sample(self, xy) -> np.ndarray:
+        """Values of the cells holding the (n, 2) points; NaN outside the
+        grid or on nodata."""
+        row, col, inside = self.locate(xy)
+        return np.where(inside, self.masked()[row, col], np.nan)
 
     def patch3x3(self, x: float, y: float) -> np.ndarray:
         """3x3 neighbourhood of the containing cell, edges replicated.
 
         Returns None when the point falls outside the grid.
         """
-        rc = self.cell_of(x, y)
-        if rc is None:
+        (r,), (c,), (inside,) = self.locate((x, y))
+        if not inside:
             return None
-        r, c = rc
         rows = np.clip([r - 1, r, r + 1], 0, self.nrows - 1)
         cols = np.clip([c - 1, c, c + 1], 0, self.ncols - 1)
         return self.values[np.ix_(rows, cols)]

@@ -52,11 +52,14 @@ def csv_rows(path, parse) -> list:
     return out
 
 
-def finite(value, name) -> float:
-    """float(value); a NaN or an infinity raises ValueError naming name."""
+def finite(value, name, rule=None) -> float:
+    """float(value); a NaN, an infinity or a value outside the (test,
+    wording) rule raises ValueError naming name."""
     out = float(value)
     if not math.isfinite(out):
         raise ValueError(f"{name} must be finite, got {value!r}")
+    if rule is not None and not rule[0](out):
+        raise ValueError(f"{name} must be {rule[1]}, got {value!r}")
     return out
 
 

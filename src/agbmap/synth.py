@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .allometry import PlotRecord, write_plots
+from .allometry import PlotTable, write_plots
 from .errors import ConfigError
 from .raster import Grid, GridStack, write_ascii_grid
 from .readers import check_fields, read_json
@@ -97,7 +97,7 @@ class Scene:
     truth_agb: Grid
     footprints: list
     footprint_truth: dict          # id -> (agb, canopy_height, ground_elev)
-    plots: list
+    plots: PlotTable
     expected_rejects: dict = field(default_factory=dict)  # id -> reason
 
 
@@ -207,15 +207,13 @@ def generate_scene(cfg: SceneConfig) -> Scene:
     noise_children = ss_noise.spawn(n)
     # a weak shot: detectable above mean + 4.5 sd yet safely under SNR 15
     low_snr_factor = (9.0 * cfg.noise_sd) / cfg.ground_amplitude
-    for i in range(n):
+    for i, ((x, y), agb, ground) in enumerate(zip(fxy, truth.sample(fxy).tolist(),
+                                                  dem.sample(fxy).tolist())):
         fid = f"fp{i:06d}"
-        x, y = fxy[i]
-        agb = truth.sample(x, y)
         h = agb / cfg.agb_per_meter
         if cfg.canopy_noise_sd > 0:
             h += canopy_rng.normal(0.0, cfg.canopy_noise_sd)
         h = float(np.clip(h, 8.0, 60.0))
-        ground = dem.sample(x, y)
         reason = injected.get(i)
         rng_i = np.random.default_rng(noise_children[i])
         w = synthesize_waveform(
@@ -230,17 +228,14 @@ def generate_scene(cfg: SceneConfig) -> Scene:
         if reason is not None:
             expected_rejects[fid] = reason
         footprints.append(w)
-        footprint_truth[fid] = (float(agb), h, float(ground))
+        footprint_truth[fid] = (agb, h, ground)
 
     plot_rng = np.random.default_rng(ss_plots)
     pxy = plot_rng.uniform(0.0, cfg.extent, size=(cfg.n_plots, 2))
     obs = plot_rng.normal(0.0, cfg.plot_noise_sd, cfg.n_plots) \
         if cfg.plot_noise_sd > 0 else np.zeros(cfg.n_plots)
-    plots = []
-    for i in range(cfg.n_plots):
-        agb = max(truth.sample(pxy[i, 0], pxy[i, 1]) + obs[i], 0.0)
-        plots.append(PlotRecord(f"plot{i:04d}", float(pxy[i, 0]), float(pxy[i, 1]),
-                                area_ha=1.0, agb_mg_ha=float(agb)))
+    plots = PlotTable(tuple(f"plot{i:04d}" for i in range(cfg.n_plots)), pxy,
+                      np.maximum(truth.sample(pxy) + obs, 0.0))
 
     return Scene(cfg, covariates, dem, truth, footprints, footprint_truth,
                  plots, expected_rejects)

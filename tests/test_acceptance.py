@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from agbmap.allometry import TreeRecord, carbon_stock, tree_agb
+from agbmap.allometry import carbon_stock, tree_agb
 from agbmap.cli import main as cli_main
 from agbmap.errors import DegenerateNoise, FitFailure, NoSignal
 from agbmap.forest import ForestParams, rf_importance
@@ -274,7 +274,7 @@ def test_criterion_5_model_selection():
 def test_criterion_6_allometry_and_carbon():
     # oracle: direct evaluation of the allometric equation
     oracle_kg = 0.0673 * (0.6 * 30.0 ** 2 * 30.0) ** 0.973
-    got = tree_agb(TreeRecord(0.6, 30.0, 30.0))
+    got = tree_agb(0.6, 30.0, 30.0)
     assert got == pytest.approx(oracle_kg, rel=1e-3)
     # the 12470 figure quoted alongside this case is the bare power term,
     # i.e. the evaluation with the 0.0673 coefficient dropped

@@ -63,6 +63,8 @@ def test_usage_errors_exit_2(capsys):
              "--bin-width: must be finite and > 0, got 0"),
             (["variogram", "--samples", "s.csv", "--max-lag", "-5"],
              "--max-lag: must be finite and > 0, got -5"),
+            (["variogram", "--samples", "s.csv", "--bin-width", "1000", "--max-lag", "50"],
+             "--max-lag: must be at least half of --bin-width, got 50 with --bin-width 1000"),
             (["textures", *grid, "--window", "2"], "--window: must be odd and >= 3, got 2"),
             (["textures", *grid, "--levels", "1"], "--levels: must be >= 2, got 1"),
             (["filter", "--in", "w.ndjson", "--out", "f.csv", "--snr-min", "nan"],
@@ -283,6 +285,16 @@ def test_sweep_bad_metrics_row_exits_1_naming_path_and_line(scene_dir, cli_metri
     assert "Traceback" not in err
 
 
+def test_map_grid_size_off_the_covariate_cells_exits_1_before_out_dir(scene_dir, tmp_path,
+                                                                     capsys):
+    out = tmp_path / "gs"
+    assert main(["map", "--config", str(scene_dir / "run_config.json"), "--grid-size", "500",
+                 "--grid-size", "600", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: grid size 600.0 is not an integer multiple of native 250.0\n"
+    assert not out.exists()
+
+
 def test_failed_validate_writes_no_file(scene_dir, tmp_path, capsys):
     grid = tmp_path / "one_cell.asc"
     write_ascii_grid(Grid([[100.0]], 0.0, 0.0, 20_000.0), grid)
@@ -367,6 +379,8 @@ def test_variogram_command(tmp_path, capsys):
 @pytest.mark.parametrize("command, text, message", [
     ("validate", "plot_id,lon,lat,area_ha,agb_mg_ha\np1,x,5,1.0,100\n",
      "could not convert string to float: 'x'"),
+    ("validate", "plot_id,lon,lat,area_ha,agb_mg_ha\np1,0,5,0,100\n",
+     "area_ha must be > 0, got '0'"),
     ("variogram", "x,y,value\n1,2,q\n", "could not convert string to float: 'q'"),
     ("variogram", "x,value\n1,3\n", "missing column 'y'"),
 ])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,19 @@ from agbmap.linear import stepwise_bic
 from agbmap.pipeline import (METRIC_FEATURES, RunConfig, _covariate_rows, build_map,
                              calibration_pairs, calibration_sweep, fit_footprint_agb_model,
                              predict_footprints, run_mapping, split_plots, validate_map)
-from agbmap.allometry import PlotRecord, load_plots
+from agbmap.allometry import PlotTable, load_plots
 from agbmap.raster import Grid, GridStack, read_ascii_grid
 from agbmap.synth import generate_scene, small_config, write_scene
 from agbmap.waveform import (METRIC_COLUMNS, FootprintTable, footprint_table, process_waveforms,
                              read_waveforms, write_waveforms)
 
 COL = {c: j for j, c in enumerate(METRIC_COLUMNS)}  # metric matrix column of each name
+
+
+def plot_table(rows):
+    """The PlotTable of (x, y, agb) rows, with ids p0, p1, ..."""
+    rows = np.array(rows, dtype=float).reshape(-1, 3)
+    return PlotTable(tuple(f"p{i}" for i in range(len(rows))), rows[:, :2], rows[:, 2])
 
 
 def feature_matrix(features):
@@ -128,7 +136,7 @@ def test_sweep_r2_decays_with_distance():
 
 
 def test_sweep_no_pairs_and_duplicates():
-    plots = [PlotRecord("p", 0.0, 0.0, 1.0, agb_mg_ha=100.0)]
+    plots = plot_table([(0.0, 0.0, 100.0)])
     fps = FootprintTable(np.array([[5000.0, 5000.0]]), np.ones((1, len(METRIC_COLUMNS))))
     with pytest.raises(NoPairs):
         calibration_sweep(plots, fps, [10.0])
@@ -145,6 +153,14 @@ def scene_samples(scene, noise=10.0, seed=0):
     vals = np.array([scene.footprint_truth[i][0] for i in ids])
     rng = np.random.default_rng(seed)
     return SampleSet(xy, np.maximum(vals + rng.normal(0, noise, len(vals)), 0.0))
+
+
+def cell_of(grid, x, y):
+    """(row, col) of the cell holding the point, or None outside: one point
+    at a time, in scalar arithmetic."""
+    col = math.floor((x - grid.origin_x) / grid.cellsize)
+    row = grid.nrows - 1 - math.floor((y - grid.origin_y) / grid.cellsize)
+    return (row, col) if 0 <= row < grid.nrows and 0 <= col < grid.ncols else None
 
 
 def test_covariate_rows_match_per_point_cell_of():
@@ -165,7 +181,7 @@ def test_covariate_rows_match_per_point_cell_of():
     cube = stack.array()
     keep, rows = [], []
     for i, (x, y) in enumerate(xy):
-        rc = geom.cell_of(x, y)
+        rc = cell_of(geom, x, y)
         if rc is not None and np.isfinite(cube[:, rc[0], rc[1]]).all():
             keep.append(i)
             rows.append(cube[:, rc[0], rc[1]])
@@ -250,9 +266,9 @@ def test_multi_resolution_mean_consistency():
 
 # ------------------------------------------------------------ validate
 
-def plot_at(grid, r, c, agb, i=0):
-    x, y = grid.cell_center(r, c)
-    return PlotRecord(f"v{r}_{c}_{i}", x, y, 1.0, agb_mg_ha=agb)
+def plot_at(grid, r, c, agb):
+    """An (x, y, agb) row at the centre of cell (r, c)."""
+    return (*grid.cell_center(r, c), agb)
 
 
 def test_validate_map_perfect_and_thresholds():
@@ -261,7 +277,8 @@ def test_validate_map_perfect_and_thresholds():
     for r in range(2):
         for c in range(2):
             for i in range(4):
-                plots.append(plot_at(g, r, c, g.values[r, c], i))
+                plots.append(plot_at(g, r, c, g.values[r, c]))
+    plots = plot_table(plots)
     rmsep, r2, n = validate_map(g, plots, min_count=4)
     assert rmsep == pytest.approx(0.0)
     assert r2 == pytest.approx(1.0)
@@ -274,9 +291,10 @@ def test_validate_map_monotone_in_min_count():
     g = Grid(np.full((3, 3), 150.0), 0, 0, 1000.0)
     rng = np.random.default_rng(11)
     plots = []
-    for k in range(60):
+    for _ in range(60):
         r, c = rng.integers(0, 3, 2)
-        plots.append(plot_at(g, r, c, float(rng.uniform(100, 200)), k))
+        plots.append(plot_at(g, r, c, float(rng.uniform(100, 200))))
+    plots = plot_table(plots)
     sizes = []
     for mc in (1, 3, 5, 8):
         try:
@@ -284,6 +302,29 @@ def test_validate_map_monotone_in_min_count():
         except NoQualifyingCells:
             sizes.append(0)
     assert sizes == sorted(sizes, reverse=True)
+
+
+def test_validate_map_equals_per_plot_loop():
+    # the reference groups the plots in a dict cell by cell and averages
+    # each cell's list; np.mean sums cells of 8 and more plots pairwise
+    g = Grid(np.random.default_rng(2).uniform(50, 300, (4, 5)), 0, 0, 100.0)
+    g.values[1, 2] = g.nodata
+    g.values[3, 0] = np.nan
+    rng = np.random.default_rng(8)
+    plots = plot_table(np.column_stack([rng.uniform(-30, 530, (700, 2)),  # some outside
+                                        rng.uniform(0, 400, 700)]))
+    for min_count in (1, 9, 25):
+        per_cell = {}
+        for (x, y), agb in zip(plots.xy, plots.agb):
+            rc = cell_of(g, x, y)
+            if rc is not None and g.valid_mask()[rc]:
+                per_cell.setdefault(rc, []).append(agb)
+        keys = sorted(rc for rc, v in per_cell.items() if len(v) >= min_count)
+        obs = np.array([np.mean(per_cell[rc]) for rc in keys])
+        resid = np.array([g.values[rc] for rc in keys]) - obs
+        r2 = 1.0 - float(resid @ resid) / float(np.sum((obs - obs.mean()) ** 2))
+        assert 0 < len(keys) < 20
+        assert validate_map(g, plots, min_count) == (np.sqrt(np.mean(resid ** 2)), r2, len(keys))
 
 
 def test_validate_against_truth_field_oracle():
@@ -300,12 +341,16 @@ def test_validate_against_truth_field_oracle():
 # ------------------------------------------------------------ run config
 
 def test_split_plots_seeded_and_disjoint():
-    plots = [PlotRecord(f"p{i}", i, i, 1.0, agb_mg_ha=1.0 * i) for i in range(21)]
+    plots = plot_table([(i, i, 1.0 * i) for i in range(21)])
     a1, b1 = split_plots(plots, 5)
     a2, b2 = split_plots(plots, 5)
-    assert [p.id for p in a1] == [p.id for p in a2]
-    assert len(a1) == 10 and len(b1) == 11
-    assert not {p.id for p in a1} & {p.id for p in b1}
+    assert a1.ids == a2.ids
+    assert len(a1.ids) == 10 and len(b1.ids) == 11
+    assert sorted(a1.ids + b1.ids) == sorted(plots.ids)
+    for part in (a1, b1):  # each row keeps its coordinates and density
+        rows = [plots.ids.index(i) for i in part.ids]
+        assert np.array_equal(part.xy, plots.xy[rows])
+        assert np.array_equal(part.agb, plots.agb[rows])
 
 
 def test_run_config_json_round_trip(tmp_path):

@@ -17,14 +17,25 @@ def make_grid(values, cellsize=100.0, nodata=-9999.0):
 
 # ---------------------------------------------------------------- geometry
 
-def test_cell_of_and_center_roundtrip():
+def test_locate_and_cell_center_roundtrip():
     g = make_grid(np.arange(12).reshape(3, 4))
-    for r in range(3):
-        for c in range(4):
-            x, y = g.cell_center(r, c)
-            assert g.cell_of(x, y) == (r, c)
-    assert g.cell_of(-1, 50) is None
-    assert g.cell_of(50, 10 * g.cellsize) is None
+    rows, cols = np.divmod(np.arange(12), 4)
+    centers = [g.cell_center(r, c) for r, c in zip(rows, cols)]
+    row, col, inside = g.locate(centers)
+    assert inside.all() and np.array_equal(row, rows) and np.array_equal(col, cols)
+    # a cell holds its western and southern edges; outside points get cell (0, 0)
+    row, col, inside = g.locate([(-1, 50), (50, 3 * g.cellsize), (0, 0), (np.nan, 50),
+                                 (399.99, 299.99), (4e300, 50)])
+    assert inside.tolist() == [False, False, True, False, True, False]
+    assert row.tolist() == [0, 0, 2, 0, 0, 0] and col.tolist() == [0, 0, 0, 0, 3, 0]
+    assert g.locate(np.empty((0, 2)))[0].shape == (0,)
+
+
+def test_sample_is_nan_outside_and_on_nodata():
+    g = make_grid([[1.0, -9999.0], [np.nan, 4.0]])
+    got = g.sample([g.cell_center(0, 0), g.cell_center(0, 1), g.cell_center(1, 0),
+                    g.cell_center(1, 1), (-5.0, 5.0)])
+    assert np.array_equal(got, [1.0, np.nan, np.nan, 4.0, np.nan], equal_nan=True)
 
 
 def test_patch3x3_replicates_edges():

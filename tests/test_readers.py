@@ -1,8 +1,8 @@
 """One-byte corruptions of the three JSON documents: the run config, the scene
 overrides of `agbmap simulate --config` and a saved forest. Each reader
 either returns or raises ConfigError, and a forest it returns predicts.
-The same corruptions of a metrics CSV either read as a footprint table or
-raise BadRecord."""
+The same corruptions of a metrics CSV, a plots CSV and a trees CSV either
+read as a footprint or plot table or raise BadRecord."""
 
 import json
 
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agbmap.allometry import load_plots
 from agbmap.errors import BadRecord, ConfigError
 from agbmap.forest import Forest, ForestParams, NodeTable
 from agbmap.model_io import load_model, save_model
@@ -109,3 +110,40 @@ def test_one_byte_corruption_of_metrics_csv_reads_or_raises_bad_record(metrics_c
     n = len(table.ids)
     assert table.xy.shape == (n, 2) and table.metrics.shape == (n, len(METRIC_COLUMNS))
     assert np.isfinite(table.xy).all() and np.isfinite(table.metrics).all()
+
+
+@pytest.fixture(scope="module")
+def plot_csvs(tmp_path_factory):
+    """Name -> (bytes of a valid CSV, a path for corrupt copies, the reader
+    of a copy): a plots CSV with AGB, and a trees CSV read with a plots CSV
+    that has none."""
+    out = tmp_path_factory.mktemp("plots")
+    (out / "plots.csv").write_text("plot_id,lon,lat,area_ha,agb_mg_ha\n"
+                                   "p0,100,2500,1,150.5\np1,4000,20,0.25,0\np2,7.5,9000,2,310\n")
+    (out / "stands.csv").write_text("plot_id,lon,lat,area_ha\n"
+                                    "p0,100,2500,1\np1,4000,20,0.25\np2,7.5,9000,2\n")
+    (out / "trees.csv").write_text("plot_id,wsg,dbh_cm,height_m\n"
+                                   "p0,0.6,30,25\np2,0.45,12.5,9\np0,0.8,60,31\n")
+    readers = {"plots": load_plots, "trees": lambda path: load_plots(out / "stands.csv", path)}
+    docs = {}
+    for name, read in readers.items():
+        assert read(out / f"{name}.csv").ids == ("p0", "p1", "p2")
+        docs[name] = ((out / f"{name}.csv").read_bytes(), out / f"corrupt {name}.csv", read)
+    return docs
+
+
+@pytest.mark.parametrize("name", ["plots", "trees"])
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(**ONE_BYTE)
+def test_one_byte_corruption_of_plot_csvs_reads_or_raises_bad_record(plot_csvs, name, op, at,
+                                                                     byte):
+    data, path, read = plot_csvs[name]
+    _write_corrupt(path, data, op, at, byte)
+    try:
+        table = read(path)
+    except BadRecord:
+        return
+    n = len(table.ids)
+    assert table.xy.shape == (n, 2) and table.agb.shape == (n,)
+    assert np.isfinite(table.xy).all() and np.isfinite(table.agb).all()
+    assert (table.agb >= 0).all()

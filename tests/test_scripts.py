@@ -28,3 +28,13 @@ def test_distance_sweep_prints_one_row_per_distance(monkeypatch, capsys):
     rows = [line.split() for line in lines[2:]]
     assert [r[0] for r in rows] == ["300", "1000"]
     assert 0 < int(rows[0][1]) <= int(rows[1][1])
+
+
+def test_rk_improvement_runs_a_scene_without_plots(monkeypatch, capsys):
+    script = SCRIPTS_DIR / "rk_improvement_experiment.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--scenes", "1"])
+    assert runpy.run_path(str(script), run_name="not_main")["main"]() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["seed", "trend", "rmse", "rk", "rmse", "gain"]
+    assert lines[1].split()[0] == "0"
+    assert lines[-1].startswith("mean gain ")

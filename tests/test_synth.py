@@ -16,7 +16,7 @@ def test_same_seed_bit_identical():
     assert np.array_equal(a.dem.values, b.dem.values)
     for wa, wb in zip(a.footprints, b.footprints):
         assert np.array_equal(wa.intensities, wb.intensities)
-    assert [p.agb_mg_ha for p in a.plots] == [p.agb_mg_ha for p in b.plots]
+    assert np.array_equal(a.plots.agb, b.plots.agb)
     c = generate_scene(small_config(seed=43, n_footprints=60, n_plots=30))
     assert not np.array_equal(a.truth_agb.values, c.truth_agb.values)
 
@@ -98,7 +98,10 @@ def test_write_scene_emits_pipeline_formats(tmp_path):
     from agbmap.waveform import read_waveforms
     from agbmap.allometry import load_plots
     assert len(read_waveforms(paths["waveforms"])) == 25
-    assert len(load_plots(paths["plots"])) == 10
+    plots = load_plots(paths["plots"])
+    assert type(plots) is type(scene.plots) and plots.ids == scene.plots.ids
+    assert plots.xy == pytest.approx(scene.plots.xy, rel=1e-9)
+    assert plots.agb == pytest.approx(scene.plots.agb, rel=1e-9)
     truth = read_ascii_grid(paths["truth"])
     assert truth.cellsize == scene.truth_agb.cellsize
     for name, p in paths["covariates"].items():
