@@ -13,7 +13,7 @@ import sys
 
 from agbmap.pipeline import calibration_sweep
 from agbmap.synth import generate_scene, small_config
-from agbmap.waveform import footprint_table, process_waveforms
+from agbmap.waveform import process_waveforms
 
 
 def main():
@@ -29,7 +29,7 @@ def main():
                        trend_coefficients=(15.0, -10.0, 8.0))
     scene = generate_scene(cfg)
     west = [w for w in scene.footprints if w.lon < cfg.extent / 2]
-    footprints = footprint_table(process_waveforms(west, scene.dem, max_components=3))
+    _, footprints = process_waveforms(west, scene.dem, max_components=3)
     print(f"{len(footprints.xy)} footprints with metrics (west half only)")
     rows = calibration_sweep(scene.plots, footprints, args.distances, kfold=5,
                              seed=args.seed)

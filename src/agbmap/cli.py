@@ -13,7 +13,7 @@ import numpy as np
 
 from . import pipeline, synth
 from .allometry import carbon_stock, load_plots, write_carbon_report
-from .errors import AgbmapError
+from .errors import AgbmapError, TooFewSamples
 from .geostat import (SampleSet, empirical_variogram, fit_exponential, lag_bins,
                       write_variogram_report)
 from .model_io import save_model
@@ -23,9 +23,9 @@ from .pipeline import (_RANGES, RunConfig, calibration_pairs, calibration_sweep,
 from .raster import read_ascii_grid, write_ascii_grid
 from .readers import csv_rows, finite
 from .textures import glcm_textures
-from .waveform import (DETECT_K, MAX_COMPONENTS, MAX_ELEV_GAP, SNR_MIN, footprint_table,
-                       process_waveforms, read_metrics_csv, read_waveforms, write_filter_csv,
-                       write_metrics_csv)
+from .waveform import (DETECT_K, MAX_COMPONENTS, MAX_ELEV_GAP, SNR_MIN, Waveforms,
+                       filter_waveforms, process_waveforms, read_metrics_csv, read_waveforms,
+                       write_filter_csv, write_metrics_csv)
 
 
 def _ranged(convert, rule):
@@ -159,25 +159,23 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    # no DEM: the filter report carries no terrain metrics
-    results = process_waveforms(read_waveforms(args.infile), None, k=args.detect_k,
-                                max_components=MAX_COMPONENTS, snr_min=args.snr_min,
-                                max_elev_gap=args.max_elev_gap)
+    # the filter stage alone: no DEM and no decomposition
+    wf = Waveforms.pack(read_waveforms(args.infile))
+    reasons = filter_waveforms(wf, k=args.detect_k, snr_min=args.snr_min,
+                               max_elev_gap=args.max_elev_gap).reason
     with _output(args.out) as f:
-        write_filter_csv(results, f)
-    kept = sum(1 for r in results if r.result.kept)
-    print(f"{kept} of {len(results)} waveforms kept")
+        write_filter_csv(wf.ids, reasons, f)
+    print(f"{(reasons == '').sum()} of {len(reasons)} waveforms kept")
     return 0
 
 
 def _cmd_metrics(args) -> int:
-    results = process_waveforms(read_waveforms(args.infile), read_ascii_grid(args.dem),
-                                k=args.detect_k, max_components=args.max_components,
-                                snr_min=args.snr_min, max_elev_gap=args.max_elev_gap)
-    footprints = footprint_table(results)
+    reasons, footprints = process_waveforms(
+        read_waveforms(args.infile), read_ascii_grid(args.dem), k=args.detect_k,
+        max_components=args.max_components, snr_min=args.snr_min, max_elev_gap=args.max_elev_gap)
     with _output(args.out) as f:
         write_metrics_csv(footprints, f)
-    print(f"{len(footprints.xy)} of {len(results)} waveforms kept; metrics at {args.out}")
+    print(f"{len(footprints.xy)} of {len(reasons)} waveforms kept; metrics at {args.out}")
     return 0
 
 
@@ -239,7 +237,10 @@ def _cmd_variogram(args) -> int:
                     lambda row: [finite(row[c], c) for c in ("x", "y", "value")])
     table = np.array(rows, dtype=float).reshape(-1, 3)
     samples = SampleSet(table[:, :2], table[:, 2])
-    ev = empirical_variogram(samples, bin_width=args.bin_width, max_lag=args.max_lag)
+    try:
+        ev = empirical_variogram(samples, bin_width=args.bin_width, max_lag=args.max_lag)
+    except TooFewSamples as e:
+        raise TooFewSamples(f"{args.samples}: {e}") from None
     model = fit_exponential(ev)
     with _output(args.out) as f:
         write_variogram_report(ev, model, f)

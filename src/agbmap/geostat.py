@@ -115,7 +115,8 @@ def empirical_variogram(s: SampleSet, bin_width: float | None = None,
         raise ValueError("bin_width must be > 0")
     nbins = lag_bins(max_lag, bin_width)
     if nbins < 1:
-        raise ValueError("max_lag shorter than half a bin")
+        raise TooFewSamples(f"max_lag {max_lag:g} is shorter than half a bin of {bin_width:g}; "
+                            f"by default it is half the samples' bounding-box diagonal")
 
     # bins 0 and nbins + 1 collect the pairs closer than half a bin and
     # beyond max_lag; in-range sums accumulate in pair order

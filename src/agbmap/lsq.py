@@ -78,10 +78,12 @@ def plm(model, p0, lo, hi, data, *, xtol: float, ftol: float, gtol: float,
             (np.abs(g).max(axis=1) < gtol)
             | (np.linalg.norm(step, axis=1) < xtol * (xtol + np.linalg.norm(p, axis=1)))
             | (accept & (actual < ftol * cost) & (rho > 0.25)))
-        p = np.where(accept[:, None], trial, p)
-        r = np.where(accept[:, None], r_t, r)
-        jac = np.where(accept[:, None, None], jac_t, jac)
-        cost = np.where(accept, cost_t, cost)
+        # accepted rows take the trial in place
+        np.copyto(p, trial, where=accept[:, None])
+        np.copyto(r, r_t, where=accept[:, None])
+        np.copyto(jac, jac_t, where=accept[:, None, None])
+        np.copyto(cost, cost_t, where=accept)
+        del r_t, jac_t  # not held through the next model call
         mu = np.where(accept, mu * np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3), mu * nu)
         nu = np.where(accept, 2.0, 2 * nu)
         leave = converged | bad | ~np.isfinite(mu)

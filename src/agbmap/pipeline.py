@@ -32,8 +32,8 @@ from .model_io import save_model
 from .raster import Grid, GridStack, match_points, read_ascii_grid, resample, write_ascii_grid
 from .readers import check_fields, read_json
 from .waveform import (DETECT_K, MAX_COMPONENTS, MAX_ELEV_GAP, METRIC_COLUMNS, SNR_MIN,
-                       FootprintTable, footprint_table, process_waveforms, read_waveforms,
-                       write_filter_csv, write_metrics_csv)
+                       FootprintTable, process_waveforms, read_waveforms, write_filter_csv,
+                       write_metrics_csv)
 
 METRIC_FEATURES = ("wext", "h10", "h20", "h30", "h40", "h50", "h60", "h70",
                    "h80", "h90", "ti", "slope", "tch", "lead", "trail")
@@ -372,15 +372,14 @@ def run_mapping(cfg: RunConfig) -> dict:
         outputs.append(name)
         return os.path.join(cfg.out_dir, name)
 
-    results = process_waveforms(records, dem, k=cfg.detect_k,
-                                max_components=cfg.max_components,
-                                snr_min=cfg.snr_min, max_elev_gap=cfg.max_elev_gap)
-    footprints = footprint_table(results)
+    reasons, footprints = process_waveforms(records, dem, k=cfg.detect_k,
+                                            max_components=cfg.max_components,
+                                            snr_min=cfg.snr_min, max_elev_gap=cfg.max_elev_gap)
     with open(output("metrics.csv"), "w", newline="") as f:
         write_metrics_csv(footprints, f)
     with open(output("filter.csv"), "w", newline="") as f:
-        write_filter_csv(results, f)
-    rejects = Counter(fr.result.reason for fr in results if not fr.result.kept)
+        write_filter_csv([w.id for w in records], reasons, f)
+    rejects = Counter(reason for reason in reasons if reason)
     calib_plots, valid_plots = split_plots(plots, cfg.seed)
 
     telemetry: dict = {

@@ -97,17 +97,15 @@ class Grid:
         row, col, inside = self.locate(xy)
         return np.where(inside, self.masked()[row, col], np.nan)
 
-    def patch3x3(self, x: float, y: float) -> np.ndarray:
-        """3x3 neighbourhood of the containing cell, edges replicated.
-
-        Returns None when the point falls outside the grid.
-        """
-        (r,), (c,), (inside,) = self.locate((x, y))
-        if not inside:
-            return None
-        rows = np.clip([r - 1, r, r + 1], 0, self.nrows - 1)
-        cols = np.clip([c - 1, c, c + 1], 0, self.ncols - 1)
-        return self.values[np.ix_(rows, cols)]
+    def patch3x3(self, xy):
+        """(patches, inside): the (n, 3, 3) neighbourhoods of the cells that
+        hold the (n, 2) points, edges replicated, and the mask of the points
+        inside the grid (an outside point gets the patch of cell (0, 0))."""
+        row, col, inside = self.locate(xy)
+        step = np.arange(-1, 2)
+        rows = np.clip(row[:, None] + step, 0, self.nrows - 1)
+        cols = np.clip(col[:, None] + step, 0, self.ncols - 1)
+        return self.values[rows[:, :, None], cols[:, None, :]], inside
 
 
 class GridStack:

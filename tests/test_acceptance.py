@@ -14,7 +14,6 @@ import scipy.linalg
 
 from agbmap.allometry import carbon_stock, tree_agb
 from agbmap.cli import main as cli_main
-from agbmap.errors import DegenerateNoise, FitFailure, NoSignal
 from agbmap.forest import ForestParams, rf_importance
 from agbmap.geostat import (EmpiricalVariogram, OrdinaryKriger, SampleSet,
                             VariogramModel, empirical_variogram, fit_exponential)
@@ -23,8 +22,7 @@ from agbmap.pipeline import build_map
 from agbmap.raster import Grid, band_pca
 from agbmap.synth import generate_scene, small_config
 from agbmap.textures import DEFAULT_OFFSETS, glcm_textures
-from agbmap.waveform import (decompose_gaussians, detect_signal_bounds,
-                             extract_metrics, process_waveforms)
+from agbmap.waveform import METRIC_COLUMNS, Waveforms, filter_waveforms, process_waveforms
 
 from test_linear import exhaustive_bic_minimum
 from test_textures import center_values, oracle_stats
@@ -178,17 +176,15 @@ def test_criterion_3_rk_improvement():
 # 4. waveform recovery and filter exactness
 
 def _recover(scene, max_components):
-    errs = []
-    for w in scene.footprints:
-        _, h, _ = scene.footprint_truth[w.id]
-        try:
-            noise, b, e = detect_signal_bounds(w)
-            comps, _ = decompose_gaussians(w, noise, max_components, bounds=(b, e))
-            m = extract_metrics(w, comps, np.zeros((3, 3)), noise=noise, bounds=(b, e))
-            errs.append(abs(m.tch - h))
-        except (NoSignal, DegenerateNoise, FitFailure):
-            errs.append(float("inf"))
-    return np.array(errs)
+    """Canopy-height error of each footprint through the driver on a flat
+    DEM with the SNR and elevation rules off; inf where no signal is found
+    or no fit converges."""
+    flat = Grid(np.zeros((1, 1)), 0.0, 0.0, scene.config.extent)
+    _, table = process_waveforms(scene.footprints, flat, max_components=max_components,
+                                 snr_min=0.0, max_elev_gap=math.inf)
+    tch = dict(zip(table.ids, table.metrics[:, METRIC_COLUMNS.index("tch")]))
+    return np.array([abs(tch[w.id] - scene.footprint_truth[w.id][1]) if w.id in tch
+                     else math.inf for w in scene.footprints])
 
 
 def test_criterion_4_waveform_recovery_and_filter():
@@ -211,10 +207,8 @@ def test_criterion_4_waveform_recovery_and_filter():
     mixed = generate_scene(small_config(
         seed=4003, n_footprints=500, n_plots=0, cloud_violation_rate=0.06,
         sat_violation_rate=0.05, low_snr_rate=0.05, elev_mismatch_rate=0.04))
-    got = {}
-    for r in process_waveforms(mixed.footprints, None, max_components=1):
-        if not r.result.kept:
-            got[r.record.id] = r.result.reason
+    reasons = filter_waveforms(Waveforms.pack(mixed.footprints)).reason
+    got = {w.id: reason for w, reason in zip(mixed.footprints, reasons) if reason}
     assert got == mixed.expected_rejects
     elapsed = time.time() - t0
     report(4, f"canopy height within 1 bin on all 300 noiseless footprints "

@@ -154,6 +154,9 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     ('{"id": "b", "lon": 1.0}', "missing key 'lat'"),
     ('{"id": "b", "lon": 1.0, "lat": 2.0, "bin_top_elev": 9.0, "bin_size": 0.15, '
      '"intensities": [1.0, 2.0]}', "need >= 10 intensity bins"),
+    ('{"id": "b", "lon": 1.0, "lat": 2.0, "bin_top_elev": 9.0, "bin_size": 0.15, '
+     '"intensities": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0], "sat_ndx": "a"}',
+     "could not convert string to float: 'a'"),
     ("[1, 2]", "list indices"),
     ("\udcff", "can't decode byte 0xff"),  # written as the raw byte 0xff
 ])
@@ -374,6 +377,23 @@ def test_variogram_command(tmp_path, capsys):
     assert rows[0] == ["kind", "lag", "gamma", "pairs", "nugget", "psill", "range"]
     assert rows[-1][0] == "model"
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x,y,value\n0,0,1\n2,2,5\n1,0,3\n",
+     "max_lag 1.41421 is shorter than half a bin of 1000"),
+    ("x,y,value\n5,5,1\n", "need at least 2 samples, got 1"),
+])
+def test_variogram_samples_too_close_for_the_bin_exit_1_naming_the_file(tmp_path, capsys,
+                                                                        text, message):
+    # the default max_lag comes from the samples, so no flag check sees it
+    path = tmp_path / "s.csv"
+    path.write_text(text)
+    assert main(["variogram", "--samples", str(path), "--bin-width", "1000"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: {message}" + (
+        "; by default it is half the samples' bounding-box diagonal\n"
+        if "max_lag" in message else "\n")
 
 
 @pytest.mark.parametrize("command, text, message", [

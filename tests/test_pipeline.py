@@ -13,7 +13,7 @@ from agbmap.pipeline import (METRIC_FEATURES, RunConfig, _covariate_rows, build_
 from agbmap.allometry import PlotTable, load_plots
 from agbmap.raster import Grid, GridStack, read_ascii_grid
 from agbmap.synth import generate_scene, small_config, write_scene
-from agbmap.waveform import (METRIC_COLUMNS, FootprintTable, footprint_table, process_waveforms,
+from agbmap.waveform import (METRIC_COLUMNS, FootprintTable, process_waveforms,
                              read_waveforms, write_waveforms)
 
 COL = {c: j for j, c in enumerate(METRIC_COLUMNS)}  # metric matrix column of each name
@@ -421,8 +421,7 @@ def test_footprint_sharing_a_calibration_id_keeps_its_estimate(tmp_path):
         plots=paths["plots"], out_dir=str(tmp_path / "run"), grid_sizes=(1000.0,),
         trend="lm", seed=13, calib_max_dist=700.0, max_components=3)
     records = read_waveforms(cfg.waveforms)
-    table = footprint_table(process_waveforms(records, read_ascii_grid(cfg.dem),
-                                              max_components=3))
+    _, table = process_waveforms(records, read_ascii_grid(cfg.dem), max_components=3)
     calib_plots, _ = split_plots(load_plots(cfg.plots), cfg.seed)
     matched = np.unique(calibration_pairs(calib_plots, table, cfg.calib_max_dist)[0])
     unmatched = np.setdiff1d(np.arange(len(table.xy)), matched)

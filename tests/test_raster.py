@@ -41,11 +41,10 @@ def test_sample_is_nan_outside_and_on_nodata():
 def test_patch3x3_replicates_edges():
     g = make_grid(np.arange(9).reshape(3, 3))
     x, y = g.cell_center(0, 0)  # top-left corner cell
-    patch = g.patch3x3(x, y)
-    assert patch.shape == (3, 3)
-    assert patch[0, 0] == g.values[0, 0]
-    x, y = g.cell_center(1, 1)
-    assert np.array_equal(g.patch3x3(x, y), g.values)
+    patches, inside = g.patch3x3([(x, y), g.cell_center(1, 1), (-5.0, 5.0)])
+    assert patches.shape == (3, 3, 3) and inside.tolist() == [True, True, False]
+    assert patches[0, 0, 0] == g.values[0, 0]
+    assert np.array_equal(patches[1], g.values)
 
 
 # ---------------------------------------------------------------- ascii io

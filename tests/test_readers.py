@@ -2,7 +2,9 @@
 overrides of `agbmap simulate --config` and a saved forest. Each reader
 either returns or raises ConfigError, and a forest it returns predicts.
 The same corruptions of a metrics CSV, a plots CSV and a trees CSV either
-read as a footprint or plot table or raise BadRecord."""
+read as a footprint or plot table or raise BadRecord, and those of a
+waveforms NDJSON file either read or raise BadRecord, with `agbmap filter`
+and `agbmap metrics` exiting 0 or 1 on it."""
 
 import json
 
@@ -12,12 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agbmap.allometry import load_plots
+from agbmap.cli import main
 from agbmap.errors import BadRecord, ConfigError
 from agbmap.forest import Forest, ForestParams, NodeTable
 from agbmap.model_io import load_model, save_model
 from agbmap.pipeline import RunConfig
+from agbmap.raster import Grid, write_ascii_grid
 from agbmap.synth import scene_config
-from agbmap.waveform import METRIC_COLUMNS, FootprintTable, read_metrics_csv, write_metrics_csv
+from agbmap.waveform import (METRIC_COLUMNS, FootprintTable, WaveformRecord, read_metrics_csv,
+                             read_waveforms, write_metrics_csv, write_waveforms)
 
 RUN_CONFIG = {"waveforms": "s/waveforms.ndjson", "dem": "s/dem.asc",
               "covariates": {"cov1": "s/cov1.asc", "cov2": "s/cov2.asc"},
@@ -147,3 +152,44 @@ def test_one_byte_corruption_of_plot_csvs_reads_or_raises_bad_record(plot_csvs, 
     assert table.xy.shape == (n, 2) and table.agb.shape == (n,)
     assert np.isfinite(table.xy).all() and np.isfinite(table.agb).all()
     assert (table.agb >= 0).all()
+
+
+@pytest.fixture(scope="module")
+def waveform_files(tmp_path_factory):
+    """Bytes of a three-record waveforms file, a DEM that holds the records
+    and a path for corrupt copies. The records are short, so that a corrupt
+    byte often lands in a key, a scalar or the JSON structure."""
+    out = tmp_path_factory.mktemp("waveforms")
+    elev = 130.0 - np.arange(40)
+    records = []
+    for i, (canopy, ground) in enumerate([(60.0, 70.0), (45.0, 30.0), (80.0, 50.0)]):
+        shape = (canopy * np.exp(-0.5 * ((elev - 122.0 + 3 * i) / 2.0) ** 2)
+                 + ground * np.exp(-0.5 * ((elev - 103.0 - i) / 1.5) ** 2))
+        noise = np.random.default_rng(i).normal(8.0, 1.0, elev.size)
+        records.append(WaveformRecord(f"w{i}", 100.0 + 250 * i, 600.0, 130.0, 1.0,
+                                      np.round(shape + noise, 1), srtm_elev=103.0))
+    path = out / "waveforms.ndjson"
+    write_waveforms(records, path)
+    dem = out / "dem.asc"
+    write_ascii_grid(Grid(np.full((4, 4), 100.0), 0.0, 0.0, 250.0), dem)
+    met = out / "metrics.csv"
+    assert main(["metrics", "--in", str(path), "--dem", str(dem), "--out", str(met)]) == 0
+    assert len(read_metrics_csv(met).ids) == 3
+    return path.read_bytes(), dem, out / "corrupt.ndjson"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(**ONE_BYTE)
+def test_one_byte_corruption_of_waveforms_reads_or_raises_bad_record(waveform_files, op, at,
+                                                                    byte):
+    data, dem, path = waveform_files
+    _write_corrupt(path, data, op, at, byte)
+    try:
+        read_waveforms(path)
+        rc = 0
+    except BadRecord:
+        rc = 1
+    out = path.with_name("out.csv")
+    for argv in (["filter"], ["metrics", "--dem", str(dem), "--max-components", "2"]):
+        out.unlink(missing_ok=True)  # as in _write_corrupt, a new file is faster
+        assert main([*argv, "--in", str(path), "--out", str(out)]) == rc

@@ -5,7 +5,8 @@ from agbmap.errors import ConfigError
 from agbmap.geostat import SampleSet, empirical_variogram, fit_exponential
 from agbmap.synth import (SceneConfig, generate_scene, simulate_exponential_field,
                           small_config, write_scene)
-from agbmap.waveform import detect_signal_bounds, decompose_gaussians, extract_metrics
+from agbmap.raster import Grid
+from agbmap.waveform import METRIC_COLUMNS, process_waveforms
 
 
 def test_same_seed_bit_identical():
@@ -58,12 +59,14 @@ def test_extraction_recovers_planted_height_noiseless():
     cfg = small_config(seed=2, n_footprints=40, n_plots=0, noise_sd=0.5,
                        canopy_noise_sd=0.0)
     scene = generate_scene(cfg)
-    for w in scene.footprints:
-        _, h, _ = scene.footprint_truth[w.id]
-        noise, b, e = detect_signal_bounds(w)
-        comps, _ = decompose_gaussians(w, noise, max_components=3, bounds=(b, e))
-        m = extract_metrics(w, comps, np.zeros((3, 3)), noise=noise, bounds=(b, e))
-        assert abs(m.tch - h) <= cfg.bin_size
+    # a flat DEM, with the SNR and elevation rules off
+    reasons, table = process_waveforms(scene.footprints, Grid(np.zeros((1, 1)), 0.0, 0.0,
+                                                              cfg.extent),
+                                       max_components=3, snr_min=0.0, max_elev_gap=np.inf)
+    assert reasons == [""] * len(scene.footprints)
+    for fid, tch in zip(table.ids, table.metrics[:, METRIC_COLUMNS.index("tch")]):
+        _, h, _ = scene.footprint_truth[fid]
+        assert abs(tch - h) <= cfg.bin_size
 
 
 def test_config_validation():
