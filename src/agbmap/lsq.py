@@ -24,6 +24,22 @@ def _solve_rows(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
+_ROWS = 32  # fits whose Jacobian is formed at once
+
+
+def _evaluate(model, p, data):
+    """(cost, gradient J r, normal matrix J J^T) of the fits at p, formed
+    for _ROWS fits at a time. A Jacobian J lives only until its rows'
+    reductions are formed, so plm's memory does not grow with its block."""
+    out = []
+    for i in range(0, len(p), _ROWS):
+        rows = slice(i, i + _ROWS)
+        r, jac = model(p[rows], *(v[rows] for v in data))
+        out.append((0.5 * np.einsum("ij,ij->i", r, r), np.einsum("ipb,ib->ip", jac, r),
+                    jac @ jac.transpose(0, 2, 1)))
+    return tuple(np.concatenate(v) for v in zip(*out))
+
+
 def plm(model, p0, lo, hi, data, *, xtol: float, ftol: float, gtol: float,
         max_nfev: int):
     """Bounded least squares, one fit per row of p0 (n, P).
@@ -49,25 +65,21 @@ def plm(model, p0, lo, hi, data, *, xtol: float, ftol: float, gtol: float,
     ok_out = np.zeros(n, dtype=bool)
     rows = np.arange(n)
     p = np.clip(p_out, lo, hi)
-    r, jac = model(p, *data)
-    cost = 0.5 * np.einsum("ij,ij->i", r, r)
+    cost, grad, a = _evaluate(model, p, data)
     mu = np.full(n, 1e-3)
     nu = np.full(n, 2.0)
     d = np.zeros_like(p)
     for _ in range(max_nfev - 1):
-        g = np.einsum("ipb,ib->ip", jac, r)
-        a = jac @ jac.transpose(0, 2, 1)
         d = np.maximum(d, np.einsum("ipp->ip", a))
-        free = ~(((p <= lo) & (g > 0)) | ((p >= hi) & (g < 0)) | (d <= 0))
-        g = np.where(free, g, 0.0)
+        free = ~(((p <= lo) & (grad > 0)) | ((p >= hi) & (grad < 0)) | (d <= 0))
+        g = np.where(free, grad, 0.0)
         m = a * (free[:, :, None] & free[:, None, :])
         m[:, np.arange(p.shape[1]), np.arange(p.shape[1])] += np.where(free, mu[:, None] * d, 1.0)
         step = np.clip(p + _solve_rows(m, -g), lo, hi) - p
         bad = ~np.isfinite(step).all(axis=1)
         step[bad] = 0.0
         trial = p + step
-        r_t, jac_t = model(trial, *data)
-        cost_t = 0.5 * np.einsum("ij,ij->i", r_t, r_t)
+        cost_t, grad_t, a_t = _evaluate(model, trial, data)
         actual = cost - cost_t
         predicted = -np.einsum("ip,ip->i", g, step) - 0.5 * np.einsum(
             "ip,ipq,iq->i", step, a, step)
@@ -80,10 +92,9 @@ def plm(model, p0, lo, hi, data, *, xtol: float, ftol: float, gtol: float,
             | (accept & (actual < ftol * cost) & (rho > 0.25)))
         # accepted rows take the trial in place
         np.copyto(p, trial, where=accept[:, None])
-        np.copyto(r, r_t, where=accept[:, None])
-        np.copyto(jac, jac_t, where=accept[:, None, None])
         np.copyto(cost, cost_t, where=accept)
-        del r_t, jac_t  # not held through the next model call
+        np.copyto(grad, grad_t, where=accept[:, None])
+        np.copyto(a, a_t, where=accept[:, None, None])
         mu = np.where(accept, mu * np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3), mu * nu)
         nu = np.where(accept, 2.0, 2 * nu)
         leave = converged | bad | ~np.isfinite(mu)
@@ -95,7 +106,7 @@ def plm(model, p0, lo, hi, data, *, xtol: float, ftol: float, gtol: float,
             keep = ~leave
             rows, p, lo, hi = (v[keep] for v in (rows, p, lo, hi))
             data = tuple(v[keep] for v in data)
-            r, jac, cost, mu, nu, d = (v[keep] for v in (r, jac, cost, mu, nu, d))
+            cost, grad, a, mu, nu, d = (v[keep] for v in (cost, grad, a, mu, nu, d))
             if rows.size == 0:
                 break
     return p_out, rss_out, ok_out

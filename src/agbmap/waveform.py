@@ -97,8 +97,8 @@ class Waveforms:
 
     def elevations(self, rows=slice(None)) -> np.ndarray:
         """(len(rows), width) bin elevations, continued past each row's nbins."""
-        return (self.bin_top_elev[rows, None]
-                - np.arange(self.values.shape[1]) * self.bin_size[rows, None])
+        out = np.multiply(np.arange(self.values.shape[1]), self.bin_size[rows, None])
+        return np.subtract(self.bin_top_elev[rows, None], out, out=out)
 
 
 @dataclass(frozen=True)
@@ -116,27 +116,17 @@ class Screen:
     energy: np.ndarray
 
 
-def _row_sums(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Sum of each row of a over mask, equal bit for bit to a[i][mask[i]].sum():
-    the rows of one count are summed as one matrix, which numpy adds row by
-    row in the pairwise order it uses for a 1-D array."""
+def _by_row(reduce, a: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """reduce(values, axis=1) of each row's values of a over mask (0 where
+    the mask is empty). The rows of one count go as one matrix, whose rows
+    numpy reduces bit for bit as it reduces a 1-D array."""
     count = mask.sum(axis=1)
+    values, start = a[mask], np.cumsum(count) - count
     out = np.zeros(len(a))
-    for c in np.unique(count[count > 0]):
+    for c in np.flatnonzero(np.bincount(count)[1:]) + 1:
         rows = np.flatnonzero(count == c)
-        out[rows] = a[rows][mask[rows]].reshape(-1, c).sum(axis=1)
+        out[rows] = reduce(values[start[rows, None] + np.arange(c)], axis=1)
     return out
-
-
-def _mean_sd(v: np.ndarray, mask: np.ndarray):
-    """Mean and population sd of each row of v over mask, as np.mean and
-    np.std give them for the row's selection."""
-    count = mask.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean = _row_sums(v, mask) / count
-        dev = v - mean[:, None]
-        dev *= dev
-        return mean, np.sqrt(_row_sums(dev, mask) / count)
 
 
 def _above(v: np.ndarray, valid: np.ndarray, threshold: np.ndarray):
@@ -173,7 +163,7 @@ def filter_waveforms(wf: Waveforms, *, k: float = DETECT_K, snr_min: float = SNR
     col = np.arange(width)
     m = np.maximum(1, np.round(0.1 * wf.nbins)).astype(np.intp)[:, None]
     window = (col < m) | (valid & (col >= wf.nbins[:, None] - m))
-    mean, sd = _mean_sd(v, window)
+    mean, sd = _by_row(np.mean, v, window), _by_row(np.std, v, window)
     reason = np.full(n, "", dtype=object)
     vmax = v.max(axis=1)  # intensities are >= 0, so the padding never wins
     _reject(reason, (sd == 0) & (np.where(valid, v, np.inf).min(axis=1) == vmax), "NoSignal")
@@ -182,9 +172,10 @@ def filter_waveforms(wf: Waveforms, *, k: float = DETECT_K, snr_min: float = SNR
     refined = window & ~((col >= first[:, None]) & (col <= last[:, None]))
     count = refined.sum(axis=1)
     redo = (sd > 0) & (first >= 0) & (count >= 2) & (count < window.sum(axis=1))
-    mean[redo], sd[redo] = _mean_sd(v[redo], refined[redo])
+    refined &= redo[:, None]
+    mean[redo], sd[redo] = _by_row(np.mean, v, refined)[redo], _by_row(np.std, v, refined)[redo]
     again = redo & (sd > 0)
-    first[again], last[again] = _above(v[again], valid[again], (mean + k * sd)[again])
+    first[again], last[again] = (i[again] for i in _above(v, valid, mean + k * sd))
     _reject(reason, first < 0, "NoSignal")
 
     elev = wf.elevations()
@@ -194,11 +185,11 @@ def filter_waveforms(wf: Waveforms, *, k: float = DETECT_K, snr_min: float = SNR
     sel = valid & (elev <= begin[:, None]) & (elev >= end[:, None])
     energy = v - mean[:, None]
     np.maximum(energy, 0.0, out=energy)
-    total = _row_sums(energy, sel)
+    total = _by_row(np.sum, energy, sel)
     energy *= elev
     with np.errstate(invalid="ignore", divide="ignore"):
         snr = np.where(sd > 0, (vmax - mean) / sd, np.inf)
-        centroid = np.where(total <= 0, 0.5 * (begin + end), _row_sums(energy, sel) / total)
+        centroid = np.where(total <= 0, 0.5 * (begin + end), _by_row(np.sum, energy, sel) / total)
     _reject(reason, snr < snr_min, "SNR")
     _reject(reason, wf.cloud_flag != CLOUD_OK, "Cloud")
     _reject(reason, wf.sat_ndx > 0, "Saturated")
