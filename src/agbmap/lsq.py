@@ -24,7 +24,7 @@ def _solve_rows(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-_ROWS = 32  # fits whose Jacobian is formed at once
+_ROWS = 16  # fits whose Jacobian is formed at once
 
 
 def _evaluate(model, p, data):

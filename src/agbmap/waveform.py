@@ -203,14 +203,13 @@ _XTOL = 1e-10
 _FTOL = 1e-10
 _GTOL = 1e-8
 _MAX_NFEV = 400
-# windows fitted together, sorted by width so that a block pads little. On
-# the desk scene 128 runs the driver as fast as 256 and 20% faster than 64,
-# and keeps the desk map's peak RSS under that of 32 unsorted windows,
-# which 256 exceeds
+# windows fitted together, sorted by width so that a block pads little
 _BLOCK = 128
-# records the driver packs at once: bounds its (records, bins) matrices, so
-# that a full-scale map peaks no higher than the forest and kriging stages
-_CHUNK = 4 * _BLOCK
+# records the driver packs at once, two blocks' worth: their (records, bins)
+# matrices stay under 1 MB, since larger ones, once freed, raise the C
+# library's mmap threshold for the rest of the process (at 512 records the
+# desk map's peak RSS rose by 3%)
+_CHUNK = 2 * _BLOCK
 _KERNEL = np.exp(-0.5 * (np.arange(-4, 5) / 2.0) ** 2)
 _KERNEL /= _KERNEL.sum()
 
