@@ -136,7 +136,7 @@ def test_three_gaussian_monte_carlo_recovery():
 
 # --------------------------------------------------------------- solver
 
-def solver_windows(comps, seeds, noise_sd=2.0):
+def planted_records(comps, seeds, noise_sd=2.0):
     """Records of the planted components, one per seed."""
     return [build_wave(10.0, noise_sd, comps, seed=seed)[0] for seed in seeds]
 
@@ -166,8 +166,8 @@ def scipy_rss(x, y, p0, lo, hi):
 @pytest.mark.parametrize("ncomp", [1, 2])
 def test_one_and_two_component_fits_match_scipy(ncomp):
     # two scenes of unequal window length exercise the padding mask
-    records = (solver_windows([(60.0, 130.0, 3.0), (80.0, 100.0, 1.5)], range(4))
-               + solver_windows([(50.0, 140.0, 2.5), (90.0, 95.0, 2.0)], range(4, 8)))
+    records = (planted_records([(60.0, 130.0, 3.0), (80.0, 100.0, 1.5)], range(4))
+               + planted_records([(50.0, 140.0, 2.5), (90.0, 95.0, 2.0)], range(4, 8)))
     (_, rss, ok, lo, hi), (x, y, width, p0) = solve_block(records, ncomp)
     assert len(set(width)) > 1
     assert ok.all()
@@ -177,7 +177,7 @@ def test_one_and_two_component_fits_match_scipy(ncomp):
 
 
 def test_three_components_on_one_gaussian_converge_inside_bounds():
-    records = solver_windows([(70.0, 115.0, 4.0)], range(20))
+    records = planted_records([(70.0, 115.0, 4.0)], range(20))
     (params, rss, ok, lo, hi), _ = solve_block(records, 3)
     assert ok.all()
     assert np.all((lo <= params) & (params <= hi))
@@ -188,13 +188,14 @@ def test_three_components_on_one_gaussian_converge_inside_bounds():
 
 def test_batched_footprints_match_one_record_calls():
     # every filter rule fires, plus one record of each driver reject; the
-    # records vary in nbins, so the width sort reorders the fit blocks
+    # records fill two packs and vary in nbins, so the width sort reorders
+    # the fit blocks
     scene = generate_scene(small_config(seed=4003, n_footprints=450, n_plots=0,
                                         cloud_violation_rate=0.03, sat_violation_rate=0.03,
                                         low_snr_rate=0.03, elev_mismatch_rate=0.03))
     kw = dict(k=4.5, max_components=3, snr_min=15.0, max_elev_gap=100.0)
     records = list(scene.footprints)
-    assert len({w.nbins for w in records}) > 100 and len(records) > waveform._BLOCK
+    assert len({w.nbins for w in records}) > 100 and len(records) > waveform._CHUNK
     kept = next(w for w in records if w.id not in scene.expected_rejects)
     spike = np.r_[np.full(119, 8.0), 60.0]  # signal in the last bin only
     special = {
