@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,8 @@ _DUP_TOL = 1e-6  # metres; closer samples are merged by averaging
 RANGE_BOUND = 3.0  # fit_exponential caps the range at RANGE_BOUND * max_lag
 _VFIT_TOL = 1e-12  # xtol, ftol and gtol of the variogram fit
 _VFIT_MAX_NFEV = 300  # model evaluations per start: 100 per parameter, scipy's default
-_CHUNK = 64  # kriging targets per stacked solve: memory grows with it, speed is flat above
+_CHUNK = 32  # kriging targets per stacked solve, on each worker: memory grows with it
+_WORKER_TARGETS = 1000  # kriging targets per thread at least, so under 2000 it stays serial
 
 
 class SampleSet:
@@ -80,10 +82,20 @@ class VariogramModel:
     psill: float
     range_m: float
 
-    def gamma(self, h):
+    def gamma(self, h, out=None):
+        """Semivariance at lags h, written into out when given (an array of
+        h's shape, which may be h itself)."""
         h = np.asarray(h, dtype=float)
-        g = self.nugget + self.psill * (1.0 - np.exp(-3.0 * h / self.range_m))
-        return np.where(h > 0, g, 0.0)
+        zero = ~(h > 0)
+        # nugget + psill * (1 - exp(-3 h / range)), one operation at a time in place
+        g = np.multiply(-3.0, h, out=np.empty_like(h) if out is None else out)
+        g /= self.range_m
+        np.exp(g, out=g)
+        np.subtract(1.0, g, out=g)
+        g *= self.psill
+        g += self.nugget
+        np.copyto(g, 0.0, where=zero)
+        return g
 
     @property
     def sill(self) -> float:
@@ -181,11 +193,26 @@ def at_range_bound(model: VariogramModel, ev: EmpiricalVariogram) -> bool:
     return model.range_m >= RANGE_BOUND * ev.max_lag * (1 - 1e-9)
 
 
+def kriging_workers(n_targets: int) -> int:
+    """Threads that krige n_targets: one per core this process may run on,
+    but no more than give each _WORKER_TARGETS targets, and at least one.
+    numpy releases the interpreter lock in the stacked solves and the
+    semivariance arithmetic, so the chunks of two threads run at once."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, n_targets // _WORKER_TARGETS))
+
+
 class OrdinaryKriger:
     """Local-neighbourhood ordinary kriging against a fitted variogram.
 
     The k nearest samples of every target are found in one search; targets
-    are solved _CHUNK at a time, as one stack of augmented systems.
+    are solved _CHUNK at a time, as one stack of augmented systems, in
+    kriging_workers threads that each take one contiguous run of chunks.
+    Every chunk is solved alike on any number of threads, so the results
+    do not depend on it.
     """
 
     def __init__(self, samples: SampleSet, model: VariogramModel,
@@ -211,13 +238,19 @@ class OrdinaryKriger:
         idx (n, k) at distances dist (n, k)."""
         n, k = idx.shape
         pts = self.samples.xy[idx]
-        dx = pts[:, :, 0][:, :, None] - pts[:, :, 0][:, None, :]
+        # neighbour-to-neighbour distances sqrt(dx dx + dy dy), built in place
+        h = pts[:, :, 0][:, :, None] - pts[:, :, 0][:, None, :]
         dy = pts[:, :, 1][:, :, None] - pts[:, :, 1][:, None, :]
+        h *= h
+        dy *= dy
+        h += dy
+        del dy
+        np.sqrt(h, out=h)
         a = np.ones((n, k + 1, k + 1))
-        a[:, :k, :k] = self.model.gamma(np.sqrt(dx * dx + dy * dy))
+        a[:, :k, :k] = self.model.gamma(h, out=h)
         a[:, k, k] = 0.0
         b = np.ones((n, k + 1))
-        b[:, :k] = self.model.gamma(dist)
+        self.model.gamma(dist, out=b[:, :k])
         try:
             sol = np.linalg.solve(a, b[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as e:
@@ -238,14 +271,30 @@ class OrdinaryKriger:
         est = np.empty(targets.shape[0])
         var = np.empty(targets.shape[0])
         dist, idx = nearest(self.samples.xy, targets, self.k)
-        for start in range(0, targets.shape[0], _CHUNK):
-            part = slice(start, start + _CHUNK)
-            lam, mu, gamma0 = self._solve(targets[part], dist[part], idx[part])
-            # row dot products as stacked (1, k) @ (k, 1) products, which sum
-            # in the same order as the one-target `lam @ values`
-            lam_rows = lam[:, None, :]
-            est[part] = (lam_rows @ self.samples.values[idx[part]][:, :, None])[:, 0, 0]
-            var[part] = (lam_rows @ gamma0[:, :, None])[:, 0, 0] + mu
+
+        def krige_run(starts):
+            for start in starts:
+                part = slice(start, start + _CHUNK)
+                lam, mu, gamma0 = self._solve(targets[part], dist[part], idx[part])
+                # row dot products as stacked (1, k) @ (k, 1) products, which sum
+                # in the same order as the one-target `lam @ values`
+                lam_rows = lam[:, None, :]
+                est[part] = (lam_rows @ self.samples.values[idx[part]][:, :, None])[:, 0, 0]
+                var[part] = (lam_rows @ gamma0[:, :, None])[:, 0, 0] + mu
+
+        # contiguous runs of chunks, one per worker; each run stops at its
+        # first SingularSystem, and reading the results in run order raises
+        # the lowest failing chunk's, as one serial run would
+        runs = np.array_split(np.arange(0, targets.shape[0], _CHUNK), kriging_workers(len(est)))
+        if len(runs) == 1:
+            krige_run(runs[0])
+        else:
+            # imported here: concurrent.futures brings in logging, about 0.9 MB
+            # and 3 ms that a process kriging only small grids need not pay
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(len(runs)) as pool:
+                for future in [pool.submit(krige_run, run) for run in runs]:
+                    future.result()
         var = np.maximum(var, 0.0)
         return est.reshape(x.shape)[()], var.reshape(x.shape)[()]
 

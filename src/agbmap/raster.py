@@ -99,13 +99,14 @@ class Grid:
 
     def patch3x3(self, xy):
         """(patches, inside): the (n, 3, 3) neighbourhoods of the cells that
-        hold the (n, 2) points, edges replicated, and the mask of the points
-        inside the grid (an outside point gets the patch of cell (0, 0))."""
+        hold the (n, 2) points, edges replicated and nodata as NaN, and the
+        mask of the points inside the grid (an outside point gets the patch
+        of cell (0, 0))."""
         row, col, inside = self.locate(xy)
         step = np.arange(-1, 2)
         rows = np.clip(row[:, None] + step, 0, self.nrows - 1)
         cols = np.clip(col[:, None] + step, 0, self.ncols - 1)
-        return self.values[rows[:, :, None], cols[:, None, :]], inside
+        return self.masked()[rows[:, :, None], cols[:, None, :]], inside
 
 
 class GridStack:

@@ -124,15 +124,16 @@ def simulate_exponential_field(nrows: int, ncols: int, cellsize: float,
 def synthesize_waveform(fid: str, x: float, y: float, ground_elev: float,
                         canopy_height: float, cfg: SceneConfig,
                         rng: np.random.Generator,
-                        amplitude_factor: float = 1.0) -> WaveformRecord:
+                        amplitude_factor: float = 1.0, pad: float = 0.0) -> WaveformRecord:
     """Two-Gaussian waveform: ground return plus a canopy return above it.
 
     Margins scale with canopy height so the first/last 10 percent of bins
     stay clear of the Gaussian tails and estimate pure background noise.
-    `amplitude_factor` shrinks both returns to fake a weak-signal shot.
+    `amplitude_factor` shrinks both returns to fake a weak-signal shot, and
+    `pad` adds that many metres of background at each end.
     """
-    top = ground_elev + canopy_height + 15.0 + 0.15 * canopy_height
-    bottom = ground_elev - (9.0 + 0.12 * canopy_height)
+    top = ground_elev + canopy_height + 15.0 + 0.15 * canopy_height + pad
+    bottom = ground_elev - (9.0 + 0.12 * canopy_height) - pad
     nbins = int(math.ceil((top - bottom) / cfg.bin_size)) + 1
     elev = top - np.arange(nbins) * cfg.bin_size
     signal = amplitude_factor * (
@@ -205,8 +206,12 @@ def generate_scene(cfg: SceneConfig) -> Scene:
     footprint_truth = {}
     expected_rejects = {}
     noise_children = ss_noise.spawn(n)
-    # a weak shot: detectable above mean + 4.5 sd yet safely under SNR 15
-    low_snr_factor = (9.0 * cfg.noise_sd) / cfg.ground_amplitude
+    # a weak shot: detectable above mean + 4.5 sd yet safely under SNR 15. Its
+    # returns peak 7 noise sds above the background, and 60 m of background
+    # at each end widen the noise window to 100-150 bins, whose sd estimate
+    # then spreads little: 20 000 such shots read SNR 5.7-12.6 (with 9 sds
+    # and no pad, 22-66 bins gave 5.9-19.6)
+    low_snr_factor = (7.0 * cfg.noise_sd) / cfg.ground_amplitude
     for i, ((x, y), agb, ground) in enumerate(zip(fxy, truth.sample(fxy).tolist(),
                                                   dem.sample(fxy).tolist())):
         fid = f"fp{i:06d}"
@@ -216,9 +221,10 @@ def generate_scene(cfg: SceneConfig) -> Scene:
         h = float(np.clip(h, 8.0, 60.0))
         reason = injected.get(i)
         rng_i = np.random.default_rng(noise_children[i])
-        w = synthesize_waveform(
-            fid, x, y, ground, h, cfg, rng_i,
-            amplitude_factor=low_snr_factor if reason == "SNR" else 1.0)
+        weak = reason == "SNR"
+        w = synthesize_waveform(fid, x, y, ground, h, cfg, rng_i,
+                                amplitude_factor=low_snr_factor if weak else 1.0,
+                                pad=60.0 if weak else 0.0)
         if reason == "Cloud":
             w.cloud_flag = 0
         elif reason == "Saturated":

@@ -1,5 +1,6 @@
 import io
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
+from agbmap import geostat
 from agbmap.errors import EmptyNeighborhood, FitFailure, SingularSystem, TooFewSamples
 from agbmap.geostat import (RANGE_BOUND, EmpiricalVariogram, OrdinaryKriger, SampleSet,
                             VariogramModel, at_range_bound, empirical_variogram,
@@ -372,16 +374,24 @@ def test_nodata_propagates():
     assert f1.values[0, 0] == g.nodata and v1.values[0, 0] == g.nodata
 
 
-def test_chunked_grid_matches_dense_oracle_per_cell():
-    # 180 cells: two full chunks of 64 and a ragged tail, minus 4 nodata cells
+CHUNKED_NODATA = [(0, 0), (5, 7), (11, 14), (6, 0)]
+
+
+def chunked_scene():
+    """A 12 x 15 trend grid with 4 nodata cells, so 176 targets: five full
+    chunks of 32 and a ragged tail of 16; 40 residual samples."""
     g = Grid(np.random.default_rng(8).uniform(50, 150, (12, 15)), 0.0, 0.0, 100.0)
-    nodata = [(0, 0), (5, 7), (11, 14), (6, 0)]
-    for rc in nodata:
+    for rc in CHUNKED_NODATA:
         g.values[rc] = g.nodata
     rng = np.random.default_rng(9)
     xy = rng.uniform(0, 1500, (40, 2))
     resid = rng.normal(0, 6, 40)
-    m = VariogramModel(1.5, 8.0, 500.0)
+    return g, xy, resid, VariogramModel(1.5, 8.0, 500.0)
+
+
+def test_chunked_grid_matches_dense_oracle_per_cell():
+    g, xy, resid, m = chunked_scene()
+    nodata = CHUNKED_NODATA
     final, var = regression_krige(g, SampleSet(xy, resid), m, neighborhood=40)
     for r in range(g.nrows):
         for c in range(g.ncols):
@@ -399,6 +409,58 @@ def test_flat_variogram_raises_singular_system():
     with pytest.raises(SingularSystem):
         regression_krige(trend_grid(), SampleSet(xy, [1.0, 2.0, 3.0]),
                          VariogramModel(0.0, 0.0, 100.0))
+
+
+# ------------------------------------------------------------- kriging threads
+
+def two_workers(monkeypatch):
+    """Krige on two threads from 80 targets up, whatever the host's core count."""
+    monkeypatch.setattr(geostat.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(geostat.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(geostat, "_WORKER_TARGETS", 40)
+
+
+def test_worker_count_from_cores_and_targets(monkeypatch):
+    monkeypatch.setattr(geostat.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(geostat.os, "cpu_count", lambda: 8)
+    assert [geostat.kriging_workers(n) for n in (0, 625, 900, 1999, 2000, 2500, 10_000)] \
+        == [1, 1, 1, 1, 2, 2, 8]
+    monkeypatch.setattr(geostat.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(geostat.os, "cpu_count", lambda: 1)
+    assert geostat.kriging_workers(10_000) == 1
+
+
+def test_two_workers_krige_exactly_what_one_does(monkeypatch):
+    g, xy, resid, m = chunked_scene()
+    serial = regression_krige(g, SampleSet(xy, resid), m, neighborhood=40)
+    two_workers(monkeypatch)
+    solved_on = set()
+    solve = OrdinaryKriger._solve
+
+    def spy(self, *args):
+        solved_on.add(threading.get_ident())
+        return solve(self, *args)
+
+    monkeypatch.setattr(OrdinaryKriger, "_solve", spy)
+    threads = threading.active_count()
+    threaded = regression_krige(g, SampleSet(xy, resid), m, neighborhood=40)
+    assert len(solved_on) == 2 and threading.get_ident() not in solved_on
+    assert threading.active_count() == threads
+    for one, two in zip(serial, threaded):
+        assert np.array_equal(one.values, two.values)
+
+
+def test_two_workers_raise_the_first_singular_chunk_as_one_does(monkeypatch):
+    g, xy, resid, _ = chunked_scene()
+    flat = VariogramModel(0.0, 0.0, 100.0)
+    with pytest.raises(SingularSystem) as serial:
+        regression_krige(g, SampleSet(xy, resid), flat, neighborhood=40)
+    two_workers(monkeypatch)
+    threads = threading.active_count()
+    with pytest.raises(SingularSystem) as threaded:
+        regression_krige(g, SampleSet(xy, resid), flat, neighborhood=40)
+    assert threading.active_count() == threads
+    assert str(threaded.value) == str(serial.value)
 
 
 def test_variogram_report_format():

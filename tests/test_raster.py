@@ -47,6 +47,13 @@ def test_patch3x3_replicates_edges():
     assert np.array_equal(patches[1], g.values)
 
 
+def test_patch3x3_reads_nodata_as_nan():
+    g = make_grid([[1.0, 2.0, -9999.0], [4.0, np.nan, 6.0], [7.0, 8.0, 9.0]])
+    patches, _ = g.patch3x3([g.cell_center(1, 1)])
+    assert np.array_equal(patches[0], g.masked(), equal_nan=True)
+    assert np.isnan(patches[0, 0, 2]) and np.isnan(patches[0, 1, 1])
+
+
 # ---------------------------------------------------------------- ascii io
 
 def test_ascii_round_trip_is_stable(tmp_path):

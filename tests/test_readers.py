@@ -4,7 +4,10 @@ either returns or raises ConfigError, and a forest it returns predicts.
 The same corruptions of a metrics CSV, a plots CSV and a trees CSV either
 read as a footprint or plot table or raise BadRecord, and those of a
 waveforms NDJSON file either read or raise BadRecord, with `agbmap filter`
-and `agbmap metrics` exiting 0 or 1 on it."""
+and `agbmap metrics` exiting 0 or 1 on it. Corrupt copies of an ASCII grid
+map, a variogram-samples CSV and a metrics CSV make the subcommands that
+read them (`carbon`, `validate`, `textures`, `variogram`, `sweep` and
+`calibrate`) exit 0 or 1, and 1 whenever the reader raises BadRecord."""
 
 import json
 
@@ -19,7 +22,7 @@ from agbmap.errors import BadRecord, ConfigError
 from agbmap.forest import Forest, ForestParams, NodeTable
 from agbmap.model_io import load_model, save_model
 from agbmap.pipeline import RunConfig
-from agbmap.raster import Grid, write_ascii_grid
+from agbmap.raster import Grid, read_ascii_grid, write_ascii_grid
 from agbmap.synth import scene_config
 from agbmap.waveform import (METRIC_COLUMNS, FootprintTable, WaveformRecord, read_metrics_csv,
                              read_waveforms, write_metrics_csv, write_waveforms)
@@ -193,3 +196,83 @@ def test_one_byte_corruption_of_waveforms_reads_or_raises_bad_record(waveform_fi
     for argv in (["filter"], ["metrics", "--dem", str(dem), "--max-components", "2"]):
         out.unlink(missing_ok=True)  # as in _write_corrupt, a new file is faster
         assert main([*argv, "--in", str(path), "--out", str(out)]) == rc
+
+
+CLI_INPUTS = ("map.asc", "samples.csv", "metrics.csv")
+
+
+def _cli_runs(src, out):
+    """Corrupted input -> (its reader or None, the argv lists that read it)."""
+    plots = out / "plots.csv"
+    runs = {
+        "map.asc": (read_ascii_grid, [
+            ["carbon", "--map", src, "--out", out / "o" / "carbon.csv"],
+            ["validate", "--map", src, "--plots", plots, "--min-count", "1",
+             "--out", out / "o" / "validation.csv"],
+            ["textures", "--in", src, "--window", "3", "--levels", "4",
+             "--out-prefix", out / "o" / "tex_"]]),
+        "samples.csv": (None, [["variogram", "--samples", src,
+                                "--out", out / "o" / "variogram.csv"]]),
+        "metrics.csv": (read_metrics_csv, [
+            ["sweep", "--metrics", src, "--plots", plots, "--distances", "50",
+             "--kfold", "3", "--out", out / "o" / "sweep.csv"],
+            ["calibrate", "--metrics", src, "--plots", plots, "--max-dist", "50",
+             "--out-model", out / "o" / "model.json"]]),
+    }
+    return {name: (read, [[str(a) for a in argv] for argv in argvs])
+            for name, (read, argvs) in runs.items()}
+
+
+def _run_cli(argv, out) -> int:
+    for p in (out / "o").iterdir():  # as in _write_corrupt, new files are faster
+        p.unlink()
+    return main(argv)
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Name -> bytes of a valid input and the directory that holds it: a 4x4
+    AGB map with one nodata cell, 10 variogram samples, and 32 footprints
+    5 m from 32 plots, enough pairs for `calibrate`'s stepwise fit."""
+    out = tmp_path_factory.mktemp("cli")
+    (out / "o").mkdir()
+    rng = np.random.default_rng(0)
+    agb = rng.uniform(50, 300, (4, 4)).round(1)
+    agb[0, 3] = -9999.0
+    write_ascii_grid(Grid(agb, 0.0, 0.0, 250.0), out / "map.asc")
+    xy = rng.uniform(0, 1000, (32, 2)).round(1)
+    (out / "plots.csv").write_text("plot_id,lon,lat,area_ha,agb_mg_ha\n" + "".join(
+        f"p{i},{x},{y},1,{a:.1f}\n"
+        for i, ((x, y), a) in enumerate(zip(xy, rng.uniform(20, 300, 32)))))
+    with (out / "metrics.csv").open("w", newline="") as f:
+        write_metrics_csv(FootprintTable(xy + 5.0,
+                                         rng.uniform(0, 40, (32, len(METRIC_COLUMNS))).round(2),
+                                         tuple(f"f{i}" for i in range(32))), f)
+    (out / "samples.csv").write_text("x,y,value\n" + "".join(
+        f"{x:g},{y:g},{v:.1f}\n"
+        for (x, y), v in zip(rng.uniform(0, 1000, (10, 2)).round(), rng.normal(0, 10, 10))))
+    docs = {}
+    for name in CLI_INPUTS:
+        _, argvs = _cli_runs(str(out / name), out)[name]
+        assert [_run_cli(argv, out) for argv in argvs] == [0] * len(argvs)  # intact inputs run
+        docs[name] = ((out / name).read_bytes(), out)
+    return docs
+
+
+@pytest.mark.parametrize("name", CLI_INPUTS)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(**ONE_BYTE)
+def test_one_byte_corruption_of_cli_inputs_exits_0_or_1(cli_files, name, op, at, byte):
+    data, out = cli_files[name]
+    path = out / f"corrupt {name}"
+    _write_corrupt(path, data, op, at, byte)
+    read, argvs = _cli_runs(str(path), out)[name]
+    try:
+        if read is not None:
+            read(path)
+        readable = True
+    except BadRecord:
+        readable = False
+    for argv in argvs:
+        rc = _run_cli(argv, out)
+        assert rc in (0, 1) and (readable or rc == 1)

@@ -6,7 +6,7 @@ from agbmap.geostat import SampleSet, empirical_variogram, fit_exponential
 from agbmap.synth import (SceneConfig, generate_scene, simulate_exponential_field,
                           small_config, write_scene)
 from agbmap.raster import Grid
-from agbmap.waveform import METRIC_COLUMNS, process_waveforms
+from agbmap.waveform import METRIC_COLUMNS, Waveforms, filter_waveforms, process_waveforms
 
 
 def test_same_seed_bit_identical():
@@ -67,6 +67,19 @@ def test_extraction_recovers_planted_height_noiseless():
     for fid, tch in zip(table.ids, table.metrics[:, METRIC_COLUMNS.index("tch")]):
         _, h, _ = scene.footprint_truth[fid]
         assert abs(tch - h) <= cfg.bin_size
+
+
+def test_planted_weak_shots_read_snr_between_detection_and_the_rule():
+    # 200 seeds of 20 footprints, 5 of them weak shots
+    weak = []
+    for seed in range(200):
+        scene = generate_scene(small_config(seed=seed, n_footprints=20, n_plots=0,
+                                            low_snr_rate=0.25))
+        weak += [w for w in scene.footprints if scene.expected_rejects.get(w.id) == "SNR"]
+    assert len(weak) == 1000
+    screen = filter_waveforms(Waveforms.pack(weak))
+    assert screen.reason.tolist() == ["SNR"] * len(weak)
+    assert 4.5 < screen.snr.min() and screen.snr.max() < 15.0
 
 
 def test_config_validation():

@@ -351,6 +351,15 @@ def test_dem_patch_slope_and_ti():
     assert m["slope"] == pytest.approx(math.degrees(math.atan(1 / 90.0)), rel=1e-9)
 
 
+def test_dem_patch_with_a_nodata_corner_is_outside_dem():
+    w, _ = build_wave(5.0, 0.3, [(70.0, 115.0, 4.0)], seed=4)
+    patch = np.zeros((3, 3))
+    patch[0, 2] = -9999.0
+    dem = Grid(patch, w.lon - 135.0, w.lat - 135.0, 90.0)
+    reasons, table = process_waveforms([w], dem, max_components=2, max_elev_gap=np.inf)
+    assert reasons == ["OutsideDem"] and len(table.metrics) == 0
+
+
 # --------------------------------------------------------------- filter
 
 def filter_with(snr_min=15.0, **kw):
