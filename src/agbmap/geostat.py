@@ -83,8 +83,7 @@ class VariogramModel:
     range_m: float
 
     def gamma(self, h, out=None):
-        """Semivariance at lags h, written into out when given (an array of
-        h's shape, which may be h itself)."""
+        """Semivariances at lags h, written into out (which may be h) when given."""
         h = np.asarray(h, dtype=float)
         zero = ~(h > 0)
         # nugget + psill * (1 - exp(-3 h / range)), one operation at a time in place
@@ -198,10 +197,8 @@ def kriging_workers(n_targets: int) -> int:
     but no more than give each _WORKER_TARGETS targets, and at least one.
     numpy releases the interpreter lock in the stacked solves and the
     semivariance arithmetic, so the chunks of two threads run at once."""
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
     return max(1, min(cores, n_targets // _WORKER_TARGETS))
 
 
@@ -209,10 +206,9 @@ class OrdinaryKriger:
     """Local-neighbourhood ordinary kriging against a fitted variogram.
 
     The k nearest samples of every target are found in one search; targets
-    are solved _CHUNK at a time, as one stack of augmented systems, in
-    kriging_workers threads that each take one contiguous run of chunks.
-    Every chunk is solved alike on any number of threads, so the results
-    do not depend on it.
+    are solved _CHUNK at a time, as one stack of augmented systems, on
+    kriging_workers threads that each take a contiguous run of chunks and
+    solve each chunk as one thread would.
     """
 
     def __init__(self, samples: SampleSet, model: VariogramModel,
@@ -282,15 +278,14 @@ class OrdinaryKriger:
                 est[part] = (lam_rows @ self.samples.values[idx[part]][:, :, None])[:, 0, 0]
                 var[part] = (lam_rows @ gamma0[:, :, None])[:, 0, 0] + mu
 
-        # contiguous runs of chunks, one per worker; each run stops at its
-        # first SingularSystem, and reading the results in run order raises
-        # the lowest failing chunk's, as one serial run would
+        # a run stops at its first SingularSystem; reading the runs in order
+        # raises the lowest failing chunk's, as one serial run would
         runs = np.array_split(np.arange(0, targets.shape[0], _CHUNK), kriging_workers(len(est)))
         if len(runs) == 1:
             krige_run(runs[0])
         else:
-            # imported here: concurrent.futures brings in logging, about 0.9 MB
-            # and 3 ms that a process kriging only small grids need not pay
+            # imported here: concurrent.futures brings in logging, 0.9 MB and
+            # 3 ms that a process kriging only small grids need not pay
             from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(len(runs)) as pool:
                 for future in [pool.submit(krige_run, run) for run in runs]:

@@ -206,11 +206,10 @@ def generate_scene(cfg: SceneConfig) -> Scene:
     footprint_truth = {}
     expected_rejects = {}
     noise_children = ss_noise.spawn(n)
-    # a weak shot: detectable above mean + 4.5 sd yet safely under SNR 15. Its
-    # returns peak 7 noise sds above the background, and 60 m of background
-    # at each end widen the noise window to 100-150 bins, whose sd estimate
-    # then spreads little: 20 000 such shots read SNR 5.7-12.6 (with 9 sds
-    # and no pad, 22-66 bins gave 5.9-19.6)
+    # a weak shot: detectable above mean + 4.5 sd yet safely under SNR 15. It
+    # peaks 7 noise sds up, and 60 m of background at each end give its noise
+    # estimate 100-150 bins: 20 000 such shots read SNR 5.7-12.6 (9 sds on
+    # 22-66 bins read 5.9-19.6)
     low_snr_factor = (7.0 * cfg.noise_sd) / cfg.ground_amplitude
     for i, ((x, y), agb, ground) in enumerate(zip(fxy, truth.sample(fxy).tolist(),
                                                   dem.sample(fxy).tolist())):
