@@ -34,16 +34,22 @@ a mean and spread per feature.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyDesign
+from .geostat import usable_cores
 from .linear import DesignMatrix
 
 # (tree, row) pairs handled at once: the bootstrap rows of one group of trees
 # in the fit, one chunk of a walk; bounds memory
 GROUP_ROWS = 2 ** 15
+_WORKER_PAIRS = 25_000  # (tree, row) pairs per process at least, so under 50 000 none is forked
 
 
 @dataclass(frozen=True)
@@ -232,7 +238,7 @@ def _best_splits(levels, cat_idx, ys, value, row, node, slots, min_leaf):
         k = nd[i]
         n_left = i + 1 - first[k]
         n_right = cnt[k] - n_left
-        ok = (n_left >= min_leaf) & (n_right >= min_leaf)
+        ok = np.flatnonzero((n_left >= min_leaf) & (n_right >= min_leaf))
         i, k, n_left, n_right = i[ok], k[ok], n_left[ok], n_right[ok]
         if i.size == 0:
             continue
@@ -303,7 +309,7 @@ def _grow_trees(X, y, levels, cat_idx, boots, rngs, mtry, params):
         slots = []
         for f, s in enumerate(by_value):
             nd = node[s]
-            on = use[nd, f]
+            on = np.flatnonzero(use[nd, f])
             slots.append(s[on][_radix_argsort(nd[on], nf)])
         best_f, thr, left_keys = _best_splits(levels, cat_idx, ys, value, row, node,
                                               slots, params.min_leaf)
@@ -331,7 +337,7 @@ def _grow_trees(X, y, levels, cat_idx, boots, rngs, mtry, params):
         row, node = row[order], child[order]
         renumber = np.full(n_slots, -1)
         renumber[kept[order]] = np.arange(order.size)
-        by_value = [s[s >= 0] for s in (renumber[s] for s in by_value)]
+        by_value = [s[np.flatnonzero(s >= 0)] for s in (renumber[s] for s in by_value)]
         tree_of = np.repeat(tree_of[split], 2)
         depth += 1
     return _assemble(frontiers, n_trees)
@@ -357,6 +363,68 @@ def _assemble(frontiers, n_trees):
             for k, c in level.items()}
     feature, threshold, value = (np.concatenate(a)[order] for a in (feature, threshold, value))
     return np.bincount(tree_of, minlength=n_trees), feature, threshold, child, value, cats
+
+
+def forest_workers(n_trees: int, n_rows: int) -> int:
+    """Processes that grow n_trees trees on n_rows rows: one per usable core,
+    but no more than n_trees, nor than give each _WORKER_PAIRS (tree, row)
+    pairs, and at least one. Without os.fork, or with another thread alive,
+    it is one: a forked child holds only the forking thread, and any lock
+    another thread held stays locked in it."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return max(1, min(usable_cores(), n_trees, n_trees * n_rows // _WORKER_PAIRS))
+
+
+def _grow_runs(grow, runs):
+    """The blocks of grow(lo, hi) for each run (lo, hi), in run order. The
+    first run is grown here and each other one in a forked child, which
+    sends back its blocks, or the exception it raised, pickled through a
+    pipe and always ends in os._exit. Every child is killed and reaped
+    before this returns or raises."""
+    children = []  # (pid, read end) per forked run, in run order
+    try:
+        for lo, hi in runs[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    try:
+                        result = grow(lo, hi)
+                    except BaseException as e:  # the parent raises it again
+                        result = e
+                    with os.fdopen(w, "wb") as out:
+                        out.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((pid, r))
+        blocks = grow(*runs[0])
+        for pid, r in children:
+            with os.fdopen(r, "rb", closefd=False) as f:
+                data = f.read()
+            if not data:
+                raise ChildProcessError(f"forest worker {pid} ended without a result")
+            result = pickle.loads(data)
+            if isinstance(result, BaseException):
+                raise result
+            blocks += result
+        return blocks
+    finally:
+        # a child whose blocks were read has only its exit left; any other
+        # one is stopped where it is
+        for pid, r in children:
+            os.kill(pid, signal.SIGKILL)
+            os.close(r)
+            os.waitpid(pid, 0)
 
 
 @dataclass
@@ -403,16 +471,22 @@ def fit_random_forest(d: DesignMatrix, params: ForestParams | None = None,
     cat_idx = frozenset(d.feature_names.index(f) for f in d.categorical)
     levels = [np.unique(d.X[:, f], return_inverse=True) for f in range(d.p)]
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    streams = root.spawn(params.n_trees)
-    blocks = []
+    rngs = [np.random.default_rng(ss) for ss in root.spawn(params.n_trees)]
+    boots = [rng.integers(0, d.n, size=d.n) for rng in rngs]
     inbag = np.zeros((params.n_trees, d.n), dtype=bool)
+    for t, boot in enumerate(boots):
+        inbag[t, boot] = True
     group = max(1, GROUP_ROWS // d.n)
-    for g in range(0, params.n_trees, group):
-        rngs = [np.random.default_rng(ss) for ss in streams[g:g + group]]
-        boots = [rng.integers(0, d.n, size=d.n) for rng in rngs]
-        for t, boot in enumerate(boots, start=g):
-            inbag[t, boot] = True
-        blocks.append(_grow_trees(d.X, d.y, levels, cat_idx, boots, rngs, mtry, params))
+
+    def grow(lo, hi):
+        """The blocks of trees lo .. hi - 1, grown a group at a time."""
+        return [_grow_trees(d.X, d.y, levels, cat_idx, boots[g:min(g + group, hi)],
+                            rngs[g:min(g + group, hi)], mtry, params)
+                for g in range(lo, hi, group)]
+
+    workers = forest_workers(params.n_trees, d.n)
+    edges = [params.n_trees * i // workers for i in range(workers + 1)]
+    blocks = _grow_runs(grow, list(zip(edges[:-1], edges[1:])))
     table = NodeTable.concat(blocks)
     del blocks  # the table holds their nodes; free them before the out-of-bag walk
 

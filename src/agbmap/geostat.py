@@ -192,14 +192,19 @@ def at_range_bound(model: VariogramModel, ev: EmpiricalVariogram) -> bool:
     return model.range_m >= RANGE_BOUND * ev.max_lag * (1 - 1e-9)
 
 
-def kriging_workers(n_targets: int) -> int:
-    """Threads that krige n_targets: one per core this process may run on,
-    but no more than give each _WORKER_TARGETS targets, and at least one.
-    numpy releases the interpreter lock in the stacked solves and the
-    semivariance arithmetic, so the chunks of two threads run at once."""
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the platform
+    reports one, else every core, and at least one."""
     affinity = getattr(os, "sched_getaffinity", None)
-    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return max(1, min(cores, n_targets // _WORKER_TARGETS))
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def kriging_workers(n_targets: int) -> int:
+    """Threads that krige n_targets: one per usable core, but no more than
+    give each _WORKER_TARGETS targets, and at least one. numpy releases the
+    interpreter lock in the stacked solves and the semivariance arithmetic,
+    so the chunks of two threads run at once."""
+    return max(1, min(usable_cores(), n_targets // _WORKER_TARGETS))
 
 
 class OrdinaryKriger:
@@ -208,7 +213,8 @@ class OrdinaryKriger:
     The k nearest samples of every target are found in one search; targets
     are solved _CHUNK at a time, as one stack of augmented systems, on
     kriging_workers threads that each take a contiguous run of chunks and
-    solve each chunk as one thread would.
+    solve each chunk as one thread would: the calling thread takes the first
+    run and a pool the others.
     """
 
     def __init__(self, samples: SampleSet, model: VariogramModel,
@@ -287,8 +293,10 @@ class OrdinaryKriger:
             # imported here: concurrent.futures brings in logging, 0.9 MB and
             # 3 ms that a process kriging only small grids need not pay
             from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(len(runs)) as pool:
-                for future in [pool.submit(krige_run, run) for run in runs]:
+            with ThreadPoolExecutor(len(runs) - 1) as pool:
+                futures = [pool.submit(krige_run, run) for run in runs[1:]]
+                krige_run(runs[0])
+                for future in futures:
                     future.result()
         var = np.maximum(var, 0.0)
         return est.reshape(x.shape)[()], var.reshape(x.shape)[()]
