@@ -19,6 +19,13 @@ stream, after that tree's bootstrap. Every tree has its own stream spawned
 off the master seed, so a tree depends neither on fitting order nor on how
 trees are grouped.
 
+A large forest grows on one process per usable core (`forest_workers`):
+the caller draws every bootstrap, grows the first contiguous run of trees
+and forks a child for each other run, which sends its trees back pickled
+through a pipe. The split search holds the interpreter lock through many
+small numpy calls, so threads would barely overlap. The runs are joined in
+tree order, so the forest is bit-identical to one grown in one process.
+
 A fitted forest is one node table: the trees' nodes concatenated, a root
 offset per tree and one categorical routing table. Prediction, the
 out-of-bag error and permutation importance all walk it the same way: every
@@ -393,7 +400,6 @@ def _grow_runs(grow, runs):
                 os.close(w)
                 raise
             if pid == 0:
-                status = 1
                 try:
                     os.close(r)
                     try:
@@ -402,9 +408,8 @@ def _grow_runs(grow, runs):
                         result = e
                     with os.fdopen(w, "wb") as out:
                         out.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
-                    status = 0
                 finally:
-                    os._exit(status)
+                    os._exit(0)  # the parent reads the pipe, not the exit status
             os.close(w)
             children.append((pid, r))
         blocks = grow(*runs[0])
