@@ -9,8 +9,9 @@ the end-to-end ones. It refuses to run when the two
 `bench/` directories differ, since the comparison then measures different
 harnesses. The record holds every result line, each side's median and
 quartiles per metric, the number of pairs the change won per metric, the
-seed, and the machine (nproc, the Python and numpy versions, and the
-scipy version read from its installed metadata, or null).
+seed, and the machine (nproc, the usable cores as `agbmap.parallel` counts
+them, the Python and numpy versions, and the scipy version read from its
+installed metadata, or null).
 
     python3 scripts/bench_record.py --parent ../parent --change . \\
         --slug batched_decomposition --workload desk-map --pairs 10 --traced-pairs 3
@@ -118,6 +119,7 @@ def main() -> int:
     with open(roots["change"] / "BENCHMARK.json") as f:
         spec = json.load(f)
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    affinity = getattr(os, "sched_getaffinity", None)
 
     path = args.out_dir / f"BENCH_{args.slug}.json"
     record = {
@@ -125,7 +127,8 @@ def main() -> int:
         "seconds": args.seconds, "traced_pairs": args.traced_pairs,
         "workloads": args.workload,
         "commits": {side: commit_of(root) for side, root in roots.items()},
-        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
+        "machine": {"nproc": len(affinity(0)) if affinity else os.cpu_count() or 1,
+                    "python": platform.python_version(),
                     "numpy": np.__version__, "platform": platform.platform(),
                     "scipy": next((d.version for d in
                                    importlib.metadata.distributions(name="scipy")), None)},

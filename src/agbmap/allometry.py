@@ -16,12 +16,11 @@ import numpy as np
 
 from .errors import UnitError
 from .raster import Grid
-from .readers import csv_rows, finite
+from .readers import POSITIVE, csv_rows, finite
 
 AGB_COEF = 0.0673
 AGB_EXP = 0.973
 CARBON_RATIO = 0.5
-_POSITIVE = (lambda v: v > 0, "> 0")
 _NONNEGATIVE = (lambda v: v >= 0, ">= 0")
 
 
@@ -93,7 +92,7 @@ def load_plots(plot_csv, tree_csv=None) -> PlotTable:
         if pid in index:
             raise ValueError(f"duplicate plot_id {pid!r}")
         values = (finite(row["lon"], "lon"), finite(row["lat"], "lat"),
-                  finite(row["area_ha"], "area_ha", _POSITIVE))
+                  finite(row["area_ha"], "area_ha", POSITIVE))
         if agb in (None, "") and tree_csv is None:
             raise ValueError("agb_mg_ha is required without a tree CSV")
         index[pid] = len(index)
@@ -104,7 +103,7 @@ def load_plots(plot_csv, tree_csv=None) -> PlotTable:
         if pid not in index:
             raise ValueError(f"unknown plot_id {pid!r}")
         return (index[pid],
-                *(finite(row[c], c, _POSITIVE) for c in ("wsg", "dbh_cm", "height_m")))
+                *(finite(row[c], c, POSITIVE) for c in ("wsg", "dbh_cm", "height_m")))
 
     plots = np.array(csv_rows(plot_csv, plot_row)).reshape(-1, 4)
     area, agb = plots[:, 2], plots[:, 3]

@@ -19,12 +19,9 @@ stream, after that tree's bootstrap. Every tree has its own stream spawned
 off the master seed, so a tree depends neither on fitting order nor on how
 trees are grouped.
 
-A large forest grows on one process per usable core (`forest_workers`):
-the caller draws every bootstrap, grows the first contiguous run of trees
-and forks a child for each other run, which sends its trees back pickled
-through a pipe. The split search holds the interpreter lock through many
-small numpy calls, so threads would barely overlap. The runs are joined in
-tree order, so the forest is bit-identical to one grown in one process.
+Once every bootstrap is drawn, a large forest grows in contiguous runs of
+trees on the pool of `parallel`, joined in tree order, so the forest is
+bit-identical to one grown in one process.
 
 A fitted forest is one node table: the trees' nodes concatenated, a root
 offset per tree and one categorical routing table. Prediction, the
@@ -41,17 +38,13 @@ a mean and spread per feature.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyDesign
-from .geostat import usable_cores
 from .linear import DesignMatrix
+from .parallel import map_runs
 
 # (tree, row) pairs handled at once: the bootstrap rows of one group of trees
 # in the fit, one chunk of a walk; bounds memory
@@ -372,66 +365,6 @@ def _assemble(frontiers, n_trees):
     return np.bincount(tree_of, minlength=n_trees), feature, threshold, child, value, cats
 
 
-def forest_workers(n_trees: int, n_rows: int) -> int:
-    """Processes that grow n_trees trees on n_rows rows: one per usable core,
-    but no more than n_trees, nor than give each _WORKER_PAIRS (tree, row)
-    pairs, and at least one. Without os.fork, or with another thread alive,
-    it is one: a forked child holds only the forking thread, and any lock
-    another thread held stays locked in it."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return max(1, min(usable_cores(), n_trees, n_trees * n_rows // _WORKER_PAIRS))
-
-
-def _grow_runs(grow, runs):
-    """The blocks of grow(lo, hi) for each run (lo, hi), in run order. The
-    first run is grown here and each other one in a forked child, which
-    sends back its blocks, or the exception it raised, pickled through a
-    pipe and always ends in os._exit. Every child is killed and reaped
-    before this returns or raises."""
-    children = []  # (pid, read end) per forked run, in run order
-    try:
-        for lo, hi in runs[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                try:
-                    os.close(r)
-                    try:
-                        result = grow(lo, hi)
-                    except BaseException as e:  # the parent raises it again
-                        result = e
-                    with os.fdopen(w, "wb") as out:
-                        out.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
-                finally:
-                    os._exit(0)  # the parent reads the pipe, not the exit status
-            os.close(w)
-            children.append((pid, r))
-        blocks = grow(*runs[0])
-        for pid, r in children:
-            with os.fdopen(r, "rb", closefd=False) as f:
-                data = f.read()
-            if not data:
-                raise ChildProcessError(f"forest worker {pid} ended without a result")
-            result = pickle.loads(data)
-            if isinstance(result, BaseException):
-                raise result
-            blocks += result
-        return blocks
-    finally:
-        # a child whose blocks were read has only its exit left; any other
-        # one is stopped where it is
-        for pid, r in children:
-            os.kill(pid, signal.SIGKILL)
-            os.close(r)
-            os.waitpid(pid, 0)
-
-
 @dataclass
 class Forest:
     """A fitted forest. `table` holds every node; `trees` gives each tree
@@ -483,17 +416,15 @@ def fit_random_forest(d: DesignMatrix, params: ForestParams | None = None,
         inbag[t, boot] = True
     group = max(1, GROUP_ROWS // d.n)
 
-    def grow(lo, hi):
-        """The blocks of trees lo .. hi - 1, grown a group at a time."""
-        return [_grow_trees(d.X, d.y, levels, cat_idx, boots[g:min(g + group, hi)],
-                            rngs[g:min(g + group, hi)], mtry, params)
-                for g in range(lo, hi, group)]
+    def grow(trees):
+        """The blocks of a run of trees, grown a group at a time."""
+        return [_grow_trees(d.X, d.y, levels, cat_idx, boots[g:min(g + group, trees.stop)],
+                            rngs[g:min(g + group, trees.stop)], mtry, params)
+                for g in range(trees.start, trees.stop, group)]
 
-    workers = forest_workers(params.n_trees, d.n)
-    edges = [params.n_trees * i // workers for i in range(workers + 1)]
-    blocks = _grow_runs(grow, list(zip(edges[:-1], edges[1:])))
-    table = NodeTable.concat(blocks)
-    del blocks  # the table holds their nodes; free them before the out-of-bag walk
+    runs = map_runs(grow, params.n_trees, params.n_trees * d.n, _WORKER_PAIRS)
+    table = NodeTable.concat([block for run in runs for block in run])
+    del runs  # the table holds their nodes; free them before the out-of-bag walk
 
     # out-of-bag error over samples covered by at least one tree
     oob_sum = table.tree_sums(d.X, ~inbag)

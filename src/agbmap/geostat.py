@@ -9,20 +9,21 @@ exponential with the practical-range convention
 
 so gamma(range) covers 95 percent of the partial sill. Ordinary kriging
 solves the semivariance system with a Lagrange row enforcing unit weight
-sum, over a k-nearest-neighbour window found by `raster.nearest`.
+sum, over a k-nearest-neighbour window found by `raster.nearest`. A large
+grid is kriged on the pool of `parallel`.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyNeighborhood, FitFailure, SingularSystem, TooFewSamples
 from .lsq import plm
+from .parallel import map_runs
 from .raster import Grid, nearest
 
 _DUP_TOL = 1e-6  # metres; closer samples are merged by averaging
@@ -30,7 +31,7 @@ RANGE_BOUND = 3.0  # fit_exponential caps the range at RANGE_BOUND * max_lag
 _VFIT_TOL = 1e-12  # xtol, ftol and gtol of the variogram fit
 _VFIT_MAX_NFEV = 300  # model evaluations per start: 100 per parameter, scipy's default
 _CHUNK = 32  # kriging targets per stacked solve, on each worker: memory grows with it
-_WORKER_TARGETS = 1000  # kriging targets per thread at least, so under 2000 it stays serial
+_WORKER_TARGETS = 1000  # kriging targets per process at least, so under 2000 none is forked
 
 
 class SampleSet:
@@ -192,29 +193,13 @@ def at_range_bound(model: VariogramModel, ev: EmpiricalVariogram) -> bool:
     return model.range_m >= RANGE_BOUND * ev.max_lag * (1 - 1e-9)
 
 
-def usable_cores() -> int:
-    """The cores this process may run on: its CPU affinity where the platform
-    reports one, else every core, and at least one."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-def kriging_workers(n_targets: int) -> int:
-    """Threads that krige n_targets: one per usable core, but no more than
-    give each _WORKER_TARGETS targets, and at least one. numpy releases the
-    interpreter lock in the stacked solves and the semivariance arithmetic,
-    so the chunks of two threads run at once."""
-    return max(1, min(usable_cores(), n_targets // _WORKER_TARGETS))
-
-
 class OrdinaryKriger:
     """Local-neighbourhood ordinary kriging against a fitted variogram.
 
     The k nearest samples of every target are found in one search; targets
-    are solved _CHUNK at a time, as one stack of augmented systems, on
-    kriging_workers threads that each take a contiguous run of chunks and
-    solve each chunk as one thread would: the calling thread takes the first
-    run and a pool the others.
+    are solved _CHUNK at a time, as one stack of augmented systems, in
+    contiguous runs of chunks on `parallel.map_runs`. A chunk is solved alike
+    in any run, so the results do not depend on the worker count.
     """
 
     def __init__(self, samples: SampleSet, model: VariogramModel,
@@ -270,34 +255,26 @@ class OrdinaryKriger:
         or arrays of one shape, and the results take that shape."""
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         targets = np.column_stack([x.ravel(), y.ravel()])
-        est = np.empty(targets.shape[0])
-        var = np.empty(targets.shape[0])
+        n = targets.shape[0]
         dist, idx = nearest(self.samples.xy, targets, self.k)
 
-        def krige_run(starts):
-            for start in starts:
-                part = slice(start, start + _CHUNK)
+        def krige_run(chunks):
+            """(estimates, variances) of the targets in a run of chunks."""
+            out = np.empty((2, n))
+            for c in chunks:
+                part = slice(c * _CHUNK, (c + 1) * _CHUNK)
                 lam, mu, gamma0 = self._solve(targets[part], dist[part], idx[part])
                 # row dot products as stacked (1, k) @ (k, 1) products, which sum
                 # in the same order as the one-target `lam @ values`
                 lam_rows = lam[:, None, :]
-                est[part] = (lam_rows @ self.samples.values[idx[part]][:, :, None])[:, 0, 0]
-                var[part] = (lam_rows @ gamma0[:, :, None])[:, 0, 0] + mu
+                out[0, part] = (lam_rows @ self.samples.values[idx[part]][:, :, None])[:, 0, 0]
+                out[1, part] = (lam_rows @ gamma0[:, :, None])[:, 0, 0] + mu
+            return out[:, chunks.start * _CHUNK:chunks.stop * _CHUNK]
 
-        # a run stops at its first SingularSystem; reading the runs in order
-        # raises the lowest failing chunk's, as one serial run would
-        runs = np.array_split(np.arange(0, targets.shape[0], _CHUNK), kriging_workers(len(est)))
-        if len(runs) == 1:
-            krige_run(runs[0])
-        else:
-            # imported here: concurrent.futures brings in logging, 0.9 MB and
-            # 3 ms that a process kriging only small grids need not pay
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(len(runs) - 1) as pool:
-                futures = [pool.submit(krige_run, run) for run in runs[1:]]
-                krige_run(runs[0])
-                for future in futures:
-                    future.result()
+        # a run stops at its first SingularSystem; the runs are read in order,
+        # so the lowest failing chunk's is raised, as one run would
+        est, var = np.concatenate(map_runs(krige_run, -(-n // _CHUNK), n, _WORKER_TARGETS),
+                                  axis=1)
         var = np.maximum(var, 0.0)
         return est.reshape(x.shape)[()], var.reshape(x.shape)[()]
 

@@ -30,7 +30,7 @@ from .geostat import (EmpiricalVariogram, SampleSet, VariogramModel, at_range_bo
 from .linear import DesignMatrix, fit_ols, kfold_cv, stepwise_bic
 from .model_io import save_model
 from .raster import Grid, GridStack, match_points, read_ascii_grid, resample, write_ascii_grid
-from .readers import check_fields, read_json
+from .readers import POSITIVE, check_fields, read_json
 from .waveform import (DETECT_K, MAX_COMPONENTS, MAX_ELEV_GAP, METRIC_COLUMNS, SNR_MIN,
                        FootprintTable, process_waveforms, read_waveforms, write_filter_csv,
                        write_metrics_csv)
@@ -323,14 +323,13 @@ _ITEM_TYPES = {"covariates": (str,), "grid_sizes": (int, float),
                "sweep_distances": (int, float), "categorical": (str,)}
 # (test, wording) of the values each key may take
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
-_POSITIVE = (lambda v: v > 0, "> 0")
 _FINITE = (math.isfinite, "finite")
 _RANGES = {"n_trees": _AT_LEAST_1, "min_leaf": _AT_LEAST_1, "neighborhood": _AT_LEAST_1,
            "variogram_nbins": _AT_LEAST_1, "min_plots_per_cell": _AT_LEAST_1,
            "mtry": _AT_LEAST_1, "trend_top_k": _AT_LEAST_1,
            "seed": (lambda v: v >= 0, ">= 0"), "kfold": (lambda v: v >= 2, ">= 2"),
            "max_components": (lambda v: 1 <= v <= MAX_COMPONENTS, f"in 1..{MAX_COMPONENTS}"),
-           "calib_max_dist": _POSITIVE, "detect_k": _POSITIVE,
+           "calib_max_dist": POSITIVE, "detect_k": POSITIVE,
            "snr_min": _FINITE, "max_elev_gap": _FINITE,
            "variogram_max_lag": (lambda v: 0 < v < math.inf, "finite and > 0"),
            "trend": (lambda v: v in ("lm", "rf"), "'lm' or 'rf'"),

@@ -20,6 +20,7 @@ _NULL = type(None)
 # JSON types accepted for each dataclass annotation
 _JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "dict": (dict,),
                "tuple": (list,), "None": (_NULL,)}
+POSITIVE = (lambda v: v > 0, "> 0")  # a (test, wording) rule of finite and check_fields
 
 
 def read_text(path, error) -> str:

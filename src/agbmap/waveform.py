@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BadRecord
 from .lsq import plm
-from .readers import csv_rows, finite
+from .readers import POSITIVE, csv_rows, finite
 
 DETECT_K = 4.5
 SNR_MIN = 15.0
@@ -50,13 +50,12 @@ class WaveformRecord:
     def __post_init__(self):
         for name in ("lon", "lat", "bin_top_elev", "srtm_elev"):
             setattr(self, name, finite(getattr(self, name), f"waveform {self.id}: {name}"))
+        self.bin_size = finite(self.bin_size, f"waveform {self.id}: bin_size", POSITIVE)
         for name in ("sat_ndx", "cloud_flag"):
             finite(getattr(self, name), f"waveform {self.id}: {name}")
         self.intensities = np.asarray(self.intensities, dtype=float)
         if self.intensities.ndim != 1 or self.intensities.size < 10:
             raise ValueError(f"waveform {self.id}: need >= 10 intensity bins")
-        if not self.bin_size > 0:
-            raise ValueError(f"waveform {self.id}: bin_size must be > 0")
         if np.any(self.intensities < 0) or not np.all(np.isfinite(self.intensities)):
             raise ValueError(f"waveform {self.id}: intensities must be finite and >= 0")
 

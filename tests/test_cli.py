@@ -142,11 +142,19 @@ def test_bad_json_config_exits_1_naming_path(tmp_path, capsys, command, text, me
     assert not (tmp_path / "scene").exists()
 
 
-def test_domain_errors_exit_1(tmp_path, capsys):
-    missing = tmp_path / "nope.json"
-    assert main(["map", "--config", str(missing)]) == 1
+@pytest.mark.parametrize("args", [
+    ["map", "--config", "{tmp}/nope.json"],
+    ["carbon", "--map", "{tmp}"],  # a directory where a file is read
+    ["filter", "--in", "{tmp}", "--out", "{tmp}/f.csv"],
+    ["filter", "--in", "{good}", "--out", "{tmp}"],  # a directory where a file is written
+], ids=["missing-config", "dir-map", "dir-in", "dir-out"])
+def test_domain_errors_exit_1(tmp_path, capsys, args):
+    good = tmp_path / "good.ndjson"
+    good.write_text(json.dumps({"id": "a", "lon": 1.0, "lat": 2.0, "bin_top_elev": 9.0,
+                                "bin_size": 0.15, "intensities": [1.0] * 20}) + "\n")
+    assert main([a.format(tmp=tmp_path, good=good) for a in args]) == 1
     err = capsys.readouterr().err
-    assert "error:" in err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("bad_line, message", [
@@ -158,6 +166,9 @@ def test_domain_errors_exit_1(tmp_path, capsys):
      '"intensities": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0], "sat_ndx": "a"}',
      "could not convert string to float: 'a'"),
     ("[1, 2]", "list indices"),
+    ('{"id": "b", "lon": 1.0, "lat": 2.0, "bin_top_elev": 9.0, "bin_size": 1e999, '
+     '"intensities": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]}',
+     "bin_size must be finite, got inf"),
     ("\udcff", "can't decode byte 0xff"),  # written as the raw byte 0xff
 ])
 def test_bad_waveform_record_names_path_and_line(tmp_path, capsys, bad_line, message):

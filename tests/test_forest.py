@@ -1,8 +1,5 @@
 import json
-import os
 import re
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -464,110 +461,18 @@ def test_tree_does_not_depend_on_grouping():
 
 # ------------------------------------------------------------- forked growth
 
-def cores(monkeypatch, n):
-    """Report n usable cores, whatever the host has."""
-    monkeypatch.setattr(forest_module.os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
-    monkeypatch.setattr(forest_module.os, "cpu_count", lambda: n)
-
-
-def no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_worker_count_from_cores_trees_and_pairs(monkeypatch):
-    # (trees, rows): desk-map's 150 x 264 = 39 600 pairs stays in process and
-    # fullscale-rf's 50 x 3000 = 150 000 forks, as does the full-scale map's 150 x 3000
-    sizes = [(150, 264), (199, 251), (1, 60_000), (50, 1000), (50, 3000), (150, 3000),
-             (3, 100_000)]
-    for n, want in ((1, [1, 1, 1, 1, 1, 1, 1]), (2, [1, 1, 1, 2, 2, 2, 2]),
-                    (4, [1, 1, 1, 2, 4, 4, 3])):
-        cores(monkeypatch, n)
-        assert [forest_module.forest_workers(*s) for s in sizes] == want
-
-
-def forked(monkeypatch):
-    """Grow 300-row forests on two processes from 4 trees up; count the forks."""
-    cores(monkeypatch, 2)
-    monkeypatch.setattr(forest_module, "_WORKER_PAIRS", 600)
-    forks, fork = [], os.fork
-    monkeypatch.setattr(forest_module.os, "fork", lambda: forks.append(1) or fork())
-    return forks
-
-
-def test_forked_fit_equals_in_process_fit(monkeypatch):
+def test_forked_fit_equals_in_process_fit(monkeypatch, forks):
     d = _categorical_design(300, 29)
     params = ForestParams(n_trees=25, min_leaf=2)
     one = fit_random_forest(d, params, seed=30)
-    forks = forked(monkeypatch)
+    assert forks == []
+    monkeypatch.setattr(forest_module, "_WORKER_PAIRS", 600)  # two processes from 4 trees up
     monkeypatch.setattr(forest_module, "GROUP_ROWS", 2000)  # runs of 12 and 13 trees, 6 a group
     two = fit_random_forest(d, params, seed=30)
     assert forks == [1]
-    no_child_left()
     assert any(lc is not None for t in two.trees for lc in t.left_cats)
     for name in ("root", "feature", "threshold", "child", "value", "cat_values", "cat_row",
                  "cat_left"):
         assert np.array_equal(getattr(one.table, name), getattr(two.table, name)), name
     assert np.array_equal(one.inbag, two.inbag)
     assert one.oob_error == two.oob_error
-
-
-def _in_child(parent, act):
-    """A _grow_trees that does `act` in a forked child and grows in the parent."""
-    grow = forest_module._grow_trees
-
-    def planted(*args):
-        if os.getpid() != parent:
-            act()
-        return grow(*args)
-    return planted
-
-
-def _raise():
-    raise LookupError("planted in a forked run")
-
-
-@pytest.mark.parametrize("act, error", [(_raise, LookupError),
-                                        (lambda: os._exit(3), ChildProcessError)])
-def test_failed_child_run_raises_here_and_leaves_no_child(monkeypatch, act, error):
-    forked(monkeypatch)
-    monkeypatch.setattr(forest_module, "_grow_trees", _in_child(os.getpid(), act))
-    with pytest.raises(error) as raised:
-        fit_random_forest(_categorical_design(300, 29), ForestParams(n_trees=25), seed=30)
-    no_child_left()
-    if error is LookupError:
-        assert str(raised.value) == "planted in a forked run"
-
-
-def test_interrupt_kills_the_children(monkeypatch):
-    forked(monkeypatch)
-    grow = _in_child(os.getpid(), lambda: time.sleep(60))
-
-    def interrupted(*args):
-        grow(*args)
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(forest_module, "_grow_trees", interrupted)
-    start = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        fit_random_forest(_categorical_design(300, 29), ForestParams(n_trees=25), seed=30)
-    assert time.monotonic() - start < 30  # the sleeping child was not waited for
-    no_child_left()
-
-
-def test_fit_stays_in_process_while_another_thread_runs(monkeypatch):
-    forks = forked(monkeypatch)
-    d = _categorical_design(300, 29)
-    stop = threading.Event()
-    other = threading.Thread(target=stop.wait)
-    other.start()
-    try:
-        assert forest_module.forest_workers(25, 300) == 1
-        fit_random_forest(d, ForestParams(n_trees=25), seed=30)
-    finally:
-        stop.set()
-        other.join(timeout=10)
-    assert not other.is_alive()
-    assert forks == []
-    assert forest_module.forest_workers(25, 300) == 2

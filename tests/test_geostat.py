@@ -1,6 +1,5 @@
 import io
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -411,56 +410,28 @@ def test_flat_variogram_raises_singular_system():
                          VariogramModel(0.0, 0.0, 100.0))
 
 
-# ------------------------------------------------------------- kriging threads
+# ------------------------------------------------------------- forked kriging
 
-def two_workers(monkeypatch):
-    """Krige on two threads from 80 targets up, whatever the host's core count."""
-    monkeypatch.setattr(geostat.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(geostat.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(geostat, "_WORKER_TARGETS", 40)
-
-
-def test_worker_count_from_cores_and_targets(monkeypatch):
-    monkeypatch.setattr(geostat.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    monkeypatch.setattr(geostat.os, "cpu_count", lambda: 8)
-    assert [geostat.kriging_workers(n) for n in (0, 625, 900, 1999, 2000, 2500, 10_000)] \
-        == [1, 1, 1, 1, 2, 2, 8]
-    monkeypatch.setattr(geostat.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(geostat.os, "cpu_count", lambda: 1)
-    assert geostat.kriging_workers(10_000) == 1
-
-
-def test_two_workers_krige_exactly_what_one_does(monkeypatch):
+def test_two_workers_krige_exactly_what_one_does(monkeypatch, forks):
     g, xy, resid, m = chunked_scene()
     serial = regression_krige(g, SampleSet(xy, resid), m, neighborhood=40)
-    two_workers(monkeypatch)
-    solved_on = set()
-    solve = OrdinaryKriger._solve
-
-    def spy(self, *args):
-        solved_on.add(threading.get_ident())
-        return solve(self, *args)
-
-    monkeypatch.setattr(OrdinaryKriger, "_solve", spy)
-    threads = threading.active_count()
-    threaded = regression_krige(g, SampleSet(xy, resid), m, neighborhood=40)
-    assert len(solved_on) == 2 and threading.get_ident() in solved_on  # the caller and one more
-    assert threading.active_count() == threads
-    for one, two in zip(serial, threaded):
+    monkeypatch.setattr(geostat, "_WORKER_TARGETS", 40)  # two processes from 80 targets up
+    forked = regression_krige(g, SampleSet(xy, resid), m, neighborhood=40)
+    assert forks == [1]
+    for one, two in zip(serial, forked):
         assert np.array_equal(one.values, two.values)
 
 
-def test_two_workers_raise_the_first_singular_chunk_as_one_does(monkeypatch):
+def test_two_workers_raise_the_first_singular_chunk_as_one_does(monkeypatch, forks):
     g, xy, resid, _ = chunked_scene()
     flat = VariogramModel(0.0, 0.0, 100.0)
     with pytest.raises(SingularSystem) as serial:
         regression_krige(g, SampleSet(xy, resid), flat, neighborhood=40)
-    two_workers(monkeypatch)
-    threads = threading.active_count()
-    with pytest.raises(SingularSystem) as threaded:
+    monkeypatch.setattr(geostat, "_WORKER_TARGETS", 40)
+    with pytest.raises(SingularSystem) as forked:
         regression_krige(g, SampleSet(xy, resid), flat, neighborhood=40)
-    assert threading.active_count() == threads
-    assert str(threaded.value) == str(serial.value)
+    assert forks == [1]
+    assert str(forked.value) == str(serial.value)
 
 
 def test_variogram_report_format():
