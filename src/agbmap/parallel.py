@@ -2,8 +2,8 @@
 first in the calling process and forks a child for each other run, which
 sends its result back pickled through a pipe; `workers` is the one rule for
 their count. Processes, not threads: the forest's split search holds the
-interpreter lock through many small numpy calls, and forked kriging beat a
-thread pool on the same cores.
+interpreter lock through many small numpy calls, and kriging ran no slower
+forked than on a thread pool on the same cores.
 """
 
 from __future__ import annotations
