@@ -9,8 +9,7 @@ from .allometry import CarbonStock, PlotTable, carbon_stock, tree_agb
 from .forest import Forest, ForestParams, fit_random_forest, rf_importance
 from .geostat import (EmpiricalVariogram, OrdinaryKriger, SampleSet, VariogramModel,
                       empirical_variogram, fit_exponential, regression_krige)
-from .linear import DesignMatrix, LinearModel, fit_ols, kfold_cv, stepwise_bic
-from .model_io import load_model, save_model
+from .linear import DesignMatrix, LinearModel, fit_ols, kfold_cv, save_model, stepwise_bic
 from .pipeline import (CalibrationSweepRow, MapProduct, RunConfig, build_map,
                        calibration_pairs, calibration_sweep, fit_footprint_agb_model,
                        predict_footprints, run_mapping, validate_map)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -16,7 +17,7 @@ from .allometry import carbon_stock, load_plots, write_carbon_report
 from .errors import AgbmapError, TooFewSamples
 from .geostat import (SampleSet, empirical_variogram, fit_exponential, lag_bins,
                       write_variogram_report)
-from .model_io import save_model
+from .linear import save_model
 from .pipeline import (_RANGES, RunConfig, calibration_pairs, calibration_sweep,
                        fit_footprint_agb_model, validate_map, write_sweep_csv,
                        write_validation_csv)
@@ -43,6 +44,7 @@ def _ranged(convert, rule):
 
 _SEED = _ranged(int, _RANGES["seed"])
 _LENGTH = _ranged(float, _RANGES["variogram_max_lag"])  # finite and > 0
+_DISTANCE = _ranged(float, _RANGES["calib_max_dist"])  # a match distance > 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,9 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--metrics", required=True)
     s.add_argument("--plots", required=True)
     s.add_argument("--trees")
-    s.add_argument("--distances", type=float, nargs="+",
+    s.add_argument("--distances", type=_DISTANCE, nargs="+",
                    default=[100, 200, 250, 300, 350, 400])
-    s.add_argument("--kfold", type=int, default=10)
+    s.add_argument("--kfold", type=_ranged(int, _RANGES["kfold"]), default=10)
     s.add_argument("--seed", type=_SEED, default=0)
     s.add_argument("--out")
 
@@ -89,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--metrics", required=True)
     s.add_argument("--plots", required=True)
     s.add_argument("--trees")
-    s.add_argument("--max-dist", type=float, default=250.0)
+    s.add_argument("--max-dist", type=_DISTANCE, default=250.0)
     s.add_argument("--out-model", required=True)
 
     s = sub.add_parser("map", help="full mapping chain from a run config")
@@ -140,11 +142,13 @@ def _output(path):
 
 def _cmd_simulate(args) -> int:
     scene = synth.generate_scene(synth.scene_config(args.seed, args.full_scale, args.config))
-    paths = synth.write_scene(scene, args.out)
+    # absolute paths, so that a copy of the run config elsewhere names the same files
+    out = os.path.abspath(args.out)
+    paths = synth.write_scene(scene, out)
     run_cfg = {
         "waveforms": paths["waveforms"], "dem": paths["dem"],
         "covariates": paths["covariates"], "plots": paths["plots"],
-        "out_dir": f"{args.out}/run",
+        "out_dir": f"{out}/run",
         "grid_sizes": [500, 1000, 2000], "trend": "rf", "seed": args.seed,
         # desk scenes plant two Gaussians and need the wider match radius
         "calib_max_dist": 600.0, "n_trees": 150, "max_components": 3,

@@ -6,19 +6,6 @@ class AgbmapError(Exception):
     pass
 
 
-# waveform processing
-class NoSignal(AgbmapError):
-    pass
-
-
-class DegenerateNoise(AgbmapError):
-    pass
-
-
-class FitFailure(AgbmapError):
-    pass
-
-
 class BadRecord(AgbmapError):
     """An input line that cannot be read: a byte that is not UTF-8, a
     waveform record that is not JSON, lacks a key or is invalid, a
@@ -46,6 +33,10 @@ class EmptyDesign(AgbmapError):
 
 
 # geostatistics
+class FitFailure(AgbmapError):
+    pass
+
+
 class TooFewSamples(AgbmapError):
     pass
 

@@ -75,11 +75,6 @@ class Tree:
     right: np.ndarray
     value: np.ndarray      # node mean of the target
 
-    def to_dict(self) -> dict:
-        return {"feature": self.feature.tolist(), "threshold": self.threshold.tolist(),
-                "left_cats": self.left_cats, "left": self.left.tolist(),
-                "right": self.right.tolist(), "value": self.value.tolist()}
-
 
 class NodeTable:
     """Every node of a forest in one set of arrays.
@@ -125,20 +120,6 @@ class NodeTable:
                    np.concatenate([c + s for c, s in zip(child, start)]),
                    np.concatenate(value),
                    {int(s) + k: v for s, c in zip(start, cats) for k, v in c.items()})
-
-    @classmethod
-    def from_trees(cls, trees: list) -> "NodeTable":
-        """The table of per-tree node lists laid out as `Tree.to_dict` writes them."""
-        blocks = []
-        for t in trees:
-            feature = np.asarray(t["feature"], dtype=np.intp)
-            inner, own = feature >= 0, np.arange(feature.size)
-            child = np.column_stack([np.where(inner, np.asarray(t[side], dtype=np.intp), own)
-                                     for side in ("right", "left")])
-            blocks.append(([feature.size], feature, np.asarray(t["threshold"], dtype=float),
-                           child, np.asarray(t["value"], dtype=float),
-                           {k: c for k, c in enumerate(t["left_cats"]) if c is not None}))
-        return cls.concat(blocks)
 
     @property
     def n_trees(self) -> int:
@@ -368,16 +349,11 @@ def _assemble(frontiers, n_trees):
 @dataclass
 class Forest:
     """A fitted forest. `table` holds every node; `trees` gives each tree
-    with its own node indices, for persistence and inspection."""
+    with its own node indices, for inspection."""
     table: NodeTable
     feature_names: list
-    categorical: frozenset
-    params: ForestParams
-    seed: int | None
     oob_error: float
-    y_min: float
-    y_max: float
-    inbag: np.ndarray | None = None  # (n_trees, n) bool, training-time only
+    inbag: np.ndarray  # (n_trees, n) bool: the rows each tree's bootstrap drew
 
     @property
     def trees(self) -> list:
@@ -435,9 +411,7 @@ def fit_random_forest(d: DesignMatrix, params: ForestParams | None = None,
         oob_error = float(np.mean((d.y[covered] - oob_pred) ** 2))
     else:
         oob_error = float("nan")
-    seed_tag = int(seed) if isinstance(seed, (int, np.integer)) else None
-    return Forest(table, list(d.feature_names), frozenset(d.categorical), params,
-                  seed_tag, oob_error, float(d.y.min()), float(d.y.max()), inbag)
+    return Forest(table, list(d.feature_names), oob_error, inbag)
 
 
 @dataclass

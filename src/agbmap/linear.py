@@ -1,4 +1,5 @@
-"""Linear models: OLS, bidirectional BIC-stepwise selection, k-fold CV.
+"""Linear models: OLS, bidirectional BIC-stepwise selection, k-fold CV and
+the model writer.
 
 BIC is n*ln(RSS/n) + k*ln(n) with k counting the intercept. Inside the
 BIC the RSS is floored at 1e-24 of the target's total sum of squares:
@@ -18,6 +19,7 @@ re-applies it at prediction time.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -126,6 +128,20 @@ class LinearModel:
 
     def predict_design(self, d: DesignMatrix) -> np.ndarray:
         return self.predict(d.X, d.feature_names)
+
+
+def save_model(model: LinearModel, path) -> None:
+    """Write model to path as a versioned `agbmap-model` document: canonical
+    JSON (sorted keys, no whitespace) in which floats keep every digit."""
+    doc = {"format": "agbmap-model", "version": 1, "kind": "linear",
+           "intercept": model.intercept, "coefficients": model.coefficients,
+           "selected_features": model.selected_features,
+           "rss": model.rss, "bic": model.bic, "r2": model.r2, "n": model.n,
+           "raw_features": model.raw_features,
+           "encoder": model.encoder.levels if model.encoder else None}
+    with open(path, "w") as f:
+        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
+        f.write("\n")
 
 
 def bic_score(n: int, rss: float, n_params: int, tss: float = 0.0) -> float:

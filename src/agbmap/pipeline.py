@@ -27,8 +27,7 @@ from .forest import ForestParams, fit_random_forest, rf_importance
 from .geostat import (EmpiricalVariogram, SampleSet, VariogramModel, at_range_bound,
                       empirical_variogram, fit_exponential, regression_krige,
                       write_variogram_report)
-from .linear import DesignMatrix, fit_ols, kfold_cv, stepwise_bic
-from .model_io import save_model
+from .linear import DesignMatrix, fit_ols, kfold_cv, save_model, stepwise_bic
 from .raster import Grid, GridStack, match_points, read_ascii_grid, resample, write_ascii_grid
 from .readers import POSITIVE, check_fields, read_json
 from .waveform import (DETECT_K, MAX_COMPONENTS, MAX_ELEV_GAP, METRIC_COLUMNS, SNR_MIN,
@@ -294,11 +293,17 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
-        """The config in a JSON file; a malformed file, an unknown or missing
-        key or a value of the wrong type or out of range raises ConfigError."""
+        """The config in a JSON file, its relative paths joined to the file's
+        directory; a malformed file, an unknown or missing key or a value of
+        the wrong type or out of range raises ConfigError."""
         doc = check_fields(cls, read_json(path), path, items=_ITEM_TYPES, ranges=_RANGES,
                            required=("waveforms", "dem", "covariates", "plots", "out_dir"))
         cfg = cls(**doc)
+        base = os.path.dirname(path)
+        for name in ("waveforms", "dem", "plots", "trees", "out_dir"):
+            if getattr(cfg, name) is not None:
+                setattr(cfg, name, os.path.join(base, getattr(cfg, name)))
+        cfg.covariates = {k: os.path.join(base, v) for k, v in cfg.covariates.items()}
         for name in ("grid_sizes", "sweep_distances", "categorical"):
             setattr(cfg, name, tuple(getattr(cfg, name)))
         return cfg

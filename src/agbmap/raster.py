@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadFactor, BadRecord, TooFewBands
-from .readers import read_text
+from .readers import POSITIVE, finite, read_text
 
 DEFAULT_NODATA = -9999.0
 _TILE_TARGETS = 32  # targets per tile of `nearest`, on average, at the least
@@ -186,8 +186,9 @@ def read_ascii_grid(path) -> Grid:
     """Read an ESRI ASCII grid.
 
     Raises BadRecord naming path:line for a byte that is not UTF-8, a
-    header value that is not a number, a missing header key, a non-positive
-    size, a body value that is not a number or a wrong number of values.
+    header value that is not a number, a missing header key, a corner or
+    cell size that is not finite, a non-positive size, a body value that is
+    not a number or a wrong number of values.
     """
     lines = read_text(path, BadRecord).split("\n")
     header = {}  # key -> (value text, line number)
@@ -211,11 +212,18 @@ def read_ascii_grid(path) -> Grid:
                             f"{'an integer' if kind is int else 'a number'}: "
                             f"{value!r}") from None
 
+    def finite_number(key, rule=None):
+        """number(key), which must be finite and pass the (test, wording) rule."""
+        try:
+            return finite(number(key), key, rule)
+        except ValueError as e:
+            raise BadRecord(f"{path}:{header[key][1]}: {e}") from None
+
     ncols, nrows = number("ncols", int), number("nrows", int)
-    x0, y0 = number("xllcorner"), number("yllcorner")
-    cs = number("cellsize")
+    x0, y0 = finite_number("xllcorner"), finite_number("yllcorner")
+    cs = finite_number("cellsize", POSITIVE)
     nodata = number("nodata_value") if "nodata_value" in header else DEFAULT_NODATA
-    for key, value in (("ncols", ncols), ("nrows", nrows), ("cellsize", cs)):
+    for key, value in (("ncols", ncols), ("nrows", nrows)):
         if not value > 0:
             raise BadRecord(f"{path}:{header[key][1]}: {key} must be > 0, got {value!r}")
     body = text.split()

@@ -88,18 +88,7 @@ def check_types(value, types, where, key) -> None:
             check_types(item, types[1:], where, f"{key}[{i}]")
 
 
-def check_keys(doc: dict, spec: dict, where, prefix: str = "") -> dict:
-    """doc, once every key of spec is present in it with the JSON types
-    check_types reads from spec[key]."""
-    for key, types in spec.items():
-        if key not in doc:
-            raise ConfigError(f"{where}: missing key {prefix + key!r}")
-        check_types(doc[key], types, where, prefix + key)
-    return doc
-
-
-def check_fields(cls, doc, where, *, required=(), items=None, ranges=None,
-                 prefix: str = "") -> dict:
+def check_fields(cls, doc, where, *, required=(), items=None, ranges=None) -> dict:
     """doc, once it is a JSON object of fields of the dataclass cls holding
     every required key, each value of the JSON type its annotation names
     (the items of a list or dict value of the types items[key] gives), and
@@ -110,13 +99,13 @@ def check_fields(cls, doc, where, *, required=(), items=None, ranges=None,
     fields = cls.__dataclass_fields__
     for key in doc:
         if key not in fields:
-            raise ConfigError(f"{where}: unknown key {prefix + key!r}")
-    spec = {}
+            raise ConfigError(f"{where}: unknown key {key!r}")
     for key in (*required, *doc):
+        if key not in doc:
+            raise ConfigError(f"{where}: missing key {key!r}")
         types = sum((_JSON_TYPES[t] for t in fields[key].type.split(" | ")), ())
-        spec[key] = (types, items[key]) if key in items else (types,)
-    check_keys(doc, spec, where, prefix)
+        check_types(doc[key], (types, items[key]) if key in items else (types,), where, key)
     for key, (in_range, wording) in ranges.items():
         if doc.get(key) is not None and not in_range(doc[key]):
-            raise _must_be(where, prefix + key, wording, doc[key])
+            raise _must_be(where, key, wording, doc[key])
     return doc

@@ -56,6 +56,7 @@ def test_usage_errors_exit_2(capsys):
                  "--detect-k", "-1.5"]) == 2
     assert "--detect-k: must be > 0, got -1.5" in capsys.readouterr().err
     grid = ["--in", "g.asc", "--out-prefix", "t_"]
+    calib = ["--metrics", "m.csv", "--plots", "p.csv"]
     for argv, message in [
             (["validate", "--map", "m.asc", "--plots", "p.csv", "--min-count", "0"],
              "--min-count: must be >= 1, got 0"),
@@ -72,7 +73,13 @@ def test_usage_errors_exit_2(capsys):
             (["metrics", "--in", "w.ndjson", "--dem", "d.asc", "--out", "m.csv",
               "--max-elev-gap", "inf"], "--max-elev-gap: must be finite, got inf"),
             (["map", "--config", "c.json", "--grid-size", "nan"],
-             "--grid-size: must be finite and > 0, got nan")]:
+             "--grid-size: must be finite and > 0, got nan"),
+            (["sweep", *calib, "--kfold", "0"], "--kfold: must be >= 2, got 0"),
+            (["sweep", *calib, "--kfold", "1"], "--kfold: must be >= 2, got 1"),
+            (["sweep", *calib, "--distances", "100", "nan"], "--distances: must be > 0, got nan"),
+            (["sweep", *calib, "--distances", "-5"], "--distances: must be > 0, got -5"),
+            (["calibrate", *calib, "--out-model", "m.json", "--max-dist", "nan"],
+             "--max-dist: must be > 0, got nan")]:
         assert main(argv) == 2
         assert f"argument {message}\n" in capsys.readouterr().err
     assert main(["textures", *grid, "--window", "x"]) == 2
@@ -120,6 +127,8 @@ def test_bad_run_config_value_exits_1_naming_key(tmp_path, capsys, key, value, m
 
 @pytest.mark.parametrize("command, text, message", [
     ("map", b'{"waveforms": "w\xff.ndjson"}', ":1: 'utf-8' codec can't decode byte 0xff"),
+    ("map", b'{"waveforms": "w",\n "dem": "d",\n "plots": ]\n', ":3: Expecting value"),
+    ("map", b'{"waveforms":\n"\xff"}\n', ":2: 'utf-8' codec can't decode byte 0xff"),
     ("simulate", b'{"bogus": 1}', ": unknown key 'bogus'"),
     ("simulate", b'{"extent": "15000"}', ": key 'extent' must be int or float, got '15000'"),
     ("simulate", b'{"extent": 15000', ":1: Expecting ',' delimiter"),
@@ -188,6 +197,10 @@ def test_simulate_emits_scene_files(scene_dir):
     for name in ("waveforms.ndjson", "plots.csv", "dem.asc", "cov1.asc",
                  "truth_agb.asc", "run_config.json"):
         assert (scene_dir / name).exists(), name
+    # absolute paths, so that a copy of the config elsewhere names the same files
+    cfg = json.load((scene_dir / "run_config.json").open())
+    paths = [cfg[k] for k in ("waveforms", "dem", "plots", "out_dir")]
+    assert all(os.path.isabs(p) for p in paths + list(cfg["covariates"].values()))
 
 
 def test_filter_and_metrics_commands(scene_dir, tmp_path, capsys):
@@ -331,6 +344,9 @@ _GRID_HEADER = ("ncols 2\n", "nrows 2\n", "xllcorner 0\n", "yllcorner 0\n",
      "missing ASCII grid header key 'yllcorner'"),
     (("ncols 0\n",) + _GRID_HEADER[1:] + ("\n",), 1, "ncols must be > 0"),
     (_GRID_HEADER[:4] + ("cellsize -10\n", "1 2\n3 4\n"), 5, "cellsize must be > 0"),
+    (_GRID_HEADER[:2] + ("xllcorner nan\n",) + _GRID_HEADER[3:] + ("1 2\n3 4\n",), 3,
+     "xllcorner must be finite, got nan"),
+    (_GRID_HEADER[:4] + ("cellsize inf\n", "1 2\n3 4\n"), 5, "cellsize must be finite, got inf"),
     (_GRID_HEADER + ("1 2\n", "3 x4\n"), 7, "grid value is not a number: 'x4'"),
     (_GRID_HEADER + ("1 2\n", "3\n", "\n"), 7, "expected 4 values, found 3"),
     (_GRID_HEADER + ("1 2\n", "3 4\n", "5 6\n"), 8, "expected 4 values, found 6"),

@@ -1,14 +1,10 @@
-import json
-import re
-
 import numpy as np
 import pytest
 
 from agbmap import forest as forest_module
-from agbmap.errors import ConfigError, EmptyDesign
-from agbmap.forest import GROUP_ROWS, Forest, ForestParams, fit_random_forest, rf_importance
+from agbmap.errors import EmptyDesign
+from agbmap.forest import GROUP_ROWS, ForestParams, fit_random_forest, rf_importance
 from agbmap.linear import DesignMatrix
-from agbmap.model_io import load_model, save_model
 
 PARAMS = ForestParams(n_trees=40, min_leaf=3)
 
@@ -118,74 +114,6 @@ def test_importance_of_unused_feature_is_zero():
     y = 3 * X[:, 0] + rng.normal(0, 0.2, 100)
     imp = rf_importance(dm(X, y), ForestParams(n_trees=30), repetitions=3, seed=9)
     assert imp.mean[1] == 0.0  # constant column is never split on
-
-
-def test_forest_persistence_round_trip(tmp_path):
-    rng = np.random.default_rng(9)
-    cats = rng.integers(0, 3, 80).astype(float)
-    X = np.column_stack([rng.normal(0, 1, 80), cats])
-    y = X[:, 0] + (cats == 2) * 5 + rng.normal(0, 0.2, 80)
-    d = dm(X, y, categorical=["x1"])
-    f = fit_random_forest(d, ForestParams(n_trees=15, min_leaf=4), seed=10)
-    p1 = tmp_path / "f1.json"
-    p2 = tmp_path / "f2.json"
-    save_model(f, p1)
-    loaded = load_model(p1)
-    assert isinstance(loaded, Forest)
-    assert np.array_equal(loaded.predict(X), f.predict(X))
-    save_model(loaded, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-@pytest.mark.parametrize("edit, message", [
-    (lambda doc: doc["trees"][1].pop("left"), "missing key 'trees[1].left'"),
-    (lambda doc: doc["trees"][2]["feature"].__setitem__(0, 0.5),
-     "key 'trees[2].feature[0]' must be int, got 0.5"),
-    (lambda doc: doc["params"].__setitem__("n_trees", "3"),
-     "key 'params.n_trees' must be int, got '3'"),
-    (lambda doc: doc.pop("y_max"), "missing key 'y_max'"),
-    # a node that is its own child made predict loop for ever
-    (lambda doc: doc["trees"][0]["left"].__setitem__(0, 0),
-     "key 'trees[0].left[0]' must be in 1.."),
-    (lambda doc: doc["trees"][0]["right"].__setitem__(0, 999),
-     "key 'trees[0].right[0]' must be in 1.."),
-    (lambda doc: doc["trees"][0]["feature"].__setitem__(0, 7),
-     "key 'trees[0].feature[0]' must be < 2, got 7"),
-    (lambda doc: doc["trees"][1]["value"].pop(), "key 'trees[1].value' must be a list of "),
-    (lambda doc: doc["trees"][2].update({k: [] for k in doc["trees"][2]}),
-     "key 'trees[2].feature' must be a non-empty list, got []"),
-    (lambda doc: doc.__setitem__("trees", []), "key 'trees' must be a non-empty list, got []"),
-])
-def test_load_model_bad_forest_key_names_key(tmp_path, edit, message):
-    rng = np.random.default_rng(2)
-    X = rng.normal(0, 1, (40, 2))
-    p = tmp_path / "f.json"
-    save_model(fit_random_forest(dm(X, X[:, 0]), ForestParams(n_trees=3), seed=1), p)
-    doc = json.loads(p.read_text())
-    edit(doc)
-    p.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match=f"^{re.escape(f'{p}: {message}')}"):
-        load_model(p)
-
-
-def test_load_model_rejects_categorical_split_sending_nothing_left(tmp_path):
-    # a hand-written three-node forest; with no value routed left, predict
-    # indexed an empty category list
-    doc = {"format": "agbmap-model", "version": 1, "kind": "forest",
-           "params": {"n_trees": 1, "mtry": None, "min_leaf": 1, "max_depth": None},
-           "seed": 0, "oob_error": 0.0, "feature_names": ["c"], "categorical": ["c"],
-           "y_min": 0.0, "y_max": 1.0,
-           "trees": [{"feature": [0, -1, -1], "threshold": [0, 0, 0],
-                      "left_cats": [[], None, None], "left": [1, -1, -1],
-                      "right": [2, -1, -1], "value": [0.5, 0.0, 1.0]}]}
-    p = tmp_path / "f.json"
-    p.write_text(json.dumps(doc))
-    message = "key 'trees[0].left_cats[0]' must be null or a non-empty list, got []"
-    with pytest.raises(ConfigError, match=f"^{re.escape(f'{p}: {message}')}$"):
-        load_model(p)
-    doc["trees"][0]["left_cats"][0] = [1.0]
-    p.write_text(json.dumps(doc))
-    assert load_model(p).predict(np.array([[1.0], [2.0]])).tolist() == [0.0, 1.0]
 
 
 def _bootstrap(n, seed, tree=0, n_trees=1):
@@ -340,19 +268,13 @@ def test_presorted_order_equals_composite_key_order(monkeypatch):
     assert len(calls) > 3 * 5  # every group grows more than five levels
 
 
-def test_forest_with_per_tree_category_subsets_round_trips(tmp_path):
+def test_trees_route_per_tree_category_subsets():
     d = _categorical_design(200, 27)
     f = fit_random_forest(d, ForestParams(n_trees=20, min_leaf=2), seed=28)
     routed = [lc for t in f.trees for lc in t.left_cats if lc is not None]
     assert all(lc == sorted(set(lc)) for lc in routed)
     seen = {frozenset(v for lc in t.left_cats if lc is not None for v in lc) for t in f.trees}
     assert len(seen) > 1  # trees route different category subsets
-    p1, p2 = tmp_path / "f1.json", tmp_path / "f2.json"
-    save_model(f, p1)
-    loaded = load_model(p1)
-    assert np.array_equal(loaded.predict(d.X), f.predict(d.X))
-    save_model(loaded, p2)
-    assert p1.read_bytes() == p2.read_bytes()
 
 
 def _leaf_of(tree, x):
@@ -456,7 +378,9 @@ def test_tree_does_not_depend_on_grouping():
     many = fit_random_forest(d, ForestParams(n_trees=40, min_leaf=5), seed=15)
     few = fit_random_forest(d, ForestParams(n_trees=3, min_leaf=5), seed=15)
     for a, b in zip(many.trees[:3], few.trees):
-        assert a.to_dict() == b.to_dict()
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a.left_cats == b.left_cats
 
 
 # ------------------------------------------------------------- forked growth

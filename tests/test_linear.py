@@ -1,15 +1,14 @@
 import itertools
 import json
-import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agbmap.errors import BadK, ConfigError, RankDeficient
+from agbmap.errors import BadK, RankDeficient
 from agbmap.linear import (DesignMatrix, bic_score, encode_categorical, fit_ols,
-                           kfold_cv, stepwise_bic, _fit_subsets)
+                           kfold_cv, save_model, stepwise_bic, _fit_subsets)
 
 
 def dm(X, y, names=None, categorical=()):
@@ -240,56 +239,17 @@ def test_kfold_deterministic_given_seed(seed):
     assert kfold_cv(d, fit_ols, k=4, seed=7) == kfold_cv(d, fit_ols, k=4, seed=7)
 
 
-def test_linear_model_persistence_round_trip(tmp_path):
-    from agbmap.model_io import load_model, save_model
+def test_save_model_writes_canonical_json(tmp_path):
     X = np.column_stack([[1.0, 1.0, 2.0, 3.0, 3.0, 2.0], np.arange(6.0)])
     d = dm(X, [0.5, 0.1, 1.4, 2.2, 2.3, 1.1], names=["geol", "z"],
            categorical=["geol"])
     m = stepwise_bic(d)
-    p1 = tmp_path / "m1.json"
-    p2 = tmp_path / "m2.json"
-    save_model(m, p1)
-    back = load_model(p1)
-    assert np.array_equal(back.predict(X, ["geol", "z"]), m.predict(X, ["geol", "z"]))
-    assert back.bic == m.bic and back.rss == m.rss
-    save_model(back, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def _saved_linear_doc(tmp_path):
-    from agbmap.model_io import save_model
-    X = np.column_stack([np.arange(8.0), np.arange(8.0) ** 2])
-    save_model(stepwise_bic(dm(X, X[:, 0] * 2 + 1)), tmp_path / "m.json")
-    return json.loads((tmp_path / "m.json").read_text())
-
-
-def test_load_model_malformed_json_names_path_and_line(tmp_path):
-    from agbmap.model_io import load_model
-    p = tmp_path / "bad.json"
-    p.write_text('{"format": "agbmap-model",\n "version": 1,\n "kind": ]\n')
-    with pytest.raises(ConfigError, match=rf"^{re.escape(str(p))}:3: Expecting value"):
-        load_model(p)
-    p.write_bytes(b'{"format":\n"\xff"}\n')
-    with pytest.raises(ConfigError, match=rf"^{re.escape(str(p))}:2: .*can't decode byte 0xff"):
-        load_model(p)
-
-
-@pytest.mark.parametrize("key, value, message", [
-    ("intercept", None, "missing key 'intercept'"),
-    ("intercept", "1.5", "key 'intercept' must be int or float, got '1.5'"),
-    ("n", 8.0, "key 'n' must be int, got 8.0"),
-    ("coefficients", {"x0": "2"}, "key 'coefficients[x0]' must be int or float, got '2'"),
-    ("selected_features", "x0", "key 'selected_features' must be list, got 'x0'"),
-    ("encoder", {"x0": [1, True]}, "key 'encoder[x0][1]' must be int or float, got True"),
-])
-def test_load_model_bad_key_names_key(tmp_path, key, value, message):
-    from agbmap.model_io import load_model
-    doc = _saved_linear_doc(tmp_path)
-    if value is None:
-        del doc[key]
-    else:
-        doc[key] = value
-    p = tmp_path / "bad.json"
-    p.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match=f"^{re.escape(f'{p}: {message}')}$"):
-        load_model(p)
+    p = tmp_path / "m.json"
+    save_model(m, p)
+    text = p.read_text()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    assert (doc["format"], doc["version"], doc["kind"]) == ("agbmap-model", 1, "linear")
+    # floats keep every digit
+    assert doc["coefficients"] == m.coefficients and doc["bic"] == m.bic
+    assert doc["encoder"] == m.encoder.levels == {"geol": [1.0, 2.0, 3.0]}

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -353,11 +355,32 @@ def test_split_plots_seeded_and_disjoint():
         assert np.array_equal(part.agb, plots.agb[rows])
 
 
+def test_run_config_paths_resolve_against_its_directory(tmp_path, monkeypatch):
+    scene = tmp_path / "data" / "scene"
+    scene.mkdir(parents=True)
+    for name in ("w.ndjson", "d.asc", "c.asc", "p.csv", "t.csv"):
+        (scene / name).write_text("")
+    (scene / "cfg.json").write_text(json.dumps({
+        "waveforms": "w.ndjson", "dem": "d.asc", "covariates": {"c": "c.asc"},
+        "plots": "p.csv", "trees": "t.csv", "out_dir": "run"}))
+    (tmp_path / "other").mkdir()
+    monkeypatch.chdir(tmp_path / "other")
+    cfg = RunConfig.from_json("../data/scene/cfg.json")
+    for path in (cfg.waveforms, cfg.dem, cfg.covariates["c"], cfg.plots, cfg.trees):
+        assert os.path.isfile(path), path
+    assert os.path.samefile(os.path.dirname(cfg.out_dir), scene)
+    # an absolute path stays as it is
+    (scene / "cfg.json").write_text(json.dumps({
+        "waveforms": str(scene / "w.ndjson"), "dem": "d.asc", "covariates": {},
+        "plots": "p.csv", "out_dir": "run"}))
+    cfg = RunConfig.from_json("../data/scene/cfg.json")
+    assert cfg.waveforms == str(scene / "w.ndjson") and cfg.trees is None
+
+
 def test_run_config_json_round_trip(tmp_path):
     doc = {"waveforms": "w.ndjson", "dem": "d.asc", "covariates": {"c": "c.asc"},
            "plots": "p.csv", "out_dir": "out", "grid_sizes": [500], "seed": 3}
     path = tmp_path / "cfg.json"
-    import json
     path.write_text(json.dumps(doc))
     cfg = RunConfig.from_json(path)
     assert cfg.grid_sizes == (500,)

@@ -1,7 +1,6 @@
-"""One-byte corruptions of the three JSON documents: the run config, the scene
-overrides of `agbmap simulate --config` and a saved forest. Each reader
-either returns or raises ConfigError, and a forest it returns predicts.
-The same corruptions of a metrics CSV, a plots CSV and a trees CSV either
+"""One-byte corruptions of the two JSON documents: the run config and the
+scene overrides of `agbmap simulate --config`. Each reader either returns or
+raises ConfigError. The same corruptions of a metrics CSV, a plots CSV and a trees CSV either
 read as a footprint or plot table or raise BadRecord, and those of a
 waveforms NDJSON file either read or raise BadRecord, with `agbmap filter`
 and `agbmap metrics` exiting 0 or 1 on it. Corrupt copies of an ASCII grid
@@ -19,8 +18,6 @@ from hypothesis import strategies as st
 from agbmap.allometry import load_plots
 from agbmap.cli import main
 from agbmap.errors import BadRecord, ConfigError
-from agbmap.forest import Forest, ForestParams, NodeTable
-from agbmap.model_io import load_model, save_model
 from agbmap.pipeline import RunConfig
 from agbmap.raster import Grid, read_ascii_grid, write_ascii_grid
 from agbmap.synth import scene_config
@@ -36,26 +33,14 @@ SCENE = {"n_footprints": 150, "n_plots": 260, "extent": 10_000.0,
          "sat_violation_rate": 0.04, "trend_coefficients": [60.0, -40.0, 25.0]}
 
 
-def _read_forest(path):
-    model = load_model(path)
-    model.predict(np.zeros((1, len(model.feature_names))))
-
-
 READERS = {"run config": RunConfig.from_json,
-           "scene overrides": lambda path: scene_config(7, False, path),
-           "forest": _read_forest}
+           "scene overrides": lambda path: scene_config(7, False, path)}
 
 
 @pytest.fixture(scope="module")
 def intact(tmp_path_factory):
     """Name -> (bytes of the valid document, a directory for corrupt copies)."""
     out = tmp_path_factory.mktemp("readers")
-    # small hand-made trees, so that most bytes are node indices and features
-    tree = {"feature": [0, 1, -1, -1, -1], "threshold": [0.5, -0.5, 0, 0, 0],
-            "left_cats": [None] * 5, "left": [1, 3, -1, -1, -1], "right": [2, 4, -1, -1, -1],
-            "value": [2, 1, 3, 0, 2]}
-    save_model(Forest(NodeTable.from_trees([tree] * 3), ["x0", "x1"], frozenset(),
-                      ForestParams(n_trees=3), 4, 1.0, 0, 3), out / "forest.json")
     (out / "run config.json").write_text(json.dumps(RUN_CONFIG, indent=1))
     (out / "scene overrides.json").write_text(json.dumps(SCENE))
     docs = {}
