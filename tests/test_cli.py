@@ -113,6 +113,13 @@ def test_cli_import_leaves_out_scipy():
     ("max_elev_gap", float("-inf"), "'max_elev_gap' must be finite, got -inf"),
     ("grid_sizes", [500, float("inf")], "'grid_sizes' must be a list of finite sizes > 0, "
      "got [500, inf]"),
+    # map used to write metrics.csv and filter.csv before the sweep failed
+    ("sweep_distances", [-5], "'sweep_distances' must be a list of finite distances > 0, "
+     "got [-5]"),
+    ("sweep_distances", [100, 0], "'sweep_distances' must be a list of finite distances > 0, "
+     "got [100, 0]"),
+    ("sweep_distances", [float("nan")], "'sweep_distances' must be a list of finite "
+     "distances > 0, got [nan]"),
 ])
 def test_bad_run_config_value_exits_1_naming_key(tmp_path, capsys, key, value, message):
     doc = {"waveforms": "w.ndjson", "dem": "d.asc", "covariates": {"c": "c.asc"},
@@ -347,6 +354,9 @@ _GRID_HEADER = ("ncols 2\n", "nrows 2\n", "xllcorner 0\n", "yllcorner 0\n",
     (_GRID_HEADER[:2] + ("xllcorner nan\n",) + _GRID_HEADER[3:] + ("1 2\n3 4\n",), 3,
      "xllcorner must be finite, got nan"),
     (_GRID_HEADER[:4] + ("cellsize inf\n", "1 2\n3 4\n"), 5, "cellsize must be finite, got inf"),
+    (_GRID_HEADER[:3] + ("yllcorner inf\n",) + _GRID_HEADER[4:] + ("1 2\n3 4\n",), 4,
+     "yllcorner must be finite, got inf"),
+    (_GRID_HEADER[:4] + ("cellsize nan\n", "1 2\n3 4\n"), 5, "cellsize must be finite, got nan"),
     (_GRID_HEADER + ("1 2\n", "3 x4\n"), 7, "grid value is not a number: 'x4'"),
     (_GRID_HEADER + ("1 2\n", "3\n", "\n"), 7, "expected 4 values, found 3"),
     (_GRID_HEADER + ("1 2\n", "3 4\n", "5 6\n"), 8, "expected 4 values, found 6"),
@@ -360,6 +370,28 @@ def test_bad_ascii_grid_names_path_and_line(tmp_path, capsys, lines, line_no, me
     assert err.startswith(f"error: {path}:{line_no}: ")
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, header_line", [
+    # a NaN origin made the texture bands' geometries differ (NaN != NaN)
+    ("textures", "xllcorner nan\n"),
+    # an infinite origin left no cell to hold a plot
+    ("validate", "yllcorner inf\n"),
+])
+def test_non_finite_grid_origin_names_path_and_line(scene_dir, tmp_path, capsys, command,
+                                                    header_line):
+    key = header_line.split()[0]
+    lines = [header_line if line.startswith(key) else line for line in _GRID_HEADER]
+    path = tmp_path / "g.asc"
+    path.write_text("".join(lines) + "1 2\n3 4\n")
+    argv = {"textures": ["textures", "--in", str(path), "--out-prefix", str(tmp_path / "t_")],
+            "validate": ["validate", "--map", str(path), "--plots",
+                         str(scene_dir / "plots.csv"), "--out", str(tmp_path / "v.csv")]}
+    assert main(argv[command]) == 1
+    line_no = 1 + [line.split()[0] for line in _GRID_HEADER].index(key)
+    assert capsys.readouterr().err == \
+        f"error: {path}:{line_no}: {key} must be finite, got {header_line.split()[1]}\n"
+    assert not list(tmp_path.glob("t_*")) and not (tmp_path / "v.csv").exists()
 
 
 _GRID_TOKEN = st.text("0123456789.-+eEnaifx", min_size=1, max_size=4)

@@ -369,6 +369,46 @@ def test_leaves_hold_min_leaf_rows_and_depth_bound(max_depth):
             assert depth.max() == max_depth
 
 
+def _numeric_design(n, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0, 1, (n, 4))
+    return dm(X, X[:, 0] - X[:, 2] ** 2 + rng.normal(0, 0.3, n))
+
+
+@pytest.mark.parametrize("design, params", [
+    (_numeric_design, ForestParams(n_trees=8, min_leaf=2)),
+    (_categorical_design, ForestParams(n_trees=8, min_leaf=1)),
+    (_categorical_design, ForestParams(n_trees=8, min_leaf=3, max_depth=3, mtry=3)),
+], ids=["numeric", "categorical", "categorical-depth-3"])
+def test_grown_trees_are_well_formed(design, params):
+    # the node indices, features and category lists each tree's walk relies on
+    d = design(300, 16)
+    cat_idx = {d.feature_names.index(c) for c in d.categorical}
+    trees = fit_random_forest(d, params, seed=17).trees
+    assert any(np.isin(t.feature, list(cat_idx)).any() for t in trees) == bool(cat_idx)
+    for tree in trees:
+        n = tree.feature.size
+        assert n > 1 and len(tree.left_cats) == n
+        assert all(a.size == n for a in (tree.threshold, tree.left, tree.right, tree.value))
+        inner = np.flatnonzero(tree.feature >= 0)
+        leaf = tree.feature < 0
+        assert np.all(tree.left[leaf] == -1) and np.all(tree.right[leaf] == -1)
+        # every node but the root is the child of one node numbered before it
+        assert np.all(tree.left[inner] > inner) and np.all(tree.right[inner] > inner)
+        assert sorted(np.concatenate([tree.left[inner], tree.right[inner]])) == \
+            list(range(1, n))
+        assert tree.feature.max() < len(d.feature_names) and np.all(np.isfinite(tree.value))
+        for k in range(n):
+            lc = tree.left_cats[k]
+            if tree.feature[k] in cat_idx:
+                # a categorical split sends some seen values left, never none
+                assert lc and lc == sorted(set(lc))
+                assert set(lc) < set(np.unique(d.X[:, tree.feature[k]]))
+            else:
+                assert lc is None
+                assert tree.feature[k] < 0 or np.isfinite(tree.threshold[k])
+
+
 def test_tree_does_not_depend_on_grouping():
     rng = np.random.default_rng(13)
     n = 1000  # 40 trees of 1000 rows grow in two groups, 3 trees in one

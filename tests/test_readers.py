@@ -6,9 +6,14 @@ waveforms NDJSON file either read or raise BadRecord, with `agbmap filter`
 and `agbmap metrics` exiting 0 or 1 on it. Corrupt copies of an ASCII grid
 map, a variogram-samples CSV and a metrics CSV make the subcommands that
 read them (`carbon`, `validate`, `textures`, `variogram`, `sweep` and
-`calibrate`) exit 0 or 1, and 1 whenever the reader raises BadRecord."""
+`calibrate`) exit 0 or 1, and 1 whenever the reader raises BadRecord.
+`check_fields`, which checks both JSON documents, names the key it rejects."""
+
+from __future__ import annotations  # check_fields reads annotations as text
 
 import json
+import re
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from hypothesis import strategies as st
 from agbmap.allometry import load_plots
 from agbmap.cli import main
 from agbmap.errors import BadRecord, ConfigError
+from agbmap.readers import POSITIVE, check_fields
 from agbmap.pipeline import RunConfig
 from agbmap.raster import Grid, read_ascii_grid, write_ascii_grid
 from agbmap.synth import scene_config
@@ -261,3 +267,46 @@ def test_one_byte_corruption_of_cli_inputs_exits_0_or_1(cli_files, name, op, at,
     for argv in argvs:
         rc = _run_cli(argv, out)
         assert rc in (0, 1) and (readable or rc == 1)
+
+
+@dataclass
+class _Fields:
+    name: str
+    n: int = 1
+    scale: float = 1.0
+    limit: float | None = None
+    values: tuple = ()
+    labels: dict = field(default_factory=dict)
+
+
+_ITEMS = {"values": (int, float), "labels": (str,)}
+_DOC = {"name": "a", "n": 2, "scale": 0.5, "limit": 3, "values": [1, 2.5], "labels": {"x": "y"}}
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"name": None}, "missing key 'name'"),
+    ({"bogus": 1}, "unknown key 'bogus'"),
+    ({"scale": "1.5"}, "key 'scale' must be int or float, got '1.5'"),
+    ({"n": 8.0}, "key 'n' must be int, got 8.0"),
+    ({"n": True}, "key 'n' must be int, got True"),
+    ({"limit": [1]}, "key 'limit' must be int or float or null, got [1]"),
+    ({"values": "x0"}, "key 'values' must be list, got 'x0'"),
+    ({"values": [1, True]}, "key 'values[1]' must be int or float, got True"),
+    ({"labels": {"x": 2}}, "key 'labels[x]' must be str, got 2"),
+    ({"limit": -1}, "key 'limit' must be > 0, got -1"),
+])
+def test_check_fields_names_the_key(edit, message):
+    doc = {k: v for k, v in {**_DOC, **edit}.items() if v is not None}
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'cfg.json: {message}')}$"):
+        check_fields(_Fields, doc, "cfg.json", required=("name",), items=_ITEMS,
+                     ranges={"limit": POSITIVE})
+
+
+def test_check_fields_returns_a_valid_document():
+    kwargs = dict(required=("name",), items=_ITEMS, ranges={"limit": POSITIVE})
+    assert check_fields(_Fields, dict(_DOC), "cfg.json", **kwargs) == _DOC
+    # a null value has no range, and an absent optional key is no error
+    assert check_fields(_Fields, {"name": "a", "limit": None}, "cfg.json", **kwargs) == \
+        {"name": "a", "limit": None}
+    with pytest.raises(ConfigError, match=r"^cfg\.json: expected a JSON object, got \[\]$"):
+        check_fields(_Fields, [], "cfg.json", **kwargs)
