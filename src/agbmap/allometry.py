@@ -51,24 +51,15 @@ class CarbonStock:
     cell_size_m: float
 
 
-def carbon_stock(agb_map: Grid, literal_per_km2: bool = False) -> CarbonStock:
-    """Total carbon over the valid cells of an AGB map (Mg/ha).
-
-    The default accounting is dimensional: AGB density times the cell area
-    in hectares times the 0.5 carbon ratio. `literal_per_km2` instead
-    applies a fixed 0.01 ha-to-km2 factor per cell regardless of cell size;
-    it is retained only for auditing against published per-km2 tallies.
-    """
+def carbon_stock(agb_map: Grid) -> CarbonStock:
+    """Total carbon over the valid cells of an AGB map (Mg/ha): AGB density
+    times the cell area in hectares times the 0.5 carbon ratio."""
     cs = agb_map.cellsize
     if not (math.isfinite(cs) and cs > 0):
         raise UnitError(f"grid cell size must be positive, got {cs!r}")
     mask = agb_map.valid_mask()
-    vals = agb_map.values[mask]
-    if literal_per_km2:
-        total = float(np.sum(vals * 0.01 * CARBON_RATIO))
-    else:
-        cell_area_ha = cs * cs / 1e4
-        total = float(np.sum(vals * cell_area_ha * CARBON_RATIO))
+    cell_area_ha = cs * cs / 1e4
+    total = float(np.sum(agb_map.values[mask] * cell_area_ha * CARBON_RATIO))
     return CarbonStock(total_tc=total, total_ktc=total / 1000.0,
                        n_cells=int(mask.sum()), cell_size_m=cs)
 

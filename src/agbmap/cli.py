@@ -112,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("carbon", help="carbon stock of an AGB map")
     s.add_argument("--map", dest="map_path", required=True)
-    s.add_argument("--literal-per-km2", action="store_true")
     s.add_argument("--out")
 
     s = sub.add_parser("variogram", help="empirical variogram plus exponential fit")
@@ -229,8 +228,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_carbon(args) -> int:
-    stock = carbon_stock(read_ascii_grid(args.map_path),
-                         literal_per_km2=args.literal_per_km2)
+    stock = carbon_stock(read_ascii_grid(args.map_path))
     with _output(args.out) as f:
         write_carbon_report(stock, f)
     return 0

@@ -123,12 +123,16 @@ def predict_footprints(model, footprints: FootprintTable):
 
 def _resample_factor(stack: GridStack, grid_size: float) -> int:
     """The number of native cells along a side of a grid_size cell;
-    ConfigError unless grid_size is a whole multiple of the native size."""
-    native = stack.geometry().cellsize
-    factor = grid_size / native
+    ConfigError unless grid_size is a whole multiple of the native size
+    and no longer than either side of the stack."""
+    geom = stack.geometry()
+    factor = grid_size / geom.cellsize
     if abs(factor - round(factor)) > 1e-9 or factor < 1:
         raise ConfigError(
-            f"grid size {grid_size} is not an integer multiple of native {native}")
+            f"grid size {grid_size} is not an integer multiple of native {geom.cellsize}")
+    if round(factor) > min(geom.nrows, geom.ncols):
+        raise ConfigError(f"grid size {grid_size} is larger than the "
+                          f"{geom.width:g} x {geom.height:g} m covariate grid")
     return int(round(factor))
 
 
@@ -341,7 +345,8 @@ _RANGES = {"n_trees": _AT_LEAST_1, "min_leaf": _AT_LEAST_1, "neighborhood": _AT_
            "grid_sizes": (lambda v: all(0 < s < math.inf for s in v),
                           "a list of finite sizes > 0"),
            "sweep_distances": (lambda v: all(0 < d < math.inf for d in v),
-                               "a list of finite distances > 0")}
+                               "a list of finite distances > 0"),
+           "covariates": (bool, "a non-empty map of band names to files")}
 
 
 def split_plots(plots: PlotTable, seed: int):
@@ -355,20 +360,43 @@ def _size_tag(size: float) -> str:
     return "%g" % size
 
 
+def _read_covariates(paths: dict) -> GridStack:
+    """The stack of the covariate grids at paths (band name -> file);
+    ConfigError naming both files where a grid's geometry differs from the
+    first one's."""
+    bands = [(name, read_ascii_grid(path)) for name, path in paths.items()]
+    first = next(iter(paths.values()))
+    for name, grid in bands[1:]:
+        if not grid.same_geometry(bands[0][1]):
+            raise ConfigError(f"{paths[name]}: grid geometry differs from that of {first}")
+    return GridStack(bands)
+
+
 def run_mapping(cfg: RunConfig) -> dict:
-    """Execute the full chain and write every artifact under cfg.out_dir,
-    which is made once the inputs are read and every grid size is found to
-    be a whole multiple of the covariate cell size.
+    """Execute the full chain and write every artifact under cfg.out_dir.
+    That is made once the inputs are read, every grid size is found to be
+    a whole multiple of the covariate cell size that fits in the covariate
+    grid, and at least one footprint is kept.
 
     Returns the manifest dictionary (also written as run_manifest.json).
     """
     records = read_waveforms(cfg.waveforms)
     dem = read_ascii_grid(cfg.dem)
-    stack = GridStack([(name, read_ascii_grid(path))
-                       for name, path in cfg.covariates.items()])
+    stack = _read_covariates(cfg.covariates)
     plots = load_plots(cfg.plots, cfg.trees)
     for size in cfg.grid_sizes:
-        _resample_factor(stack, size)
+        try:
+            _resample_factor(stack, size)
+        except ConfigError as e:
+            first = next(iter(cfg.covariates.values()))
+            raise ConfigError(f"key 'grid_sizes': {e} ({first})") from None
+    reasons, footprints = process_waveforms(records, dem, k=cfg.detect_k,
+                                            max_components=cfg.max_components,
+                                            snr_min=cfg.snr_min, max_elev_gap=cfg.max_elev_gap)
+    rejects = Counter(reason for reason in reasons if reason)
+    if not len(footprints.xy):
+        raise EmptyDesign(f"{cfg.waveforms}: no footprint was kept; rejects: "
+                          + ", ".join(f"{r} {n}" for r, n in sorted(rejects.items())))
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     outputs = []
@@ -378,14 +406,10 @@ def run_mapping(cfg: RunConfig) -> dict:
         outputs.append(name)
         return os.path.join(cfg.out_dir, name)
 
-    reasons, footprints = process_waveforms(records, dem, k=cfg.detect_k,
-                                            max_components=cfg.max_components,
-                                            snr_min=cfg.snr_min, max_elev_gap=cfg.max_elev_gap)
     with open(output("metrics.csv"), "w", newline="") as f:
         write_metrics_csv(footprints, f)
     with open(output("filter.csv"), "w", newline="") as f:
         write_filter_csv([w.id for w in records], reasons, f)
-    rejects = Counter(reason for reason in reasons if reason)
     calib_plots, valid_plots = split_plots(plots, cfg.seed)
 
     telemetry: dict = {

@@ -52,6 +52,11 @@ class Grid:
     def height(self) -> float:
         return self.nrows * self.cellsize
 
+    def same_geometry(self, other: "Grid") -> bool:
+        """Whether other has this grid's shape, cell size and origin."""
+        return (self.values.shape == other.values.shape and self.cellsize == other.cellsize
+                and self.origin_x == other.origin_x and self.origin_y == other.origin_y)
+
     def valid_mask(self) -> np.ndarray:
         return np.isfinite(self.values) & (self.values != self.nodata)
 
@@ -119,14 +124,8 @@ class GridStack:
         for name, grid in bands:
             if name in self._grids:
                 raise ValueError(f"duplicate band name {name!r}")
-            if self._names:
-                ref = self._grids[self._names[0]]
-                same = (grid.nrows == ref.nrows and grid.ncols == ref.ncols
-                        and grid.cellsize == ref.cellsize
-                        and grid.origin_x == ref.origin_x
-                        and grid.origin_y == ref.origin_y)
-                if not same:
-                    raise ValueError(f"band {name!r} geometry differs from {self._names[0]!r}")
+            if self._names and not grid.same_geometry(self._grids[self._names[0]]):
+                raise ValueError(f"band {name!r} geometry differs from {self._names[0]!r}")
             self._names.append(name)
             self._grids[name] = grid
         if not self._names:

@@ -92,9 +92,6 @@ def test_carbon_stock_dimensional_oracle():
     assert stock.total_tc == pytest.approx(20_000.0, rel=1e-12)
     assert stock.total_ktc == pytest.approx(20.0, rel=1e-12)
     assert stock.n_cells == 1
-    # the literal per-km2 audit form keeps the published 0.01 factor
-    assert carbon_stock(one_km_cell(400.0), literal_per_km2=True).total_tc \
-        == pytest.approx(400.0 * 0.01 * 0.5)
 
 
 def test_carbon_stock_nodata_and_linearity():

@@ -120,6 +120,8 @@ def test_cli_import_leaves_out_scipy():
      "got [100, 0]"),
     ("sweep_distances", [float("nan")], "'sweep_distances' must be a list of finite "
      "distances > 0, got [nan]"),
+    # an empty stack ended in a traceback
+    ("covariates", {}, "'covariates' must be a non-empty map of band names to files, got {}"),
 ])
 def test_bad_run_config_value_exits_1_naming_key(tmp_path, capsys, key, value, message):
     doc = {"waveforms": "w.ndjson", "dem": "d.asc", "covariates": {"c": "c.asc"},
@@ -325,8 +327,45 @@ def test_map_grid_size_off_the_covariate_cells_exits_1_before_out_dir(scene_dir,
     assert main(["map", "--config", str(scene_dir / "run_config.json"), "--grid-size", "500",
                  "--grid-size", "600", "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err == "error: grid size 600.0 is not an integer multiple of native 250.0\n"
+    assert err == ("error: key 'grid_sizes': grid size 600.0 is not an integer multiple of "
+                   f"native 250.0 ({scene_dir / 'cov1.asc'})\n")
     assert not out.exists()
+
+
+def _shifted(src, dst, dx):
+    """dst: the ASCII grid at src with its origin moved dx metres east."""
+    grid = read_ascii_grid(src)
+    grid.origin_x += dx
+    write_ascii_grid(grid, dst)
+    return str(dst)
+
+
+@pytest.mark.parametrize("case, message", [
+    # every footprint was OutsideDem, and map failed on the plot match
+    # after writing metrics.csv and filter.csv
+    ("dem", "{waveforms}: no footprint was kept; rejects: OutsideDem 150"),
+    # GridStack's ValueError ended in a traceback
+    ("cov2", "{cov2}: grid geometry differs from that of {cov1}"),
+    # one 30 km cell was mapped over the 10 km scene
+    ("grid_sizes", "key 'grid_sizes': grid size 30000 is larger than the 10000 x 10000 m "
+     "covariate grid ({cov1})"),
+])
+def test_inputs_that_disagree_exit_1_naming_a_file(scene_dir, tmp_path, capsys, case, message):
+    doc = json.loads((scene_dir / "run_config.json").read_text())
+    doc["out_dir"] = str(tmp_path / "run")
+    if case == "dem":
+        doc["dem"] = _shifted(doc["dem"], tmp_path / "dem.asc", 1e6)
+    elif case == "cov2":
+        doc["covariates"]["cov2"] = _shifted(doc["covariates"]["cov2"], tmp_path / "cov2.asc",
+                                             1000.0)
+    else:
+        doc["grid_sizes"] = [30000]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["map", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message.format(waveforms=doc['waveforms'], **doc['covariates'])}\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_failed_validate_writes_no_file(scene_dir, tmp_path, capsys):

@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from agbmap import forest, geostat, parallel
+from agbmap import forest, geostat, parallel, waveform
+from agbmap.cli import main
 
 
 def test_usable_cores_reads_the_affinity_else_the_core_count(monkeypatch):
@@ -21,17 +22,44 @@ def test_worker_count_pins_each_workload_side(monkeypatch):
     # kriging: desk-map (at most 900 targets) and fullscale-rf (625) stay in
     # the caller, fullscale-krige (10 000) forks; the forest: desk-map's
     # 150 trees x 264 rows stays in process, fullscale-rf's 50 x 3000 forks,
-    # as does the full-scale map's 150 x 3000
+    # as does the full-scale map's 150 x 3000; the footprint driver: desk-map's
+    # 400 records fork, as do the full-scale map's 3000, and the tests' scenes
+    # of at most 319 records stay in the caller
     targets = [625, 900, 1999, 2000, 10_000]
     pairs = [(150, 264), (199, 251), (1, 60_000), (50, 1000), (50, 3000), (150, 3000),
              (3, 100_000)]
-    for cores, krige, grow in ((1, [1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1, 1]),
-                               (2, [1, 1, 1, 2, 2], [1, 1, 1, 2, 2, 2, 2]),
-                               (4, [1, 1, 1, 2, 4], [1, 1, 1, 2, 4, 4, 3])):
+    records = [150, 256, 257, 319, 320, 400, 3000]
+    for cores, krige, grow, drive in (
+            (1, [1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1, 1]),
+            (2, [1, 1, 1, 2, 2], [1, 1, 1, 2, 2, 2, 2], [1, 1, 1, 1, 2, 2, 2]),
+            (4, [1, 1, 1, 2, 4], [1, 1, 1, 2, 4, 4, 3], [1, 1, 1, 1, 2, 2, 4])):
         monkeypatch.setattr(parallel, "usable_cores", lambda: cores)
         assert [parallel.workers(-(-n // geostat._CHUNK), n, geostat._WORKER_TARGETS)
                 for n in targets] == krige
         assert [parallel.workers(t, t * r, forest._WORKER_PAIRS) for t, r in pairs] == grow
+        assert [parallel.workers(-(-n // waveform._CHUNK), n, waveform._WORKER_RECORDS)
+                for n in records] == drive
+
+
+def test_map_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, forks):
+    # the desk scene's 400 records are two packs; on one worker both run in
+    # the caller, on two the second runs in a forked child
+    assert main(["simulate", "--seed", "7", "--out", str(tmp_path / "scene")]) == 0
+    argv = ["map", "--config", str(tmp_path / "scene" / "run_config.json")]
+    run = tmp_path / "scene" / "run"
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 1)
+    assert main(argv) == 0
+    run.rename(tmp_path / "one")
+    assert forks == []
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
+    monkeypatch.setattr(waveform, "_WORKER_RECORDS", 1)
+    assert main(argv) == 0
+    assert forks == [1]  # the driver's, and no other stage forks on the desk scene
+    names = sorted(p.name for p in run.iterdir())
+    assert "metrics.csv" in names and "agb_500.asc" in names
+    assert names == sorted(p.name for p in (tmp_path / "one").iterdir())
+    for name in names:
+        assert (run / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
 
 
 def test_results_come_back_in_run_order(monkeypatch, forks):

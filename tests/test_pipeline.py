@@ -371,7 +371,7 @@ def test_run_config_paths_resolve_against_its_directory(tmp_path, monkeypatch):
     assert os.path.samefile(os.path.dirname(cfg.out_dir), scene)
     # an absolute path stays as it is
     (scene / "cfg.json").write_text(json.dumps({
-        "waveforms": str(scene / "w.ndjson"), "dem": "d.asc", "covariates": {},
+        "waveforms": str(scene / "w.ndjson"), "dem": "d.asc", "covariates": {"c": "c.asc"},
         "plots": "p.csv", "out_dir": "run"}))
     cfg = RunConfig.from_json("../data/scene/cfg.json")
     assert cfg.waveforms == str(scene / "w.ndjson") and cfg.trees is None
