@@ -444,7 +444,7 @@ def _process_pack(records, dem, k, max_components, snr_min, max_elev_gap):
     screen = filter_waveforms(wf, k=k, snr_min=snr_min, max_elev_gap=max_elev_gap)
     reason = screen.reason.copy()
     patches, inside = dem.patch3x3(wf.xy)
-    reason[~inside | np.isnan(patches).any(axis=(1, 2))] = "OutsideDem"
+    _reject(reason, ~inside | np.isnan(patches).any(axis=(1, 2)), "OutsideDem")
     rows = np.flatnonzero(reason == "")
     amp, center = decompose_gaussians(wf, screen, rows, max_components)
     fitted = ~np.isnan(center[:, 0])
@@ -466,9 +466,9 @@ def process_waveforms(records, dem, *, k: float = DETECT_K,
                       max_elev_gap: float = MAX_ELEV_GAP):
     """Reject reasons and canopy metrics of the waveform records.
 
-    The filter stage runs first. A footprint outside the dem Grid, or
-    whose 3x3 DEM patch holds a nodata cell, is then rejected as
-    OutsideDem, and one whose fit window holds fewer than four
+    The filter stage runs first. A footprint it kept that lies outside
+    the dem Grid, or whose 3x3 DEM patch holds a nodata cell, is then
+    rejected as OutsideDem, and one whose fit window holds fewer than four
     bins or whose Gaussian fits all fail as FitFailure. Returns (reasons,
     FootprintTable): one reason per record ("" where kept), and the kept
     footprints in record order with METRIC_COLUMNS from the decomposition,

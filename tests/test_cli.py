@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agbmap
+from agbmap import pipeline
 from agbmap.cli import main
+from agbmap.errors import FitFailure
 from agbmap.raster import Grid, read_ascii_grid, write_ascii_grid
 
 
@@ -342,8 +344,9 @@ def _shifted(src, dst, dx):
 
 @pytest.mark.parametrize("case, message", [
     # every footprint was OutsideDem, and map failed on the plot match
-    # after writing metrics.csv and filter.csv
-    ("dem", "{waveforms}: no footprint was kept; rejects: OutsideDem 150"),
+    # after writing metrics.csv and filter.csv; the scene's 6 saturated
+    # shots keep the filter's reason
+    ("dem", "{waveforms}: no footprint was kept; rejects: OutsideDem 144, Saturated 6"),
     # GridStack's ValueError ended in a traceback
     ("cov2", "{cov2}: grid geometry differs from that of {cov1}"),
     # one 30 km cell was mapped over the 10 km scene
@@ -366,6 +369,28 @@ def test_inputs_that_disagree_exit_1_naming_a_file(scene_dir, tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err == f"error: {message.format(waveforms=doc['waveforms'], **doc['covariates'])}\n"
     assert not (tmp_path / "run").exists()
+
+
+def test_a_failing_map_job_exits_1_before_any_map_is_written(scene_dir, tmp_path, capsys,
+                                                             monkeypatch, forks):
+    # the jobs are the CV and the 500, 1000 and 2000 m maps; on two workers
+    # the last two run in a child; the 500 and 1000 m files used to be
+    # written before the 2000 m map failed
+    parent, build_map = os.getpid(), pipeline.build_map
+
+    def build_or_fail(samples, covariates, grid_size, *args, **kwargs):
+        if grid_size == 2000:
+            where = "here" if os.getpid() == parent else "in a child"
+            raise FitFailure(f"planted at {grid_size:g} m {where}")
+        return build_map(samples, covariates, grid_size, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "build_map", build_or_fail)
+    out = tmp_path / "run"
+    assert main(["map", "--config", str(scene_dir / "run_config.json"),
+                 "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: planted at 2000 m in a child\n"
+    assert forks == [1]  # the job pool's; the scene's 150 records stay in the caller
+    assert sorted(p.name for p in out.iterdir()) == ["filter.csv", "metrics.csv"]
 
 
 def test_failed_validate_writes_no_file(scene_dir, tmp_path, capsys):

@@ -360,6 +360,18 @@ def test_dem_patch_with_a_nodata_corner_is_outside_dem():
     assert reasons == ["OutsideDem"] and len(table.metrics) == 0
 
 
+def test_a_filter_reject_outside_the_dem_keeps_its_first_reason():
+    scene = generate_scene(small_config(seed=5, n_footprints=40, sat_violation_rate=0.1))
+    saturated = next(w for w in scene.footprints
+                     if scene.expected_rejects.get(w.id) == "Saturated")
+    kept = next(w for w in scene.footprints if w.id not in scene.expected_rejects)
+    west = scene.dem.origin_x - scene.dem.cellsize
+    records = [dataclasses.replace(w, lon=west) for w in (saturated, kept)]
+    reasons, table = process_waveforms(records, scene.dem, k=4.5, max_components=3,
+                                       snr_min=15.0, max_elev_gap=100.0)
+    assert reasons == ["Saturated", "OutsideDem"] and len(table.metrics) == 0
+
+
 # --------------------------------------------------------------- filter
 
 def filter_with(snr_min=15.0, **kw):
