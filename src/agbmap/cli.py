@@ -23,10 +23,10 @@ from .pipeline import (_RANGES, RunConfig, calibration_pairs, calibration_sweep,
                        write_validation_csv)
 from .raster import read_ascii_grid, write_ascii_grid
 from .readers import csv_rows, finite
-from .textures import glcm_textures
-from .waveform import (DETECT_K, MAX_COMPONENTS, MAX_ELEV_GAP, SNR_MIN, Waveforms,
-                       filter_waveforms, process_waveforms, read_metrics_csv, read_waveforms,
-                       write_filter_csv, write_metrics_csv)
+from .textures import MAX_LEVELS, glcm_textures
+from .waveform import (DETECT_K, MAX_COMPONENTS, MAX_ELEV_GAP, SNR_MIN, filter_records,
+                       process_waveforms, read_metrics_csv, read_waveforms, write_filter_csv,
+                       write_metrics_csv)
 
 
 def _ranged(convert, rule):
@@ -124,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--window", type=_ranged(int, (lambda v: v >= 3 and v % 2, "odd and >= 3")),
                    default=3)
-    s.add_argument("--levels", type=_ranged(int, (lambda v: v >= 2, ">= 2")), default=32)
+    s.add_argument("--levels", type=_ranged(int, (lambda v: 2 <= v <= MAX_LEVELS,
+                                                  f"in 2..{MAX_LEVELS}")), default=32)
     s.add_argument("--out-prefix", required=True)
     return p
 
@@ -163,12 +164,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_filter(args) -> int:
     # the filter stage alone: no DEM and no decomposition
-    wf = Waveforms.pack(read_waveforms(args.infile))
-    reasons = filter_waveforms(wf, k=args.detect_k, snr_min=args.snr_min,
-                               max_elev_gap=args.max_elev_gap).reason
+    records = read_waveforms(args.infile)
+    reasons = filter_records(records, k=args.detect_k, snr_min=args.snr_min,
+                             max_elev_gap=args.max_elev_gap)
     with _output(args.out) as f:
-        write_filter_csv(wf.ids, reasons, f)
-    print(f"{(reasons == '').sum()} of {len(reasons)} waveforms kept")
+        write_filter_csv([w.id for w in records], reasons, f)
+    print(f"{reasons.count('')} of {len(reasons)} waveforms kept")
     return 0
 
 

@@ -348,8 +348,8 @@ _RANGES = {"n_trees": _AT_LEAST_1, "min_leaf": _AT_LEAST_1, "neighborhood": _AT_
            "snr_min": _FINITE, "max_elev_gap": _FINITE,
            "variogram_max_lag": (lambda v: 0 < v < math.inf, "finite and > 0"),
            "trend": (lambda v: v in ("lm", "rf"), "'lm' or 'rf'"),
-           "grid_sizes": (lambda v: all(0 < s < math.inf for s in v),
-                          "a list of finite sizes > 0"),
+           "grid_sizes": (lambda v: v and all(0 < s < math.inf for s in v),
+                          "a non-empty list of finite sizes > 0"),
            "sweep_distances": (lambda v: all(0 < d < math.inf for d in v),
                                "a list of finite distances > 0"),
            "covariates": (bool, "a non-empty map of band names to files")}

@@ -160,25 +160,13 @@ class GridStack:
 # ---------------------------------------------------------------------------
 # ESRI ASCII grid I/O
 
-def _fmt(v: float) -> str:
-    return "%.9g" % v
-
-
 def write_ascii_grid(grid: Grid, path) -> None:
-    vals = grid.values
-    mask = grid.valid_mask()
+    header = (f"ncols {grid.ncols}\nnrows {grid.nrows}\nxllcorner {grid.origin_x:.9g}\n"
+              f"yllcorner {grid.origin_y:.9g}\ncellsize {grid.cellsize:.9g}\n"
+              f"NODATA_value {grid.nodata:.9g}")
     with open(path, "w") as f:
-        f.write(f"ncols {grid.ncols}\n")
-        f.write(f"nrows {grid.nrows}\n")
-        f.write(f"xllcorner {_fmt(grid.origin_x)}\n")
-        f.write(f"yllcorner {_fmt(grid.origin_y)}\n")
-        f.write(f"cellsize {_fmt(grid.cellsize)}\n")
-        f.write(f"NODATA_value {_fmt(grid.nodata)}\n")
-        for r in range(grid.nrows):
-            row = [(_fmt(vals[r, c]) if mask[r, c] else _fmt(grid.nodata))
-                   for c in range(grid.ncols)]
-            f.write(" ".join(row))
-            f.write("\n")
+        np.savetxt(f, np.where(grid.valid_mask(), grid.values, grid.nodata), fmt="%.9g",
+                   header=header, comments="")
 
 
 def read_ascii_grid(path) -> Grid:
@@ -309,10 +297,8 @@ def band_pca(stack: GridStack) -> PcaResult:
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
     loadings = eigvecs[:, order].T  # rows are components
-    for i in range(k):
-        j = int(np.argmax(np.abs(loadings[i])))
-        if loadings[i, j] < 0:
-            loadings[i] = -loadings[i]
+    largest = loadings[np.arange(k), np.argmax(np.abs(loadings), axis=1)]
+    loadings[largest < 0] *= -1.0
     return PcaResult(loadings, eigvals, means)
 
 
@@ -328,13 +314,9 @@ def pca_stack(stack: GridStack, n_components: int) -> GridStack:
     geom = stack.geometry()
     complete = stack.complete_mask()
     data = cube[:, complete] - pca.band_means[:, None]
-    scores = pca.loadings[:n_components] @ data
-    bands = []
-    for i in range(n_components):
-        vals = np.full(cube.shape[1:], geom.nodata)
-        vals[complete] = scores[i]
-        bands.append((f"pc{i + 1}", geom.copy_with(vals)))
-    return GridStack(bands)
+    vals = np.full((n_components, *cube.shape[1:]), geom.nodata)
+    vals[:, complete] = pca.loadings[:n_components] @ data
+    return GridStack([(f"pc{i + 1}", geom.copy_with(v)) for i, v in enumerate(vals)])
 
 
 def nearest(points, targets, k: int):

@@ -495,6 +495,15 @@ def process_waveforms(records, dem, *, k: float = DETECT_K,
                            tuple(i for pack in ids for i in pack)))
 
 
+def filter_records(records, *, k: float = DETECT_K, snr_min: float = SNR_MIN,
+                   max_elev_gap: float = MAX_ELEV_GAP) -> list:
+    """The filter stage's reject reason of each record ("" where kept), in
+    the packs of _CHUNK records that process_waveforms screens."""
+    return [r for i in range(0, len(records), _CHUNK)
+            for r in filter_waveforms(Waveforms.pack(records[i:i + _CHUNK]), k=k,
+                                      snr_min=snr_min, max_elev_gap=max_elev_gap).reason]
+
+
 def read_waveforms(path) -> list:
     """Newline-delimited records, one JSON object per waveform.
 

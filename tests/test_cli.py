@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agbmap
-from agbmap import pipeline
+from agbmap import pipeline, waveform
 from agbmap.cli import main
 from agbmap.errors import FitFailure
 from agbmap.raster import Grid, read_ascii_grid, write_ascii_grid
@@ -69,7 +69,10 @@ def test_usage_errors_exit_2(capsys):
             (["variogram", "--samples", "s.csv", "--bin-width", "1000", "--max-lag", "50"],
              "--max-lag: must be at least half of --bin-width, got 50 with --bin-width 1000"),
             (["textures", *grid, "--window", "2"], "--window: must be odd and >= 3, got 2"),
-            (["textures", *grid, "--levels", "1"], "--levels: must be >= 2, got 1"),
+            (["textures", *grid, "--levels", "1"], "--levels: must be in 2..65536, got 1"),
+            # 100000 levels asked numpy for one 74.5 GiB matrix per window
+            (["textures", *grid, "--levels", "100000"],
+             "--levels: must be in 2..65536, got 100000"),
             (["filter", "--in", "w.ndjson", "--out", "f.csv", "--snr-min", "nan"],
              "--snr-min: must be finite, got nan"),
             (["metrics", "--in", "w.ndjson", "--dem", "d.asc", "--out", "m.csv",
@@ -113,8 +116,10 @@ def test_cli_import_leaves_out_scipy():
     ("trend", "xx", "'trend' must be 'lm' or 'rf', got 'xx'"),
     ("snr_min", float("nan"), "'snr_min' must be finite, got nan"),
     ("max_elev_gap", float("-inf"), "'max_elev_gap' must be finite, got -inf"),
-    ("grid_sizes", [500, float("inf")], "'grid_sizes' must be a list of finite sizes > 0, "
-     "got [500, inf]"),
+    ("grid_sizes", [500, float("inf")], "'grid_sizes' must be a non-empty list of finite "
+     "sizes > 0, got [500, inf]"),
+    # map used to exit 0 having written no map
+    ("grid_sizes", [], "'grid_sizes' must be a non-empty list of finite sizes > 0, got []"),
     # map used to write metrics.csv and filter.csv before the sweep failed
     ("sweep_distances", [-5], "'sweep_distances' must be a list of finite distances > 0, "
      "got [-5]"),
@@ -232,6 +237,24 @@ def test_filter_and_metrics_commands(scene_dir, tmp_path, capsys):
     mrows = list(csv.DictReader(met.open()))
     assert len(mrows) == n_kept  # one row per kept waveform
     assert all(r["reject_reason"] == "" for r in mrows)
+    capsys.readouterr()
+
+
+def test_filter_screens_records_in_driver_packs(scene_dir, tmp_path, monkeypatch, capsys):
+    argv = ["filter", "--in", str(scene_dir / "waveforms.ndjson"), "--out"]
+    assert main([*argv, str(tmp_path / "whole.csv")]) == 0
+    rows = []
+    screen = waveform.filter_waveforms
+
+    def spy(wf, **kw):
+        rows.append(len(wf.ids))
+        return screen(wf, **kw)
+
+    monkeypatch.setattr(waveform, "_CHUNK", 40)
+    monkeypatch.setattr(waveform, "filter_waveforms", spy)
+    assert main([*argv, str(tmp_path / "packed.csv")]) == 0
+    assert rows == [40, 40, 40, 30]  # the scene's 150 records
+    assert (tmp_path / "packed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
     capsys.readouterr()
 
 

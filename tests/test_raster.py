@@ -75,12 +75,18 @@ def test_ascii_round_trip_is_stable(tmp_path):
 
 
 def test_ascii_values_match_9_significant_digits(tmp_path):
-    g = make_grid([[123.456789123, 0.000012345678]], cellsize=1.0)
     path = tmp_path / "g.asc"
-    write_ascii_grid(g, path)
-    g2 = read_ascii_grid(path)
-    assert g2.values[0, 0] == pytest.approx(123.456789123, rel=1e-9)
-    assert g2.values[0, 1] == pytest.approx(0.000012345678, rel=1e-9)
+    for values, body in [
+            ([[123.456789123, 0.000012345678]], "123.456789 1.2345678e-05\n"),
+            # NaN and the sentinel go out as the sentinel; -0.0 keeps its sign
+            ([[np.nan, -9999.0, 1e10], [-0.0, 2.5e-300, -7.0]],
+             "-9999 -9999 1e+10\n-0 2.5e-300 -7\n")]:
+        g = make_grid(values, cellsize=1.0)
+        write_ascii_grid(g, path)
+        nrows, ncols = g.values.shape
+        assert path.read_text() == (f"ncols {ncols}\nnrows {nrows}\nxllcorner 0\nyllcorner 0\n"
+                                    f"cellsize 1\nNODATA_value -9999\n{body}")
+        np.testing.assert_allclose(read_ascii_grid(path).masked(), g.masked(), rtol=1e-9)
 
 
 # ---------------------------------------------------------------- resample

@@ -3,21 +3,25 @@ import math
 import numpy as np
 import pytest
 
+from agbmap import textures
 from agbmap.errors import DegenerateRange
 from agbmap.raster import Grid
-from agbmap.textures import BAND_NAMES, DEFAULT_OFFSETS, glcm_textures, quantize
+from agbmap.textures import BAND_NAMES, DEFAULT_OFFSETS, MAX_LEVELS, glcm_textures, quantize
 
 
 def make_grid(values):
     return Grid(np.asarray(values, dtype=float), 0.0, 0.0, 100.0)
 
 
-def oracle_stats(window, levels, offsets):
-    """Hand-built co-occurrence oracle: dict counting, plain formulas."""
-    vmin = min(min(r) for r in window)
-    vmax = max(max(r) for r in window)
+def oracle_stats(window, levels, offsets, vrange=None):
+    """Hand-built co-occurrence oracle: dict counting, plain formulas.
+
+    Levels quantize over vrange, (min, max) of the window by default; a
+    None cell is nodata. None where the window holds no pair."""
+    valid = [v for row in window for v in row if v is not None]
+    vmin, vmax = vrange or (min(valid), max(valid))
     nr, nc = len(window), len(window[0])
-    q = [[0 if vmax <= vmin else
+    q = [[None if window[r][c] is None else 0 if vmax <= vmin else
           min(int((window[r][c] - vmin) / (vmax - vmin) * levels), levels - 1)
           for c in range(nc)] for r in range(nr)]
     counts: dict = {}
@@ -25,10 +29,12 @@ def oracle_stats(window, levels, offsets):
         for r in range(nr):
             for c in range(nc):
                 r2, c2 = r + dr, c + dc
-                if 0 <= r2 < nr and 0 <= c2 < nc:
+                if 0 <= r2 < nr and 0 <= c2 < nc and None not in (q[r][c], q[r2][c2]):
                     a, b = q[r][c], q[r2][c2]
                     counts[(a, b)] = counts.get((a, b), 0) + 1
                     counts[(b, a)] = counts.get((b, a), 0) + 1
+    if not counts:
+        return None
     total = sum(counts.values())
     p = {k: v / total for k, v in counts.items()}
     mu = sum(i * pv for (i, _), pv in p.items())
@@ -83,6 +89,36 @@ def test_eight_stats_match_hand_oracle_on_fixed_windows():
             assert got[name] == pytest.approx(want[name], abs=1e-12), name
 
 
+@pytest.mark.parametrize("window, levels, offsets", [
+    (3, 2, DEFAULT_OFFSETS), (3, 8, DEFAULT_OFFSETS), (5, 2, DEFAULT_OFFSETS),
+    (5, 8, DEFAULT_OFFSETS), (3, 8, ((0, 2), (2, -1), (0, 0))), (5, 2, ((0, 2), (2, -1))),
+    (3, MAX_LEVELS, DEFAULT_OFFSETS),
+])
+def test_every_cell_matches_oracle_of_its_clipped_window(monkeypatch, window, levels, offsets):
+    monkeypatch.setattr(textures, "_PASS_PAIRS", 97)  # a few windows per pass
+    rng = np.random.default_rng(window * 100 + levels)
+    vals = rng.uniform(0, 50, (7, 9))
+    vals[rng.uniform(size=vals.shape) < 0.15] = -9999.0
+    vals[0, 1] = vals[1, 0] = vals[1, 1] = -9999.0  # corner (0, 0) pairs with nothing at 3
+    vals[3, 4] = np.nan
+    cells = [[None if not np.isfinite(v) or v == -9999.0 else v for v in row]
+             for row in vals.tolist()]
+    valid = [v for row in cells for v in row if v is not None]
+    out = glcm_textures(Grid(vals, 0, 0, 100.0), window=window, levels=levels, offsets=offsets)
+    half = window // 2
+    for r in range(7):
+        for c in range(9):
+            sub = [row[max(0, c - half):c + half + 1] for row in cells[max(0, r - half):r + half + 1]]
+            want = None if cells[r][c] is None else oracle_stats(
+                sub, levels, offsets, (min(valid), max(valid)))
+            for name in BAND_NAMES:
+                got = out.band(name).values[r, c]
+                if want is None:
+                    assert got == -9999.0, (r, c, name)
+                else:
+                    assert got == pytest.approx(want[name], rel=1e-12, abs=1e-12), (r, c, name)
+
+
 def test_probability_mass_properties():
     rng = np.random.default_rng(7)
     g = make_grid(rng.uniform(0, 100, (9, 9)))
@@ -126,3 +162,8 @@ def test_quantize_clips_to_level_range():
 def test_window_must_be_odd():
     with pytest.raises(ValueError):
         glcm_textures(make_grid(np.zeros((4, 4))), window=4)
+
+
+def test_levels_beyond_bound_raise():
+    with pytest.raises(ValueError, match="levels must be in 2..65536, got 65537"):
+        glcm_textures(make_grid(np.zeros((4, 4))), levels=MAX_LEVELS + 1)
