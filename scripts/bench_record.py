@@ -5,13 +5,14 @@ Runs `python3 <root>/bench/run.py --workload W --seed S` alternately in two
 source checkouts, the parent and the change, for N pairs, switching which
 side runs first from one pair to the next. The first K pairs also run
 `--trace 1` on each side, which reports the per-layer metrics in place of
-the end-to-end ones. It refuses to run when the two
-`bench/` directories differ, since the comparison then measures different
-harnesses. The record holds every result line, each side's median and
-quartiles per metric, the number of pairs the change won per metric, the
-seed, and the machine (nproc, the usable cores as `agbmap.parallel` counts
-them, the Python and numpy versions, and the scipy version read from its
-installed metadata, or null).
+the end-to-end ones. It refuses to run when the two `bench/` directories
+differ, since the comparison then measures different harnesses, and when
+either checkout is not the top of a git work tree, since the record then
+cannot name its commit. The record holds every result line, each side's
+median and quartiles per metric, the number of pairs the change won per
+metric, the seed, the two commits, and the machine (nproc, the usable cores
+as `agbmap.parallel` counts them, the Python and numpy versions, and the
+scipy version read from its installed metadata, or null).
 
     python3 scripts/bench_record.py --parent ../parent --change . \\
         --slug batched_decomposition --workload desk-map --pairs 10 --traced-pairs 3
@@ -44,15 +45,17 @@ def bench_digest(root: Path) -> dict:
 
 
 def commit_of(root: Path) -> str | None:
-    """HEAD of a git checkout, with "+dirty" when the work tree differs."""
+    """HEAD of the git checkout whose top is root, with "+dirty" when the
+    work tree differs; None for any other directory."""
     try:
-        head = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
-                              capture_output=True, text=True, check=True).stdout.strip()
+        top, head = subprocess.run(["git", "-C", str(root), "rev-parse", "--show-toplevel",
+                                    "HEAD"], capture_output=True, text=True,
+                                   check=True).stdout.split()
         dirty = subprocess.run(["git", "-C", str(root), "status", "--porcelain"],
                                capture_output=True, text=True, check=True).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return None
-    return head + ("+dirty" if dirty else "")
+    return head + ("+dirty" if dirty else "") if Path(top).resolve() == root else None
 
 
 def run_once(root: Path, workload: str, trace: int, args) -> dict:
@@ -116,6 +119,12 @@ def main() -> int:
     if bench_digest(roots["parent"]) != bench_digest(roots["change"]):
         print("error: the bench/ directories of the two checkouts differ", file=sys.stderr)
         return 1
+    commits = {side: commit_of(root) for side, root in roots.items()}
+    for side, commit in commits.items():
+        if commit is None:
+            print(f"error: {roots[side]} is not the top of a git checkout, so its commit "
+                  "cannot be recorded", file=sys.stderr)
+            return 1
     with open(roots["change"] / "BENCHMARK.json") as f:
         spec = json.load(f)
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
@@ -126,7 +135,7 @@ def main() -> int:
         "slug": args.slug, "seed": args.seed, "pairs": args.pairs,
         "seconds": args.seconds, "traced_pairs": args.traced_pairs,
         "workloads": args.workload,
-        "commits": {side: commit_of(root) for side, root in roots.items()},
+        "commits": commits,
         "machine": {"nproc": len(affinity(0)) if affinity else os.cpu_count() or 1,
                     "python": platform.python_version(),
                     "numpy": np.__version__, "platform": platform.platform(),

@@ -8,15 +8,14 @@ ratio.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .errors import UnitError
 from .raster import Grid
-from .readers import POSITIVE, csv_rows, finite
+from .readers import POSITIVE, csv_rows, finite, write_csv
 
 AGB_COEF = 0.0673
 AGB_EXP = 0.973
@@ -110,14 +109,10 @@ def load_plots(plot_csv, tree_csv=None) -> PlotTable:
 def write_plots(plots: PlotTable, path) -> None:
     """A plots CSV of the table, each plot as 1 ha of its AGB density."""
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["plot_id", "lon", "lat", "area_ha", "agb_mg_ha"])
-        for pid, (x, y), agb in zip(plots.ids, plots.xy, plots.agb):
-            w.writerow([pid, "%.10g" % x, "%.10g" % y, "1", "%.10g" % agb])
+        write_csv(["plot_id", "lon", "lat", "area_ha", "agb_mg_ha"],
+                  ([pid, *xy, "1", agb] for pid, xy, agb in zip(plots.ids, plots.xy, plots.agb)),
+                  f)
 
 
 def write_carbon_report(stock: CarbonStock, f) -> None:
-    w = csv.writer(f)
-    w.writerow(["total_tC", "total_ktC", "n_cells", "cell_size_m"])
-    w.writerow(["%.10g" % stock.total_tc, "%.10g" % stock.total_ktc,
-                stock.n_cells, "%.10g" % stock.cell_size_m])
+    write_csv(["total_tC", "total_ktC", "n_cells", "cell_size_m"], [astuple(stock)], f)

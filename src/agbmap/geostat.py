@@ -15,16 +15,16 @@ grid is kriged on the pool of `parallel`.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyNeighborhood, FitFailure, SingularSystem, TooFewSamples
+from .errors import ConfigError, EmptyNeighborhood, FitFailure, SingularSystem, TooFewSamples
 from .lsq import plm
 from .parallel import map_runs
 from .raster import Grid, nearest
+from .readers import write_csv
 
 _DUP_TOL = 1e-6  # metres; closer samples are merged by averaging
 RANGE_BOUND = 3.0  # fit_exponential caps the range at RANGE_BOUND * max_lag
@@ -32,6 +32,9 @@ _VFIT_TOL = 1e-12  # xtol, ftol and gtol of the variogram fit
 _VFIT_MAX_NFEV = 300  # model evaluations per start: 100 per parameter, scipy's default
 _CHUNK = 32  # kriging targets per stacked solve, on each worker: memory grows with it
 _WORKER_TARGETS = 1000  # kriging targets per process at least, so under 2000 none is forked
+# lag bins of a variogram at most: its sums, its counts and each sample's
+# bincount take 8 bytes a bin, so 1.5 MiB at the cap
+MAX_LAG_BINS = 2 ** 16
 
 
 class SampleSet:
@@ -103,8 +106,9 @@ class VariogramModel:
 
 
 def lag_bins(max_lag: float, bin_width: float) -> int:
-    """The number of lag bins of width bin_width centred up to max_lag."""
-    return int(math.floor(max_lag / bin_width + 0.5))
+    """The number of lag bins of width bin_width centred up to max_lag;
+    MAX_LAG_BINS + 1 stands for any larger number."""
+    return int(math.floor(min(max_lag / bin_width + 0.5, MAX_LAG_BINS + 1)))
 
 
 def empirical_variogram(s: SampleSet, bin_width: float | None = None,
@@ -112,7 +116,8 @@ def empirical_variogram(s: SampleSet, bin_width: float | None = None,
     """Binned pair semivariances. Bin j is centred at j*bin_width.
 
     Defaults: max_lag is half the bounding-box diagonal, bin_width gives
-    30 lags. Empty bins are dropped.
+    30 lags. Empty bins are dropped. More than MAX_LAG_BINS bins raise
+    ConfigError.
     """
     if s.n < 2:
         raise TooFewSamples(f"need at least 2 samples, got {s.n}")
@@ -129,6 +134,9 @@ def empirical_variogram(s: SampleSet, bin_width: float | None = None,
     if nbins < 1:
         raise TooFewSamples(f"max_lag {max_lag:g} is shorter than half a bin of {bin_width:g}; "
                             f"by default it is half the samples' bounding-box diagonal")
+    if nbins > MAX_LAG_BINS:
+        raise ConfigError(f"max_lag {max_lag:g} holds more than {MAX_LAG_BINS} lag bins "
+                          f"of {bin_width:g}")
 
     # bins 0 and nbins + 1 collect the pairs closer than half a bin and
     # beyond max_lag; in-range sums accumulate in pair order
@@ -299,10 +307,7 @@ def regression_krige(trend: Grid, residual_samples: SampleSet, m: VariogramModel
 
 def write_variogram_report(ev: EmpiricalVariogram, model: VariogramModel | None, f):
     """CSV of the binned variogram plus one `model` row with the fit."""
-    w = csv.writer(f)
-    w.writerow(["kind", "lag", "gamma", "pairs", "nugget", "psill", "range"])
-    for lag, g, c in zip(ev.lags, ev.gamma, ev.counts):
-        w.writerow(["bin", "%.10g" % lag, "%.10g" % g, int(c), "", "", ""])
+    rows = [["bin", lag, g, c, "", "", ""] for lag, g, c in zip(ev.lags, ev.gamma, ev.counts)]
     if model is not None:
-        w.writerow(["model", "", "", "", "%.10g" % model.nugget,
-                    "%.10g" % model.psill, "%.10g" % model.range_m])
+        rows.append(["model", "", "", "", model.nugget, model.psill, model.range_m])
+    write_csv(["kind", "lag", "gamma", "pairs", "nugget", "psill", "range"], rows, f)

@@ -10,13 +10,12 @@ footprints are kriged and added back, and held-out plots score the result.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from functools import partial
 
 import numpy as np
@@ -26,12 +25,12 @@ from .allometry import PlotTable, carbon_stock, load_plots, write_carbon_report
 from .errors import (ConfigError, EmptyDesign, FitFailure, NoPairs,
                      NoQualifyingCells, RankDeficient, TooFewSamples)
 from .forest import ForestParams, fit_random_forest, rf_importance
-from .geostat import (EmpiricalVariogram, SampleSet, VariogramModel, at_range_bound,
-                      empirical_variogram, fit_exponential, regression_krige,
+from .geostat import (MAX_LAG_BINS, EmpiricalVariogram, SampleSet, VariogramModel,
+                      at_range_bound, empirical_variogram, fit_exponential, regression_krige,
                       write_variogram_report)
 from .linear import DesignMatrix, fit_ols, kfold_cv, save_model, stepwise_bic
 from .raster import Grid, GridStack, match_points, read_ascii_grid, resample, write_ascii_grid
-from .readers import POSITIVE, check_fields, read_json
+from .readers import POSITIVE, check_fields, read_json, write_csv
 from .waveform import (DETECT_K, MAX_COMPONENTS, MAX_ELEV_GAP, METRIC_COLUMNS, SNR_MIN,
                        FootprintTable, process_waveforms, read_waveforms, write_filter_csv,
                        write_metrics_csv)
@@ -55,13 +54,13 @@ class CalibrationSweepRow:
 
 @dataclass
 class MapProduct:
+    """A build_map result: grids and variogram statistics, not the fitted
+    trend model, which stays in the job that fitted it."""
     agb: Grid
     krige_var: Grid
     trend_grid: Grid
     variogram: VariogramModel | None
     empirical: EmpiricalVariogram | None
-    trend_model: object
-    grid_size: float
     warning: str = ""
     n_clamped: int = 0
 
@@ -104,10 +103,7 @@ def calibration_sweep(plots: PlotTable, footprints: FootprintTable, distances, k
 
 def write_sweep_csv(rows, f) -> None:
     """One line per CalibrationSweepRow under a header."""
-    w = csv.writer(f)
-    w.writerow(["max_dist", "n_pairs", "r2", "rmse"])
-    for r in rows:
-        w.writerow(["%.10g" % r.max_dist, r.n_pairs, "%.10g" % r.r2, "%.10g" % r.rmse])
+    write_csv(["max_dist", "n_pairs", "r2", "rmse"], map(astuple, rows), f)
 
 
 def fit_footprint_agb_model(pair_metrics, pair_agb):
@@ -229,9 +225,8 @@ def build_map(footprint_agb: SampleSet, covariates: GridStack, grid_size: float,
     n_clamped = int(np.sum(mask & (final.values < 0)))
     vals = final.values.copy()
     vals[mask] = np.maximum(vals[mask], 0.0)
-    return MapProduct(final.copy_with(vals), krige_var, trend_grid, variogram,
-                      empirical, model, grid_size, warning=warning,
-                      n_clamped=n_clamped)
+    return MapProduct(final.copy_with(vals), krige_var, trend_grid, variogram, empirical,
+                      warning=warning, n_clamped=n_clamped)
 
 
 def validate_map(agb_map: Grid, plots: PlotTable, min_count: int = 4):
@@ -263,11 +258,7 @@ VALIDATION_FIELDS = ("rmsep", "r2", "n_cells")  # validate_map's tuple
 
 def write_validation_csv(validation, f) -> None:
     """Header plus the validate_map row; the header alone for None."""
-    w = csv.writer(f)
-    w.writerow(VALIDATION_FIELDS)
-    if validation is not None:
-        rmsep, r2, n_cells = validation
-        w.writerow(["%.10g" % rmsep, "%.10g" % r2, n_cells])
+    write_csv(VALIDATION_FIELDS, [] if validation is None else [validation], f)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +331,8 @@ _ITEM_TYPES = {"covariates": (str,), "grid_sizes": (int, float),
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 _FINITE = (math.isfinite, "finite")
 _RANGES = {"n_trees": _AT_LEAST_1, "min_leaf": _AT_LEAST_1, "neighborhood": _AT_LEAST_1,
-           "variogram_nbins": _AT_LEAST_1, "min_plots_per_cell": _AT_LEAST_1,
+           "variogram_nbins": (lambda v: 1 <= v <= MAX_LAG_BINS, f"in 1..{MAX_LAG_BINS}"),
+           "min_plots_per_cell": _AT_LEAST_1,
            "mtry": _AT_LEAST_1, "trend_top_k": _AT_LEAST_1,
            "seed": (lambda v: v >= 0, ">= 0"), "kfold": (lambda v: v >= 2, ">= 2"),
            "max_components": (lambda v: 1 <= v <= MAX_COMPONENTS, f"in 1..{MAX_COMPONENTS}"),
@@ -403,6 +395,10 @@ def run_mapping(cfg: RunConfig) -> dict:
         except ConfigError as e:
             first = next(iter(cfg.covariates.values()))
             raise ConfigError(f"key 'grid_sizes': {e} ({first})") from None
+    unknown = [band for band in cfg.categorical if band not in cfg.covariates]
+    if unknown:
+        raise ConfigError(f"key 'categorical': {unknown[0]!r} is not a covariate band; "
+                          f"the bands are {', '.join(map(repr, cfg.covariates))}")
     reasons, footprints = process_waveforms(records, dem, k=cfg.detect_k,
                                             max_components=cfg.max_components,
                                             snr_min=cfg.snr_min, max_elev_gap=cfg.max_elev_gap)

@@ -1,9 +1,12 @@
-"""The one place input files are decoded and JSON documents checked.
+"""The one place input files are decoded, JSON documents checked and CSV
+reports written.
 
 Every input but the line-streamed waveform NDJSON is read here as UTF-8,
 and a byte that is not UTF-8 names path:line. A JSON value of the wrong
 type or out of range fails as `<path>: key '<name>' must be <types>, got
-<value repr>`; an item of a list or dict value is named `key[i]`.
+<value repr>`; an item of a list or dict value is named `key[i]`. Every
+CSV report goes through write_csv, which prints floats to 10 significant
+digits.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import io
 import json
 import math
 import reprlib
+
+import numpy as np
 
 from .errors import BadRecord, ConfigError
 
@@ -51,6 +56,16 @@ def csv_rows(path, parse) -> list:
         except (ValueError, TypeError) as e:
             raise BadRecord(f"{path}:{reader.line_num}: {e}") from None
     return out
+
+
+def write_csv(header, rows, f) -> None:
+    """The header and the rows as CSV lines on f: each float, numpy floats
+    included, to 10 significant digits ("%g" style) and any other value as
+    csv writes it."""
+    w = csv.writer(f)
+    w.writerow(header)
+    w.writerows(["%.10g" % v if isinstance(v, (float, np.floating)) else v for v in row]
+                for row in rows)
 
 
 def finite(value, name, rule=None) -> float:

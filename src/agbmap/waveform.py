@@ -13,7 +13,6 @@ energy quantile depths, terrain index and slope).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 from .errors import BadRecord
 from .lsq import plm
 from .parallel import map_runs
-from .readers import POSITIVE, csv_rows, finite
+from .readers import POSITIVE, csv_rows, finite, write_csv
 
 DETECT_K = 4.5
 SNR_MIN = 15.0
@@ -554,10 +553,9 @@ class FootprintTable:
 
 def write_metrics_csv(table: FootprintTable, f) -> None:
     """One row per footprint of the table; the reject_reason column stays empty."""
-    w = csv.writer(f)
-    w.writerow(["id", "lon", "lat", *METRIC_COLUMNS, "reject_reason"])
-    for fid, xy, metrics in zip(table.ids, table.xy, table.metrics):
-        w.writerow([fid, *("%.10g" % v for v in (*xy, *metrics)), ""])
+    write_csv(["id", "lon", "lat", *METRIC_COLUMNS, "reject_reason"],
+              ([fid, *xy, *metrics, ""]
+               for fid, xy, metrics in zip(table.ids, table.xy, table.metrics)), f)
 
 
 def read_metrics_csv(path) -> FootprintTable:
@@ -572,7 +570,5 @@ def read_metrics_csv(path) -> FootprintTable:
 
 def write_filter_csv(ids, reasons, f) -> None:
     """One row per record: its id, 1 or 0 for kept, and the reject reason."""
-    w = csv.writer(f)
-    w.writerow(["id", "kept", "reason"])
-    for fid, reason in zip(ids, reasons):
-        w.writerow([fid, int(not reason), reason])
+    write_csv(["id", "kept", "reason"],
+              ([fid, int(not reason), reason] for fid, reason in zip(ids, reasons)), f)

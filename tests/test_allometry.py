@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -6,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agbmap.allometry import (CarbonStock, PlotTable, carbon_stock, load_plots, tree_agb,
-                              write_carbon_report, write_plots)
+from agbmap.allometry import PlotTable, carbon_stock, load_plots, tree_agb, write_plots
 from agbmap.errors import BadRecord, UnitError
 from agbmap.raster import Grid
 
@@ -192,11 +190,3 @@ def test_bad_csv_row_names_path_and_line(tmp_path, plot_text, tree_text, message
         load_plots(plot_path, tree_path)
     line = plot_text.count("\n") if tree_path is None else 2
     assert str(e.value) == f"{tree_path or plot_path}:{line}: {message}"
-
-
-def test_carbon_report_format():
-    buf = io.StringIO()
-    write_carbon_report(CarbonStock(20000.0, 20.0, 1, 1000.0), buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "total_tC,total_ktC,n_cells,cell_size_m"
-    assert lines[1].split(",") == ["20000", "20", "1", "1000"]

@@ -108,7 +108,10 @@ def test_cli_import_leaves_out_scipy():
     ("grid_sizes", [500, "x"], "'grid_sizes[1]' must be int or float, got 'x'"),
     ("n_trees", 0, "'n_trees' must be >= 1, got 0"),
     ("seed", -1, "'seed' must be >= 0, got -1"),
-    ("variogram_nbins", 0, "'variogram_nbins' must be >= 1, got 0"),
+    ("variogram_nbins", 0, "'variogram_nbins' must be in 1..65536, got 0"),
+    # map wrote metrics.csv and filter.csv, then failed to allocate 7.28 TiB of bins
+    ("variogram_nbins", 10 ** 12, "'variogram_nbins' must be in 1..65536, "
+     "got 1000000000000"),
     ("detect_k", 0, "'detect_k' must be > 0, got 0"),
     ("detect_k", -2.5, "'detect_k' must be > 0, got -2.5"),
     ("variogram_max_lag", 0, "'variogram_max_lag' must be finite and > 0, got 0"),
@@ -375,6 +378,9 @@ def _shifted(src, dst, dx):
     # one 30 km cell was mapped over the 10 km scene
     ("grid_sizes", "key 'grid_sizes': grid size 30000 is larger than the 10000 x 10000 m "
      "covariate grid ({cov1})"),
+    # build_map dropped the unknown band, and map exited 0
+    ("categorical", "key 'categorical': 'nosuchband' is not a covariate band; the bands are "
+     "'cov1', 'cov2', 'cov3'"),
 ])
 def test_inputs_that_disagree_exit_1_naming_a_file(scene_dir, tmp_path, capsys, case, message):
     doc = json.loads((scene_dir / "run_config.json").read_text())
@@ -384,8 +390,10 @@ def test_inputs_that_disagree_exit_1_naming_a_file(scene_dir, tmp_path, capsys, 
     elif case == "cov2":
         doc["covariates"]["cov2"] = _shifted(doc["covariates"]["cov2"], tmp_path / "cov2.asc",
                                              1000.0)
-    else:
+    elif case == "grid_sizes":
         doc["grid_sizes"] = [30000]
+    else:
+        doc["categorical"] = ["cov2", "nosuchband"]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     assert main(["map", "--config", str(path)]) == 1
@@ -540,6 +548,24 @@ def test_variogram_samples_too_close_for_the_bin_exit_1_naming_the_file(tmp_path
     assert err == f"error: {path}: {message}" + (
         "; by default it is half the samples' bounding-box diagonal\n"
         if "max_lag" in message else "\n")
+
+
+@pytest.mark.parametrize("flags, max_lag, bin_width", [
+    (["--bin-width", "1e-9"], "2.82843", "1e-09"),  # max_lag from the samples
+    (["--bin-width", "1e-9", "--max-lag", "500"], "500", "1e-09"),
+    (["--bin-width", "1e-320", "--max-lag", "500"], "500", "9.99989e-321"),  # an inf ratio
+    (["--bin-width", "0.001", "--max-lag", "65.6"], "65.6", "0.001"),
+])
+def test_variogram_lag_bins_beyond_bound_exit_1_naming_the_file(tmp_path, capsys, flags,
+                                                                max_lag, bin_width):
+    # the bins were allocated first: 4.92 and 3.64 TiB at 1e-9, and an
+    # OverflowError at 1e-320
+    path = tmp_path / "s.csv"
+    path.write_text("x,y,value\n0,0,1\n4,0,2\n0,4,3\n2,2,5\n")
+    assert main(["variogram", "--samples", str(path), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {path}: max_lag {max_lag} holds more than 65536 lag bins "
+                   f"of {bin_width}\n")
 
 
 @pytest.mark.parametrize("command, text, message", [

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -8,10 +7,11 @@ from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
 from agbmap import geostat
-from agbmap.errors import EmptyNeighborhood, FitFailure, SingularSystem, TooFewSamples
+from agbmap.errors import (ConfigError, EmptyNeighborhood, FitFailure, SingularSystem,
+                           TooFewSamples)
 from agbmap.geostat import (RANGE_BOUND, EmpiricalVariogram, OrdinaryKriger, SampleSet,
                             VariogramModel, at_range_bound, empirical_variogram,
-                            fit_exponential, regression_krige, write_variogram_report)
+                            fit_exponential, regression_krige)
 from agbmap.raster import Grid
 
 
@@ -94,6 +94,15 @@ def test_matches_brute_force_oracle_property(seed, n):
 def test_too_few_samples():
     with pytest.raises(TooFewSamples):
         empirical_variogram(SampleSet([[0, 0]], [1.0]), bin_width=1.0, max_lag=5.0)
+
+
+def test_lag_bins_stop_at_the_bound():
+    s = SampleSet([[0, 0], [3, 4], [6, 8]], [1.0, 2.0, 4.0])
+    ev = empirical_variogram(s, bin_width=1.0, max_lag=geostat.MAX_LAG_BINS + 0.49)
+    assert ev.lags.tolist() == [5.0, 10.0] and ev.counts.tolist() == [2, 1]
+    for max_lag in (geostat.MAX_LAG_BINS + 0.5, 1e300):
+        with pytest.raises(ConfigError, match=f"more than {geostat.MAX_LAG_BINS} lag bins"):
+            empirical_variogram(s, bin_width=1.0, max_lag=max_lag)
 
 
 def test_duplicate_locations_averaged():
@@ -432,14 +441,3 @@ def test_two_workers_raise_the_first_singular_chunk_as_one_does(monkeypatch, for
         regression_krige(g, SampleSet(xy, resid), flat, neighborhood=40)
     assert forks == [1]
     assert str(forked.value) == str(serial.value)
-
-
-def test_variogram_report_format():
-    ev = EmpiricalVariogram(np.array([10.0, 20.0]), np.array([1.5, 2.5]),
-                            np.array([4, 6]), 10.0, 20.0)
-    buf = io.StringIO()
-    write_variogram_report(ev, VariogramModel(1.0, 2.0, 15.0), buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "kind,lag,gamma,pairs,nugget,psill,range"
-    assert lines[1].startswith("bin,10,1.5,4")
-    assert lines[-1].startswith("model,,,,1,2,15")

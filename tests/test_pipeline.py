@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
+from agbmap import pipeline
 from agbmap.errors import ConfigError, NoPairs, NoQualifyingCells, RankDeficient
-from agbmap.forest import ForestParams
+from agbmap.forest import ForestParams, fit_random_forest
 from agbmap.geostat import SampleSet
 from agbmap.linear import stepwise_bic
 from agbmap.pipeline import (METRIC_FEATURES, RunConfig, _covariate_rows, build_map,
@@ -222,7 +223,6 @@ def test_build_map_rf_trend_and_resampling():
     product = build_map(scene_samples(scene, seed=8), scene.covariates, 500.0, "rf",
                         seed=8, forest_params=ForestParams(n_trees=30, min_leaf=5))
     assert product.agb.cellsize == 500.0
-    assert product.grid_size == 500.0
     mask = product.agb.valid_mask()
     assert np.all(product.agb.values[mask] >= 0)
     with pytest.raises(ConfigError):
@@ -237,7 +237,7 @@ def test_build_map_native_grid_size_short_circuit():
     assert product.agb.cellsize == scene.covariates.geometry().cellsize
 
 
-def test_build_map_top_k_screening_and_categorical():
+def test_build_map_top_k_screening_and_categorical(monkeypatch):
     scene = generate_scene(small_config(seed=14, n_footprints=300, n_plots=0))
     # add a qualitative covariate band (geology-like class codes)
     geom = scene.covariates.geometry()
@@ -246,12 +246,14 @@ def test_build_map_top_k_screening_and_categorical():
     bands = scene.covariates.items() + [("rocks", geom.copy_with(classes))]
     stack = GridStack(bands)
     samples = scene_samples(scene, seed=14)
+    forests = []
+    monkeypatch.setattr(pipeline, "fit_random_forest",
+                        lambda *args: forests.append(fit_random_forest(*args)) or forests[-1])
     product = build_map(samples, stack, 250.0, "rf", seed=14,
                         categorical=("rocks",),
                         forest_params=ForestParams(n_trees=20, min_leaf=5),
                         trend_top_k=2)
-    assert product.trend_model.feature_names and \
-        len(product.trend_model.feature_names) == 2
+    assert len(forests) == 1 and len(forests[0].feature_names) == 2
     assert np.all(product.agb.values[product.agb.valid_mask()] >= 0)
 
 

@@ -7,11 +7,14 @@ and `agbmap metrics` exiting 0 or 1 on it. Corrupt copies of an ASCII grid
 map, a variogram-samples CSV and a metrics CSV make the subcommands that
 read them (`carbon`, `validate`, `textures`, `variogram`, `sweep` and
 `calibrate`) exit 0 or 1, and 1 whenever the reader raises BadRecord.
-`check_fields`, which checks both JSON documents, names the key it rejects."""
+`check_fields`, which checks both JSON documents, names the key it rejects.
+The seven CSV report writers write the exact text pinned here."""
 
 from __future__ import annotations  # check_fields reads annotations as text
 
+import io
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -20,15 +23,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agbmap.allometry import load_plots
+from agbmap.allometry import CarbonStock, PlotTable, load_plots, write_carbon_report, write_plots
 from agbmap.cli import main
 from agbmap.errors import BadRecord, ConfigError
+from agbmap.geostat import EmpiricalVariogram, VariogramModel, write_variogram_report
 from agbmap.readers import POSITIVE, check_fields
-from agbmap.pipeline import RunConfig
+from agbmap.pipeline import (CalibrationSweepRow, RunConfig, write_sweep_csv,
+                             write_validation_csv)
 from agbmap.raster import Grid, read_ascii_grid, write_ascii_grid
 from agbmap.synth import scene_config
 from agbmap.waveform import (METRIC_COLUMNS, FootprintTable, WaveformRecord, read_metrics_csv,
-                             read_waveforms, write_metrics_csv, write_waveforms)
+                             read_waveforms, write_filter_csv, write_metrics_csv,
+                             write_waveforms)
 
 RUN_CONFIG = {"waveforms": "s/waveforms.ndjson", "dem": "s/dem.asc",
               "covariates": {"cov1": "s/cov1.asc", "cov2": "s/cov2.asc"},
@@ -310,3 +316,54 @@ def test_check_fields_returns_a_valid_document():
         {"name": "a", "limit": None}
     with pytest.raises(ConfigError, match=r"^cfg\.json: expected a JSON object, got \[\]$"):
         check_fields(_Fields, [], "cfg.json", **kwargs)
+
+
+_METRICS = FootprintTable(np.array([[1.5, -2.0]]),
+                          np.array([[1 / 3, 1e-12, 12345678901.5, -0.0,
+                                     *range(len(METRIC_COLUMNS) - 4)]]), ("a,b",))
+_EV = EmpiricalVariogram(np.array([10.0, 20.0]), np.array([1.5, 2 / 3]),
+                         np.array([4, 6], dtype=np.int64), 10.0, 20.0)
+
+
+def _lines(*lines):
+    return "".join(line + "\r\n" for line in lines)
+
+
+@pytest.mark.parametrize("write, expected", [
+    (lambda f: write_metrics_csv(_METRICS, f), _lines(
+        "id,lon,lat," + ",".join(METRIC_COLUMNS) + ",reject_reason",
+        '"a,b",1.5,-2,0.3333333333,1e-12,1.23456789e+10,-0,'
+        + ",".join(str(i) for i in range(len(METRIC_COLUMNS) - 4)) + ",")),
+    (lambda f: write_filter_csv(["f1", 'q"x'], ["", "Saturated"], f), _lines(
+        "id,kept,reason", "f1,1,", '"q""x",0,Saturated')),
+    (lambda f: write_sweep_csv([CalibrationSweepRow(250.0, 12, 0.5, 1e20 / 3),
+                                CalibrationSweepRow(100.0, 3, math.nan, math.nan)], f), _lines(
+        "max_dist,n_pairs,r2,rmse", "250,12,0.5,3.333333333e+19", "100,3,nan,nan")),
+    (lambda f: write_validation_csv((12.5, 2 / 3, 3), f), _lines(
+        "rmsep,r2,n_cells", "12.5,0.6666666667,3")),
+    (lambda f: write_validation_csv(None, f), _lines("rmsep,r2,n_cells")),
+    (lambda f: write_variogram_report(_EV, VariogramModel(1.0, 2 / 3, 15.0), f), _lines(
+        "kind,lag,gamma,pairs,nugget,psill,range", "bin,10,1.5,4,,,", "bin,20,0.6666666667,6,,,",
+        "model,,,,1,0.6666666667,15")),
+    (lambda f: write_variogram_report(_EV, None, f), _lines(
+        "kind,lag,gamma,pairs,nugget,psill,range", "bin,10,1.5,4,,,", "bin,20,0.6666666667,6,,,")),
+    (lambda f: write_carbon_report(CarbonStock(20000.0, 20.0, 1, 1000.0), f), _lines(
+        "total_tC,total_ktC,n_cells,cell_size_m", "20000,20,1,1000")),
+    (lambda f: write_carbon_report(CarbonStock(1e11 / 3, 1e8 / 3, 264, 500.0), f), _lines(
+        "total_tC,total_ktC,n_cells,cell_size_m", "3.333333333e+10,33333333.33,264,500")),
+    ("plots", _lines("plot_id,lon,lat,area_ha,agb_mg_ha", "p1,0.5,-1e-05,1,123.4567891",
+                     '"p 2, west",1234567.125,7,1,0')),
+], ids=["metrics", "filter", "sweep", "validation", "validation-none", "variogram",
+        "variogram-no-model", "carbon", "carbon-digits", "plots"])
+def test_report_writers_write_exact_text(tmp_path, write, expected):
+    # every report prints floats as %.10g through csv's quoting, rows ending in \r\n
+    if write == "plots":
+        path = tmp_path / "plots.csv"
+        write_plots(PlotTable(("p1", "p 2, west"), np.array([[0.5, -1e-5], [1234567.125, 7.0]]),
+                              np.array([123.45678912, 0.0])), path)
+        text = path.read_bytes().decode()
+    else:
+        f = io.StringIO(newline="")
+        write(f)
+        text = f.getvalue()
+    assert text == expected

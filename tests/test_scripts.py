@@ -1,4 +1,6 @@
 import runpy
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -38,3 +40,30 @@ def test_rk_improvement_runs_a_scene_without_plots(monkeypatch, capsys):
     assert lines[0].split() == ["seed", "trend", "rmse", "rk", "rmse", "gain"]
     assert lines[1].split()[0] == "0"
     assert lines[-1].startswith("mean gain ")
+
+
+@pytest.mark.parametrize("inside_a_checkout", [False, True])
+def test_bench_record_refuses_a_parent_that_is_not_a_git_checkout(tmp_path, monkeypatch,
+                                                                   capsys, inside_a_checkout):
+    # the record stored commits.parent as null, or as the HEAD of the
+    # checkout around the copy, and ran every pair
+    script = SCRIPTS_DIR / "bench_record.py"
+    parent = tmp_path / "parent"
+    if inside_a_checkout:
+        git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
+        subprocess.run([*git, "init", "-q"], check=True)
+        subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "t"], check=True)
+    shutil.copytree(SCRIPTS_DIR.parent / "bench", parent / "bench",
+                    ignore=shutil.ignore_patterns("out", "__pycache__"))
+    out = tmp_path / "records"
+    out.mkdir()
+    monkeypatch.setattr(sys, "argv", [str(script), "--parent", str(parent), "--change",
+                                      str(SCRIPTS_DIR.parent), "--slug", "t", "--pairs", "1",
+                                      "--out-dir", str(out)])
+    main = runpy.run_path(str(script), run_name="not_main")["main"]
+    runs = []
+    main.__globals__["run_once"] = lambda *args: runs.append(args) or {"exit": 0, "result": None}
+    assert main() == 1
+    assert capsys.readouterr().err == (f"error: {parent} is not the top of a git checkout, "
+                                       "so its commit cannot be recorded\n")
+    assert runs == [] and list(out.iterdir()) == []
