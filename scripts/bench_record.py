@@ -8,11 +8,13 @@ side runs first from one pair to the next. The first K pairs also run
 the end-to-end ones. It refuses to run when the two `bench/` directories
 differ, since the comparison then measures different harnesses, and when
 either checkout is not the top of a git work tree, since the record then
-cannot name its commit. The record holds every result line, each side's
-median and quartiles per metric, the number of pairs the change won per
-metric, the seed, the two commits, and the machine (nproc, the usable cores
-as `agbmap.parallel` counts them, the Python and numpy versions, and the
-scipy version read from its installed metadata, or null).
+cannot name its commit. The record holds every result line, the last
+STDERR_LINES lines of stderr of each run that exits non-zero or prints no
+result, each side's median and quartiles per metric, the number of pairs
+the change won per metric, the seed, the two commits, and the machine
+(nproc, the usable cores as `agbmap.parallel` counts them, the Python and
+numpy versions, and the scipy version read from its installed metadata, or
+null).
 
     python3 scripts/bench_record.py --parent ../parent --change . \\
         --slug batched_decomposition --workload desk-map --pairs 10 --traced-pairs 3
@@ -31,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 SKIP_DIRS = {"out", "__pycache__"}  # run outputs and bytecode, not the harness
+STDERR_LINES = 20  # stderr lines kept from a run that exits non-zero or prints no result
 
 
 def bench_digest(root: Path) -> dict:
@@ -65,7 +68,10 @@ def run_once(root: Path, workload: str, trace: int, args) -> dict:
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.rstrip("\n").splitlines()
     result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else None
-    return {"exit": proc.returncode, "result": result}
+    run = {"exit": proc.returncode, "result": result}
+    if proc.returncode or result is None:  # a failed run keeps the end of its stderr
+        run["stderr"] = proc.stderr.splitlines()[-STDERR_LINES:]
+    return run
 
 
 def quartiles(values) -> dict:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import pipeline, synth
 from .allometry import carbon_stock, load_plots, write_carbon_report
-from .errors import AgbmapError, ConfigError, TooFewSamples
+from .errors import AgbmapError, ConfigError, FitFailure, TooFewSamples
 from .geostat import (SampleSet, empirical_variogram, fit_exponential, lag_bins,
                       write_variogram_report)
 from .linear import save_model
@@ -242,9 +242,9 @@ def _cmd_variogram(args) -> int:
     samples = SampleSet(table[:, :2], table[:, 2])
     try:
         ev = empirical_variogram(samples, bin_width=args.bin_width, max_lag=args.max_lag)
-    except (TooFewSamples, ConfigError) as e:
+        model = fit_exponential(ev)
+    except (TooFewSamples, ConfigError, FitFailure) as e:
         raise type(e)(f"{args.samples}: {e}") from None
-    model = fit_exponential(ev)
     with _output(args.out) as f:
         write_variogram_report(ev, model, f)
     return 0

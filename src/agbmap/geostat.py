@@ -10,7 +10,8 @@ exponential with the practical-range convention
 so gamma(range) covers 95 percent of the partial sill. Ordinary kriging
 solves the semivariance system with a Lagrange row enforcing unit weight
 sum, over a k-nearest-neighbour window found by `raster.nearest`. A large
-grid is kriged on the pool of `parallel`.
+grid is kriged on the pool of `parallel`, each run searching the neighbours
+of its own cells.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ _WORKER_TARGETS = 1000  # kriging targets per process at least, so under 2000 no
 # lag bins of a variogram at most: its sums, its counts and each sample's
 # bincount take 8 bytes a bin, so 1.5 MiB at the cap
 MAX_LAG_BINS = 2 ** 16
+# pairs the variogram bins per block of rows, one row at least: each block
+# array takes 128 KB at most (see the mmap-threshold note at waveform._CHUNK)
+_BLOCK_PAIRS = 2 ** 14
 
 
 class SampleSet:
@@ -117,7 +121,8 @@ def empirical_variogram(s: SampleSet, bin_width: float | None = None,
 
     Defaults: max_lag is half the bounding-box diagonal, bin_width gives
     30 lags. Empty bins are dropped. More than MAX_LAG_BINS bins raise
-    ConfigError.
+    ConfigError. Pairs are binned in blocks of rows of about _BLOCK_PAIRS
+    pairs, and each bin's sum adds its pairs in pair order (i, then j > i).
     """
     if s.n < 2:
         raise TooFewSamples(f"need at least 2 samples, got {s.n}")
@@ -144,12 +149,16 @@ def empirical_variogram(s: SampleSet, bin_width: float | None = None,
     counts = np.zeros(nbins + 2, dtype=np.int64)
     xy = s.xy
     v = s.values
-    for i in range(s.n - 1):
-        dx = xy[i + 1:, 0] - xy[i, 0]
-        dy = xy[i + 1:, 1] - xy[i, 1]
+    step = max(1, _BLOCK_PAIRS // s.n)
+    for i in range(0, s.n - 1, step):
+        # rows i, i + 1, ... against columns i + 1 on, as one block
+        rows = slice(i, min(i + step, s.n - 1))
+        dx = xy[i + 1:, 0] - xy[rows, 0, None]
+        dy = xy[i + 1:, 1] - xy[rows, 1, None]
         j = np.minimum(np.rint(np.sqrt(dx * dx + dy * dy) / bin_width), nbins + 1).astype(np.int64)
-        np.add.at(sums, j, (v[i + 1:] - v[i]) ** 2)
-        counts += np.bincount(j, minlength=nbins + 2)
+        j[np.tri(*j.shape, -1, dtype=bool)] = 0  # a row's columns up to itself: dropped bin 0
+        np.add.at(sums, j.ravel(), ((v[i + 1:] - v[rows, None]) ** 2).ravel())
+        counts += np.bincount(j.ravel(), minlength=nbins + 2)
     nonzero = np.flatnonzero(counts[1:-1]) + 1
     lags = nonzero * bin_width
     gamma = sums[nonzero] / (2.0 * counts[nonzero])
@@ -204,10 +213,11 @@ def at_range_bound(model: VariogramModel, ev: EmpiricalVariogram) -> bool:
 class OrdinaryKriger:
     """Local-neighbourhood ordinary kriging against a fitted variogram.
 
-    The k nearest samples of every target are found in one search; targets
-    are solved _CHUNK at a time, as one stack of augmented systems, in
-    contiguous runs of chunks on `parallel.map_runs`. A chunk is solved alike
-    in any run, so the results do not depend on the worker count.
+    Targets are solved _CHUNK at a time, as one stack of augmented systems,
+    in contiguous runs of chunks on `parallel.map_runs`; each run searches
+    the k nearest samples of its own targets only. The search is exact per
+    target and a chunk is solved alike in any run, so the results do not
+    depend on the worker count.
     """
 
     def __init__(self, samples: SampleSet, model: VariogramModel,
@@ -264,20 +274,21 @@ class OrdinaryKriger:
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         targets = np.column_stack([x.ravel(), y.ravel()])
         n = targets.shape[0]
-        dist, idx = nearest(self.samples.xy, targets, self.k)
 
         def krige_run(chunks):
             """(estimates, variances) of the targets in a run of chunks."""
-            out = np.empty((2, n))
-            for c in chunks:
+            run_targets = targets[chunks.start * _CHUNK:chunks.stop * _CHUNK]
+            dist, idx = nearest(self.samples.xy, run_targets, self.k)
+            out = np.empty((2, run_targets.shape[0]))
+            for c in range(len(chunks)):
                 part = slice(c * _CHUNK, (c + 1) * _CHUNK)
-                lam, mu, gamma0 = self._solve(targets[part], dist[part], idx[part])
+                lam, mu, gamma0 = self._solve(run_targets[part], dist[part], idx[part])
                 # row dot products as stacked (1, k) @ (k, 1) products, which sum
                 # in the same order as the one-target `lam @ values`
                 lam_rows = lam[:, None, :]
                 out[0, part] = (lam_rows @ self.samples.values[idx[part]][:, :, None])[:, 0, 0]
                 out[1, part] = (lam_rows @ gamma0[:, :, None])[:, 0, 0] + mu
-            return out[:, chunks.start * _CHUNK:chunks.stop * _CHUNK]
+            return out
 
         # a run stops at its first SingularSystem; the runs are read in order,
         # so the lowest failing chunk's is raised, as one run would

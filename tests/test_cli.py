@@ -568,6 +568,15 @@ def test_variogram_lag_bins_beyond_bound_exit_1_naming_the_file(tmp_path, capsys
                    f"of {bin_width}\n")
 
 
+def test_variogram_fit_failure_exits_1_naming_the_file(tmp_path, capsys):
+    # the fit's error named no file; the 6 pairs lie at 3 distances, so 3 bins of 1 mm
+    path = tmp_path / "s.csv"
+    path.write_text("x,y,value\n0,0,1\n4,0,2\n0,4,3\n2,2,5\n")
+    assert main(["variogram", "--samples", str(path), "--bin-width", "1e-3",
+                 "--max-lag", "65.5"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: need at least 4 non-empty bins, got 3\n"
+
+
 @pytest.mark.parametrize("command, text, message", [
     ("validate", "plot_id,lon,lat,area_ha,agb_mg_ha\np1,x,5,1.0,100\n",
      "could not convert string to float: 'x'"),

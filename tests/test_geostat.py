@@ -105,6 +105,53 @@ def test_lag_bins_stop_at_the_bound():
             empirical_variogram(s, bin_width=1.0, max_lag=max_lag)
 
 
+def row_by_row_variogram(s, bin_width, max_lag):
+    """The one-row-at-a-time loop that the row blocks replaced: oracle for
+    their bits."""
+    nbins = geostat.lag_bins(max_lag, bin_width)
+    sums = np.zeros(nbins + 2)
+    counts = np.zeros(nbins + 2, dtype=np.int64)
+    xy, v = s.xy, s.values
+    for i in range(s.n - 1):
+        dx = xy[i + 1:, 0] - xy[i, 0]
+        dy = xy[i + 1:, 1] - xy[i, 1]
+        j = np.minimum(np.rint(np.sqrt(dx * dx + dy * dy) / bin_width), nbins + 1).astype(np.int64)
+        np.add.at(sums, j, (v[i + 1:] - v[i]) ** 2)
+        counts += np.bincount(j, minlength=nbins + 2)
+    nonzero = np.flatnonzero(counts[1:-1]) + 1
+    return nonzero * bin_width, sums[nonzero] / (2.0 * counts[nonzero]), counts[nonzero]
+
+
+def edge_pair_samples(n):
+    """n samples on a line whose gaps cycle through 0.25, 1, 2 and 3 m: with
+    2 m bins up to 7 m, pairs fall below half a bin (0.25 m), on exact
+    half-bin distances (1, 3 and 5 m, which rint rounds half to even) and,
+    from 11 samples on, beyond max_lag."""
+    x = np.concatenate([[0.0], np.cumsum(np.resize([0.25, 1.0, 2.0, 3.0], n - 1))])
+    return SampleSet(np.column_stack([x, np.zeros(n)]), np.random.default_rng(n).normal(0, 3, n))
+
+
+@pytest.mark.parametrize("step, n", [(step, n) for step in (1, 5)
+                                     for n in sorted({2, 3, step - 1, step, step + 1,
+                                                      2 * step + 1} - {0, 1})]
+                         + [(None, 300)])
+def test_row_blocks_bin_exactly_as_one_row_at_a_time(monkeypatch, step, n):
+    # blocks of `step` rows: one partial block, one full one, a full one and
+    # a partial one, and so on, by n; at the default budget 300 samples take
+    # 54 rows a block, the sixth block partial
+    if step is not None:
+        monkeypatch.setattr(geostat, "_BLOCK_PAIRS", step * n)
+    rng = np.random.default_rng(n if step is None else step * 100 + n)
+    for s, bin_width, max_lag in ((edge_pair_samples(n), 2.0, 7.0),
+                                  (SampleSet(rng.uniform(0, 50, (n, 2)), rng.normal(0, 4, n)),
+                                   3.0, 40.0)):
+        ev = empirical_variogram(s, bin_width=bin_width, max_lag=max_lag)
+        lags, gamma, counts = row_by_row_variogram(s, bin_width, max_lag)
+        assert np.array_equal(ev.lags, lags)
+        assert np.array_equal(ev.gamma, gamma)
+        assert np.array_equal(ev.counts, counts)
+
+
 def test_duplicate_locations_averaged():
     s = SampleSet([[0, 0], [0, 0], [10, 0]], [2.0, 4.0, 5.0])
     assert s.n == 2
@@ -429,6 +476,40 @@ def test_two_workers_krige_exactly_what_one_does(monkeypatch, forks):
     assert forks == [1]
     for one, two in zip(serial, forked):
         assert np.array_equal(one.values, two.values)
+
+
+def lattice_scene():
+    """The 12 x 15 grid of 100 m cells with a sample at every cell corner:
+    each cell centre has four nearest samples at one distance and eight more
+    at the next, so a search for 6 ends inside a tie in every run."""
+    g, _, _, m = chunked_scene()
+    xy = np.array([(100.0 * i, 100.0 * j) for i in range(16) for j in range(13)])
+    return g, xy, np.random.default_rng(10).normal(0, 6, len(xy)), m
+
+
+@pytest.mark.parametrize("scene", [chunked_scene, lattice_scene])
+def test_each_kriging_run_searches_only_its_own_cells(monkeypatch, forks, scene):
+    g, xy, resid, m = scene()
+    k = 6 if scene is lattice_scene else 40
+    serial = regression_krige(g, SampleSet(xy, resid), m, neighborhood=k)
+    searched, search = [], geostat.nearest
+
+    def spy(points, targets, k):
+        searched.append(targets)
+        return search(points, targets, k)
+
+    monkeypatch.setattr(geostat, "nearest", spy)
+    monkeypatch.setattr(geostat, "_WORKER_TARGETS", 40)  # two runs of three chunks
+    forked = regression_krige(g, SampleSet(xy, resid), m, neighborhood=k)
+    assert forks == [1]
+    for one, two in zip(serial, forked):
+        assert np.array_equal(one.values, two.values)
+    # the child's search is in its own memory; the caller's covered its run
+    x, y = g.cell_centers()
+    mask = g.valid_mask()
+    cells = np.column_stack([x[mask], y[mask]])
+    assert len(searched) == 1
+    assert np.array_equal(searched[0], cells[:3 * geostat._CHUNK])
 
 
 def test_two_workers_raise_the_first_singular_chunk_as_one_does(monkeypatch, forks):

@@ -240,6 +240,33 @@ def test_nearest_matches_full_sort_on_lattices(points, targets, k):
     np.testing.assert_array_equal(dist, want_dist)
 
 
+def nearest_run_cases():
+    rng = np.random.default_rng(41)
+    lattice = np.array([(x, y) for x in range(6) for y in range(6)], dtype=float)
+    scatter = rng.uniform(0, 1000, (80, 2))
+    return {
+        "lattice, four-way ties": (lattice, rng.permutation(lattice[:25] + 0.5), 3),
+        "lattice, two-way ties": (lattice, lattice + [0.5, 0.0], 3),
+        "random points": (scatter, rng.uniform(-100, 1100, (40, 2)), 7),
+        "k equal to n": (scatter[:12], rng.uniform(0, 1000, (20, 2)), 12),
+        "k above n": (scatter[:6], rng.uniform(0, 1000, (20, 2)), 10),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(nearest_run_cases()))
+def test_nearest_is_per_target_whatever_the_runs(name):
+    # the kriging runs each search their own targets: a run's tiles and
+    # radii differ from the whole search's, but no result may
+    points, targets, k = nearest_run_cases()[name]
+    dist, idx = nearest(points, targets, k)
+    m = len(targets)
+    cuts = [[0, cut, m] for cut in range(m + 1)] + [list(range(m + 1))]  # last: runs of one
+    for edges in cuts:
+        runs = [nearest(points, targets[lo:hi], k) for lo, hi in zip(edges[:-1], edges[1:])]
+        assert np.array_equal(np.concatenate([d for d, _ in runs]), dist)
+        assert np.array_equal(np.concatenate([i for _, i in runs]), idx)
+
+
 def test_nearest_equals_kdtree_on_the_seed_7_scene():
     from scipy.spatial import cKDTree  # oracle only: the package does not use scipy
 

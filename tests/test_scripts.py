@@ -1,3 +1,4 @@
+import argparse
 import runpy
 import shutil
 import subprocess
@@ -67,3 +68,22 @@ def test_bench_record_refuses_a_parent_that_is_not_a_git_checkout(tmp_path, monk
     assert capsys.readouterr().err == (f"error: {parent} is not the top of a git checkout, "
                                        "so its commit cannot be recorded\n")
     assert runs == [] and list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("exit_code, result", [(1, ""), (0, ""), (0, '{"metrics": {}}')])
+def test_bench_record_keeps_the_stderr_of_a_run_without_a_result(tmp_path, exit_code, result):
+    # a fullscale-krige run that exited 1 left nothing but its exit code
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import sys\n"
+        "for i in range(30):\n"
+        "    print(f'line {i}', file=sys.stderr)\n"
+        f"print({result!r})\n"
+        f"sys.exit({exit_code})\n")
+    run_once = runpy.run_path(str(SCRIPTS_DIR / "bench_record.py"), run_name="not_main")["run_once"]
+    run = run_once(tmp_path, "fullscale-krige", 0, argparse.Namespace(seed=7, seconds=1.0))
+    if result:
+        assert run == {"exit": 0, "result": {"metrics": {}}}
+    else:
+        assert run == {"exit": exit_code, "result": None,
+                       "stderr": [f"line {i}" for i in range(10, 30)]}
