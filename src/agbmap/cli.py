@@ -253,8 +253,8 @@ def _cmd_variogram(args) -> int:
 def _cmd_textures(args) -> int:
     grid = read_ascii_grid(args.infile)
     stack = glcm_textures(grid, window=args.window, levels=args.levels)
-    for name, band in stack.items():
-        write_ascii_grid(band, f"{args.out_prefix}{name}.asc")
+    for name in stack.names:
+        write_ascii_grid(stack.band(name), f"{args.out_prefix}{name}.asc")
     print(f"8 texture bands written with prefix {args.out_prefix}")
     return 0
 

@@ -127,7 +127,7 @@ def _resample_factor(stack: GridStack, grid_size: float) -> int:
     """The number of native cells along a side of a grid_size cell;
     ConfigError unless grid_size is a whole multiple of the native size
     and no longer than either side of the stack."""
-    geom = stack.geometry()
+    geom = stack.geometry
     factor = grid_size / geom.cellsize
     if abs(factor - round(factor)) > 1e-9 or factor < 1:
         raise ConfigError(
@@ -138,18 +138,11 @@ def _resample_factor(stack: GridStack, grid_size: float) -> int:
     return int(round(factor))
 
 
-def _resample_stack(stack: GridStack, grid_size: float) -> GridStack:
-    factor = _resample_factor(stack, grid_size)
-    if factor == 1:
-        return stack
-    return GridStack([(n, resample(g, factor)) for n, g in stack.items()])
-
-
 def _covariate_rows(stack: GridStack, xy: np.ndarray):
     """(indices of the points inside the grid on a cell valid in every band,
     matrix of band values at those cells)."""
-    row, col, inside = stack.geometry().locate(xy)
-    X = stack.array()[:, row, col].T
+    row, col, inside = stack.geometry.locate(xy)
+    X = stack.cube[:, row, col].T
     keep = np.flatnonzero(inside & np.isfinite(X).all(axis=1))
     return keep, X[keep]
 
@@ -168,12 +161,12 @@ def build_map(footprint_agb: SampleSet, covariates: GridStack, grid_size: float,
         raise ConfigError(f"trend must be 'lm' or 'rf', got {trend!r}")
     if footprint_agb.n == 0:
         raise EmptyDesign("no footprint AGB samples")
-    stack = _resample_stack(covariates, grid_size)
-    geom = stack.geometry()
+    stack = resample(covariates, _resample_factor(covariates, grid_size))
+    geom = stack.geometry
     keep, X = _covariate_rows(stack, footprint_agb.xy)
     if keep.size == 0:
         raise EmptyDesign("no footprint falls on a valid covariate cell")
-    names = stack.names
+    names = list(stack.names)
     d = DesignMatrix(names, X, footprint_agb.values[keep],
                      frozenset(categorical) & frozenset(names))
 
@@ -190,10 +183,8 @@ def build_map(footprint_agb: SampleSet, covariates: GridStack, grid_size: float,
                              frozenset(categorical) & frozenset(top))
         model = fit_random_forest(d, params, seed)
 
-    cube = stack.array()
     complete = stack.complete_mask()
-    cells = np.column_stack([cube[b][complete] for b in range(cube.shape[0])])
-    pred_cells = model.predict(cells, names)
+    pred_cells = model.predict(stack.cube[:, complete].T, names)
     trend_vals = np.full(complete.shape, geom.nodata)
     trend_vals[complete] = pred_cells
     trend_grid = geom.copy_with(trend_vals)
@@ -362,12 +353,12 @@ def _read_covariates(paths: dict) -> GridStack:
     """The stack of the covariate grids at paths (band name -> file);
     ConfigError naming both files where a grid's geometry differs from the
     first one's."""
-    bands = [(name, read_ascii_grid(path)) for name, path in paths.items()]
+    grids = [read_ascii_grid(path) for path in paths.values()]
     first = next(iter(paths.values()))
-    for name, grid in bands[1:]:
-        if not grid.same_geometry(bands[0][1]):
-            raise ConfigError(f"{paths[name]}: grid geometry differs from that of {first}")
-    return GridStack(bands)
+    for path, grid in zip(paths.values(), grids):
+        if not grid.same_geometry(grids[0]):
+            raise ConfigError(f"{path}: grid geometry differs from that of {first}")
+    return GridStack.on(paths, np.stack([g.masked() for g in grids]), grids[0])
 
 
 def run_mapping(cfg: RunConfig) -> dict:
@@ -389,7 +380,10 @@ def run_mapping(cfg: RunConfig) -> dict:
     dem = read_ascii_grid(cfg.dem)
     stack = _read_covariates(cfg.covariates)
     plots = load_plots(cfg.plots, cfg.trees)
-    for size in cfg.grid_sizes:
+    tags = [_size_tag(size) for size in cfg.grid_sizes]  # a size's outputs are named by it
+    for i, size in enumerate(cfg.grid_sizes):
+        if tags[i] in tags[:i]:
+            raise ConfigError(f"key 'grid_sizes': grid size {tags[i]} is given twice")
         try:
             _resample_factor(stack, size)
         except ConfigError as e:

@@ -114,47 +114,34 @@ class Grid:
         return self.masked()[rows[:, :, None], cols[:, None, :]], inside
 
 
+@dataclass(frozen=True)
 class GridStack:
-    """Named co-registered grids sharing geometry."""
+    """Named co-registered bands held as one cube.
 
-    def __init__(self, bands):
-        """bands: iterable of (name, Grid) pairs."""
-        self._names = []
-        self._grids = {}
-        for name, grid in bands:
-            if name in self._grids:
-                raise ValueError(f"duplicate band name {name!r}")
-            if self._names and not grid.same_geometry(self._grids[self._names[0]]):
-                raise ValueError(f"band {name!r} geometry differs from {self._names[0]!r}")
-            self._names.append(name)
-            self._grids[name] = grid
-        if not self._names:
-            raise ValueError("empty stack")
+    cube is (len(names), nrows, ncols) with nodata as NaN; geometry is a
+    Grid on a view of the cube's first band, whose shape, origin, cell size
+    and nodata value the bands share. The producer gives the bands
+    distinct names and that one geometry.
+    """
+    names: tuple
+    cube: np.ndarray
+    geometry: Grid
 
-    @property
-    def names(self):
-        return list(self._names)
-
-    @property
-    def nbands(self) -> int:
-        return len(self._names)
+    @classmethod
+    def on(cls, names, cube: np.ndarray, like: Grid, cellsize: float = None) -> "GridStack":
+        """The stack of cube's bands on like's geometry, at cellsize if given."""
+        return cls(tuple(names), cube, Grid(cube[0], like.origin_x, like.origin_y,
+                                            cellsize or like.cellsize, like.nodata))
 
     def band(self, name: str) -> Grid:
-        return self._grids[name]
-
-    def geometry(self) -> Grid:
-        return self._grids[self._names[0]]
-
-    def array(self) -> np.ndarray:
-        """(nbands, nrows, ncols) with nodata as NaN."""
-        return np.stack([self._grids[n].masked() for n in self._names])
+        """The named band as a Grid, nodata back to the sentinel for writing."""
+        values = self.cube[self.names.index(name)]
+        return self.geometry.copy_with(np.where(np.isfinite(values), values,
+                                                self.geometry.nodata))
 
     def complete_mask(self) -> np.ndarray:
         """Cells valid in every band."""
-        return np.all(np.isfinite(self.array()), axis=0)
-
-    def items(self):
-        return [(n, self._grids[n]) for n in self._names]
+        return np.isfinite(self.cube).all(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -244,32 +231,29 @@ def _body_error(path, text: str, first_line: int, expected: int, found: int) -> 
 # ---------------------------------------------------------------------------
 # kernels
 
-def resample(grid: Grid, factor: int) -> Grid:
-    """Mean of each factor x factor block, ignoring nodata.
+def resample(grid, factor: int):
+    """Mean of each factor x factor block, ignoring nodata, of a Grid or of
+    every band of a GridStack in one pass; the result has the input's type.
 
     Blocks are anchored at the lower-left corner; a ragged northern or
     eastern edge aggregates whatever cells exist. All-nodata blocks come
-    out nodata. The global mean is conserved exactly only when both
-    dimensions divide by `factor`.
+    out nodata: the sentinel in a Grid, NaN in a stack. The global mean is
+    conserved exactly only when both dimensions divide by `factor`.
     """
     if not isinstance(factor, (int, np.integer)) or factor < 1:
         raise BadFactor(f"factor must be a positive integer, got {factor!r}")
-    if factor == 1:
-        return grid.copy_with(grid.values)
-
-    vals = grid.masked()
-    pad_rows = (-grid.nrows) % factor
-    pad_cols = (-grid.ncols) % factor
+    stack = grid if isinstance(grid, GridStack) else GridStack.on(("",), grid.masked()[None], grid)
+    nbands, nrows, ncols = stack.cube.shape
     # partial blocks sit at the north/east edge, so pad the top and right
-    vals = np.pad(vals, ((pad_rows, 0), (0, pad_cols)), constant_values=np.nan)
-    nro = vals.shape[0] // factor
-    nco = vals.shape[1] // factor
-    blocks = vals.reshape(nro, factor, nco, factor)
+    vals = np.pad(stack.cube, ((0, 0), ((-nrows) % factor, 0), (0, (-ncols) % factor)),
+                  constant_values=np.nan)
+    blocks = vals.reshape(nbands, vals.shape[1] // factor, factor, vals.shape[2] // factor,
+                          factor)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        agg = np.nanmean(blocks, axis=(1, 3))
-    out = np.where(np.isfinite(agg), agg, grid.nodata)
-    return Grid(out, grid.origin_x, grid.origin_y, grid.cellsize * factor, grid.nodata)
+        cube = np.nanmean(blocks, axis=(2, 4))
+    out = GridStack.on(stack.names, cube, stack.geometry, stack.geometry.cellsize * factor)
+    return out if isinstance(grid, GridStack) else out.band("")
 
 
 @dataclass
@@ -284,12 +268,11 @@ def band_pca(stack: GridStack) -> PcaResult:
 
     Component signs are fixed so the largest-magnitude loading is positive.
     """
-    cube = stack.array()
-    k = cube.shape[0]
+    k = len(stack.names)
     complete = stack.complete_mask()
     if complete.sum() < 2:
         raise TooFewBands("fewer than 2 complete cells for PCA")
-    data = cube[:, complete]  # (k, m)
+    data = stack.cube[:, complete]  # (k, m)
     means = data.mean(axis=1)
     centered = data - means[:, None]
     cov = centered @ centered.T / (centered.shape[1] - 1)
@@ -303,20 +286,19 @@ def band_pca(stack: GridStack) -> PcaResult:
 
 
 def pca_stack(stack: GridStack, n_components: int) -> GridStack:
-    """Principal-component score grids, ordered by descending eigenvalue.
+    """The stack of principal-component scores pc1, pc2, ..., ordered by
+    descending eigenvalue, on the input's geometry.
 
-    Cells missing in any band are nodata in every component.
+    Cells missing in any band are NaN in every component.
     """
-    if n_components < 1 or n_components > stack.nbands:
-        raise TooFewBands(f"requested {n_components} components from {stack.nbands} bands")
+    if n_components < 1 or n_components > len(stack.names):
+        raise TooFewBands(f"requested {n_components} components from {len(stack.names)} bands")
     pca = band_pca(stack)
-    cube = stack.array()
-    geom = stack.geometry()
     complete = stack.complete_mask()
-    data = cube[:, complete] - pca.band_means[:, None]
-    vals = np.full((n_components, *cube.shape[1:]), geom.nodata)
-    vals[:, complete] = pca.loadings[:n_components] @ data
-    return GridStack([(f"pc{i + 1}", geom.copy_with(v)) for i, v in enumerate(vals)])
+    data = stack.cube[:, complete] - pca.band_means[:, None]
+    cube = np.full((n_components, *complete.shape), np.nan)
+    cube[:, complete] = pca.loadings[:n_components] @ data
+    return GridStack.on((f"pc{i + 1}" for i in range(n_components)), cube, stack.geometry)
 
 
 def nearest(points, targets, k: int):

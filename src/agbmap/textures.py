@@ -67,10 +67,11 @@ def _pass_stats(i: np.ndarray, j: np.ndarray, levels: int) -> np.ndarray:
 
 def glcm_textures(grid: Grid, window: int = 3, levels: int = 32,
                   offsets=DEFAULT_OFFSETS) -> GridStack:
-    """Per-cell texture bands from the pairs of each cell's window.
+    """The stack of the BAND_NAMES texture bands on grid's geometry, each
+    cell's from the pairs of its window.
 
     `window` must be odd. Windows are clipped at grid edges; a cell whose
-    window holds no valid co-occurring pair comes out nodata. A constant
+    window holds no valid co-occurring pair comes out NaN. A constant
     grid quantizes to a single level and yields the degenerate textures
     (contrast 0, homogeneity 1, entropy 0, second_moment 1).
     """
@@ -100,12 +101,12 @@ def glcm_textures(grid: Grid, window: int = 3, levels: int = 32,
     # the windows pass _PASS_PAIRS (centre, pair) entries at a time
     padded = np.pad(q, half, constant_values=-1).ravel()
     centres = np.flatnonzero(np.pad(mask, half))
-    out = np.full((8, padded.size), grid.nodata)
+    out = np.full((8, padded.size), np.nan)
     step = max(1, _PASS_PAIRS // max(1, len(first)))
     for start in range(0, len(centres), step):
         at = centres[start:start + step, None]
         i, j = padded[at + first], padded[at + second]
         has = ((i >= 0) & (j >= 0)).any(axis=1)
         out[:, at[has, 0]] = _pass_stats(i[has], j[has], levels)
-    out = out.reshape(8, -1, width)[:, half:half + nr, half:half + nc]
-    return GridStack([(name, grid.copy_with(out[k])) for k, name in enumerate(BAND_NAMES)])
+    out = out.reshape(8, -1, width)[:, half:half + nr, half:half + nc].copy()
+    return GridStack.on(BAND_NAMES, out, grid)

@@ -25,6 +25,7 @@ from agbmap.textures import DEFAULT_OFFSETS, glcm_textures
 from agbmap.waveform import METRIC_COLUMNS, Waveforms, filter_waveforms, process_waveforms
 
 from test_linear import exhaustive_bic_minimum
+from test_raster import stack_of
 from test_textures import center_values, oracle_stats
 
 
@@ -309,13 +310,12 @@ def test_criterion_7_texture_pca_kernels():
         for name, val in want.items():
             assert got[name] == pytest.approx(val, abs=1e-12), name
 
-    from agbmap.raster import GridStack
-    stack = GridStack([(f"b{i}", Grid(rng.normal(i, 1 + i, (15, 12)), 0, 0, 100.0))
-                       for i in range(5)])
+    stack = stack_of([(f"b{i}", Grid(rng.normal(i, 1 + i, (15, 12)), 0, 0, 100.0))
+                      for i in range(5)])
     pca = band_pca(stack)
     gram = pca.loadings @ pca.loadings.T
     assert np.max(np.abs(gram - np.eye(5))) < 1e-8
-    data = stack.array().reshape(5, -1) - pca.band_means[:, None]
+    data = stack.cube.reshape(5, -1) - pca.band_means[:, None]
     recon = pca.loadings.T @ (pca.loadings @ data)
     assert np.max(np.abs(recon - data)) < 1e-8
     report(7, "all 8 GLCM statistics match the hand-built co-occurrence "

@@ -360,6 +360,21 @@ def test_map_grid_size_off_the_covariate_cells_exits_1_before_out_dir(scene_dir,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sizes, flags, tag", [
+    ([1000, 1000], [], "1000"), ([500, 500.0], [], "500"),
+    ([500], ["--grid-size", "1000", "--grid-size", "1000"], "1000")])
+def test_map_repeated_grid_size_exits_1_before_out_dir(scene_dir, tmp_path, capsys,
+                                                       sizes, flags, tag):
+    # the size ran twice, and the manifest listed each of its outputs twice
+    doc = json.loads((scene_dir / "run_config.json").read_text())
+    doc.update(grid_sizes=sizes, out_dir=str(tmp_path / "run"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["map", "--config", str(path), *flags]) == 1
+    assert capsys.readouterr().err == f"error: key 'grid_sizes': grid size {tag} is given twice\n"
+    assert not (tmp_path / "run").exists()
+
+
 def _shifted(src, dst, dx):
     """dst: the ASCII grid at src with its origin moved dx metres east."""
     grid = read_ascii_grid(src)

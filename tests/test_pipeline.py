@@ -19,6 +19,8 @@ from agbmap.synth import generate_scene, small_config, write_scene
 from agbmap.waveform import (METRIC_COLUMNS, FootprintTable, process_waveforms,
                              read_waveforms, write_waveforms)
 
+from test_raster import stack_of
+
 COL = {c: j for j, c in enumerate(METRIC_COLUMNS)}  # metric matrix column of each name
 
 
@@ -171,8 +173,8 @@ def test_covariate_rows_match_per_point_cell_of():
     a = np.arange(20.0).reshape(4, 5)
     b = a + 100.0
     b[2, 3] = -9999.0  # nodata in one band only
-    stack = GridStack([("a", Grid(a, ox, oy, cs)), ("b", Grid(b, ox, oy, cs))])
-    geom = stack.geometry()
+    stack = stack_of([("a", Grid(a, ox, oy, cs)), ("b", Grid(b, ox, oy, cs))])
+    geom = stack.geometry
     rng = np.random.default_rng(4)
     xy = np.vstack([
         rng.uniform([ox - 40, oy - 40], [ox + 5 * cs + 40, oy + 4 * cs + 40], (200, 2)),
@@ -181,7 +183,7 @@ def test_covariate_rows_match_per_point_cell_of():
          [ox, oy], [ox, oy + 45.0],                              # on the origin edges
          [ox + 5 * cs, oy + 10], [ox + 10, oy + 4 * cs],          # on the far edges
          geom.cell_center(2, 3)]])                                # the cell NaN in b
-    cube = stack.array()
+    cube = stack.cube
     keep, rows = [], []
     for i, (x, y) in enumerate(xy):
         rc = cell_of(geom, x, y)
@@ -234,17 +236,17 @@ def test_build_map_rf_trend_and_resampling():
 def test_build_map_native_grid_size_short_circuit():
     scene = generate_scene(small_config(seed=9, n_footprints=200, n_plots=0))
     product = build_map(scene_samples(scene, seed=9), scene.covariates, 250.0, "lm")
-    assert product.agb.cellsize == scene.covariates.geometry().cellsize
+    assert product.agb.cellsize == scene.covariates.geometry.cellsize
 
 
 def test_build_map_top_k_screening_and_categorical(monkeypatch):
     scene = generate_scene(small_config(seed=14, n_footprints=300, n_plots=0))
     # add a qualitative covariate band (geology-like class codes)
-    geom = scene.covariates.geometry()
+    covariates = scene.covariates
     rng = np.random.default_rng(14)
-    classes = rng.integers(0, 4, geom.values.shape).astype(float)
-    bands = scene.covariates.items() + [("rocks", geom.copy_with(classes))]
-    stack = GridStack(bands)
+    classes = rng.integers(0, 4, covariates.cube.shape[1:]).astype(float)
+    stack = GridStack(covariates.names + ("rocks",),
+                      np.concatenate([covariates.cube, classes[None]]), covariates.geometry)
     samples = scene_samples(scene, seed=14)
     forests = []
     monkeypatch.setattr(pipeline, "fit_random_forest",

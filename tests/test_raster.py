@@ -15,6 +15,12 @@ def make_grid(values, cellsize=100.0, nodata=-9999.0):
     return Grid(np.asarray(values, dtype=float), 0.0, 0.0, cellsize, nodata)
 
 
+def stack_of(bands):
+    """The GridStack of (name, Grid) pairs that share the first one's geometry."""
+    names, grids = zip(*bands)
+    return GridStack(names, np.stack([g.masked() for g in grids]), grids[0])
+
+
 # ---------------------------------------------------------------- geometry
 
 def test_locate_and_cell_center_roundtrip():
@@ -75,18 +81,23 @@ def test_ascii_round_trip_is_stable(tmp_path):
 
 
 def test_ascii_values_match_9_significant_digits(tmp_path):
-    path = tmp_path / "g.asc"
-    for values, body in [
-            ([[123.456789123, 0.000012345678]], "123.456789 1.2345678e-05\n"),
+    path, band_path = tmp_path / "g.asc", tmp_path / "band.asc"
+    for values, nodata, body in [
+            ([[123.456789123, 0.000012345678]], -9999.0, "123.456789 1.2345678e-05\n"),
             # NaN and the sentinel go out as the sentinel; -0.0 keeps its sign
-            ([[np.nan, -9999.0, 1e10], [-0.0, 2.5e-300, -7.0]],
-             "-9999 -9999 1e+10\n-0 2.5e-300 -7\n")]:
-        g = make_grid(values, cellsize=1.0)
+            ([[np.nan, -9999.0, 1e10], [-0.0, 2.5e-300, -7.0]], -9999.0,
+             "-9999 -9999 1e+10\n-0 2.5e-300 -7\n"),
+            # a NaN sentinel: -9999 is a value
+            ([[np.nan, 1.5], [-9999.0, 2.0]], np.nan, "nan 1.5\n-9999 2\n")]:
+        g = make_grid(values, cellsize=1.0, nodata=nodata)
         write_ascii_grid(g, path)
         nrows, ncols = g.values.shape
         assert path.read_text() == (f"ncols {ncols}\nnrows {nrows}\nxllcorner 0\nyllcorner 0\n"
-                                    f"cellsize 1\nNODATA_value -9999\n{body}")
+                                    f"cellsize 1\nNODATA_value {nodata:g}\n{body}")
         np.testing.assert_allclose(read_ascii_grid(path).masked(), g.masked(), rtol=1e-9)
+        # a stack's band writes what its source grid wrote
+        write_ascii_grid(stack_of([("g", g)]).band("g"), band_path)
+        assert band_path.read_bytes() == path.read_bytes()
 
 
 # ---------------------------------------------------------------- resample
@@ -106,6 +117,44 @@ def test_resample_constant_and_nodata():
     assert resample(g2, 2).values[0, 0] == -9999.0
     part = make_grid([[5.0, -9999.0], [-9999.0, -9999.0]])
     assert resample(part, 2).values[0, 0] == 5.0
+
+
+def resample_one_band(grid, factor):
+    """The oracle: resample as it was when it took one Grid only."""
+    if factor == 1:
+        return grid.copy_with(grid.values)
+    vals = grid.masked()
+    pad_rows = (-grid.nrows) % factor
+    pad_cols = (-grid.ncols) % factor
+    vals = np.pad(vals, ((pad_rows, 0), (0, pad_cols)), constant_values=np.nan)
+    nro = vals.shape[0] // factor
+    nco = vals.shape[1] // factor
+    blocks = vals.reshape(nro, factor, nco, factor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        agg = np.nanmean(blocks, axis=(1, 3))
+    out = np.where(np.isfinite(agg), agg, grid.nodata)
+    return Grid(out, grid.origin_x, grid.origin_y, grid.cellsize * factor, grid.nodata)
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (5, 8), (12, 12)])
+@pytest.mark.parametrize("factor", [1, 2, 3])
+def test_stack_resample_equals_per_band_resample(shape, factor):
+    rng = np.random.default_rng(shape[0] * 10 + factor)
+    grids = [Grid(rng.normal(i, 10.0 ** i, shape), 500.0, -30.0, 25.0) for i in range(3)]
+    grids[0].values[1, 2] = np.nan
+    grids[1].values[-1, 0] = -9999.0
+    grids[2].values[:3, :3] = -9999.0  # holds an all-nodata block at factors 1 to 3
+    stack = stack_of([(f"b{i}", g) for i, g in enumerate(grids)])
+    out = resample(stack, factor)
+    assert out.names == stack.names
+    for i, grid in enumerate(grids):
+        want = resample_one_band(grid, factor)
+        assert np.array_equal(out.cube[i], want.masked(), equal_nan=True)
+        band = out.band(f"b{i}")
+        assert band.same_geometry(want) and band.nodata == want.nodata
+        assert np.array_equal(resample(grid, factor).values, band.values)
+    assert not np.isfinite(out.cube[2, 0, 0])
 
 
 def test_resample_rejects_bad_factor():
@@ -128,13 +177,12 @@ def test_resample_mean_conserves_global_mean(bh, bw, factor, seed):
 
 def _random_stack(seed, k=4, shape=(12, 10)):
     rng = np.random.default_rng(seed)
-    return GridStack([(f"b{i}", make_grid(rng.normal(i, 1 + i, shape)))
-                      for i in range(k)])
+    return stack_of([(f"b{i}", make_grid(rng.normal(i, 1 + i, shape))) for i in range(k)])
 
 
 def test_pca_perfectly_correlated_bands():
     base = np.random.default_rng(3).normal(0, 2, (9, 9))
-    stack = GridStack([("a", make_grid(base)), ("b", make_grid(3 * base))])
+    stack = stack_of([("a", make_grid(base)), ("b", make_grid(3 * base))])
     pca = band_pca(stack)
     assert pca.eigenvalues[0] > 0
     assert pca.eigenvalues[1] == pytest.approx(0, abs=1e-9 * pca.eigenvalues[0])
@@ -146,8 +194,8 @@ def test_pca_eigenvalues_match_band_variances_for_orthogonal_bands():
     t = np.arange(n)
     b1 = np.sqrt(2) * np.cos(2 * np.pi * t / n)
     b2 = 3 * np.sqrt(2) * np.sin(2 * np.pi * t / n)
-    stack = GridStack([("a", make_grid(b1.reshape(8, 8))),
-                       ("b", make_grid(b2.reshape(8, 8)))])
+    stack = stack_of([("a", make_grid(b1.reshape(8, 8))),
+                      ("b", make_grid(b2.reshape(8, 8)))])
     pca = band_pca(stack)
     v1 = b1.var(ddof=1)
     v2 = b2.var(ddof=1)
@@ -160,8 +208,7 @@ def test_pca_orthonormal_and_reconstruction():
     pca = band_pca(stack)
     gram = pca.loadings @ pca.loadings.T
     assert np.max(np.abs(gram - np.eye(4))) < 1e-8
-    cube = stack.array()
-    data = cube.reshape(4, -1)
+    data = stack.cube.reshape(4, -1)
     centered = data - pca.band_means[:, None]
     scores = pca.loadings @ centered
     recon = pca.loadings.T @ scores
@@ -170,9 +217,9 @@ def test_pca_orthonormal_and_reconstruction():
 
 def test_pca_stack_nodata_and_band_count():
     stack = _random_stack(12, k=3)
-    stack.band("b1").values[4, 4] = -9999.0
+    stack.cube[1, 4, 4] = np.nan
     out = pca_stack(stack, 2)
-    assert out.names == ["pc1", "pc2"]
+    assert out.names == ("pc1", "pc2")
     assert out.band("pc1").values[4, 4] == -9999.0
     with pytest.raises(TooFewBands):
         pca_stack(stack, 5)
@@ -272,7 +319,7 @@ def test_nearest_equals_kdtree_on_the_seed_7_scene():
 
     scene = generate_scene(scene_config(7, True))
     xy = np.array([[w.lon, w.lat] for w in scene.footprints])
-    x, y = resample(scene.covariates.geometry(), 2).cell_centers()
+    x, y = resample(scene.covariates.geometry, 2).cell_centers()
     cells = np.column_stack([x.ravel(), y.ravel()])
     for k in (1, 32):
         dist, idx = nearest(xy, cells, k)

@@ -1,4 +1,5 @@
 import argparse
+import os
 import runpy
 import shutil
 import subprocess
@@ -87,3 +88,33 @@ def test_bench_record_keeps_the_stderr_of_a_run_without_a_result(tmp_path, exit_
     else:
         assert run == {"exit": exit_code, "result": None,
                        "stderr": [f"line {i}" for i in range(10, 30)]}
+
+
+def test_same_outputs_finds_a_checkout_equal_to_itself(monkeypatch, capsys):
+    script = SCRIPTS_DIR / "same_outputs.py"
+    root = str(SCRIPTS_DIR.parent)
+    monkeypatch.setattr(sys, "argv", [str(script), "--parent", root, "--change", root,
+                                      "--seed", "5"])
+    assert runpy.run_path(str(script), run_name="not_main")["main"]() == 0
+    # the scene's 8 files and the run's 19: 4, and 5 for each of 3 grid sizes
+    assert capsys.readouterr().out == "27 files compared, 0 differ\n"
+
+
+def test_same_outputs_names_each_file_that_differs(tmp_path, monkeypatch, capsys):
+    script = SCRIPTS_DIR / "same_outputs.py"
+    main = runpy.run_path(str(script), run_name="not_main")["main"]
+
+    def run_side(src, work, args):
+        # same size and time on both sides, so only a byte comparison tells
+        (work / "run").mkdir(parents=True)
+        for name, text in [("same.txt", "x"), ("run/agb.asc", src.name)] + \
+                [("extra.txt", "x")] * (src.name == "c"):
+            (work / name).write_text(text)
+            os.utime(work / name, (0, 0))
+
+    monkeypatch.setitem(main.__globals__, "run_side", run_side)
+    monkeypatch.setattr(sys, "argv", [str(script), "--parent", str(tmp_path / "p"),
+                                      "--change", str(tmp_path / "c")])
+    assert main() == 1
+    assert capsys.readouterr().out == ("differs: extra.txt\ndiffers: run/agb.asc\n"
+                                       "3 files compared, 2 differ\n")

@@ -27,8 +27,8 @@ def test_zero_psill_truth_equals_trend():
                        n_footprints=20, n_plots=0)
     scene = generate_scene(cfg)
     trend = np.full_like(scene.truth_agb.values, cfg.trend_intercept)
-    for coef, (_, grid) in zip(cfg.trend_coefficients, scene.covariates.items()):
-        trend = trend + coef * grid.values
+    for coef, band in zip(cfg.trend_coefficients, scene.covariates.cube):
+        trend = trend + coef * band
     assert np.allclose(scene.truth_agb.values, np.maximum(trend, 0.0))
 
 
